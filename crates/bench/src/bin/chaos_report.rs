@@ -1,7 +1,7 @@
 //! Robustness report for the hybrid scheduler under deterministic fault
 //! injection.
 //!
-//! Sweeps seeded [`PlannedInjector`] plans over real `try_hybrid_for`
+//! Sweeps seeded [`PlannedInjector`] plans over real cancellable hybrid
 //! loops and verifies, per seed, the properties the chaos layer exists to
 //! protect:
 //!
@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use parloop_bench::{quick_flag, Table};
 use parloop_chaos::{PlannedInjector, Site};
-use parloop_core::try_hybrid_for;
+use parloop_core::{Loop, Schedule};
 use parloop_runtime::{CancelToken, ThreadPoolBuilder};
 use parloop_trace::metrics::max_claim_failure_run;
 use parloop_trace::RingTraceSink;
@@ -50,10 +50,14 @@ fn main() {
 
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let cancel = CancelToken::new();
-        let stats = try_hybrid_for(&pool, 0..n, Some(16), &cancel, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap_or_else(|e| panic!("seed {seed}: faulted loop failed: {e:?}"));
+        let sched = Schedule::hybrid().with_grain(16);
+        let stats = Loop { cancel: Some(&cancel), ..Loop::new(sched) }
+            .run(&pool, 0..n, |chunk| {
+                for i in chunk {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+            })
+            .unwrap_or_else(|e| panic!("seed {seed}: faulted loop failed: {e:?}"));
 
         let once = hits.iter().all(|h| h.load(Ordering::Relaxed) == 1);
         assert!(once, "seed {seed}: exactly-once violated under injection");

@@ -1,34 +1,26 @@
-//! Split-policy benchmark: lazy steal-driven splitting vs eager
-//! divide-and-conquer for the work-stealing inner loop.
+//! Lazy-splitter benchmark: what the steal-driven lazy engine costs the
+//! work-stealing inner loop.
 //!
-//! Two measurements, written to `results/lazy_split.json`:
+//! Three measurements, written to `results/lazy_split.json`:
 //!
 //! * **deque pushes per loop** — the structural quantity the lazy splitter
-//!   exists to kill. Eager binary splitting pushes one job per split level
-//!   (`~n/grain - 1` per loop even with zero steals); the lazy splitter
-//!   publishes exactly one assist handle plus one re-publish per adoption,
-//!   so its per-loop pushes are bounded by `steals + 1`. The bound is a
-//!   counting identity over `PoolStats` deltas (`jobs_pushed`, `steals`,
-//!   `assist_joins`), not a wall-clock ratio, so it holds on any host —
-//!   including a 1-CPU CI box — and is enforced in both modes. Measured on
-//!   a 1-worker pool (steals impossible: lazy must push *nothing*) and a
-//!   4-worker pool (pushes ≤ steals + loops).
-//! * **ns/iter** — lazy vs eager at the grains 64 / 512 / 2048 on a
-//!   1-worker pool, where the policies run the same chunks in the same
-//!   order and the difference is pure splitting overhead (best-of-reps;
-//!   multi-worker timing on a time-shared host measures the OS scheduler,
-//!   not the splitter). Full mode enforces lazy ≤ eager at every grain;
-//!   `--smoke` reports the ratios without enforcing them (shared CI boxes
-//!   make tight wall-clock bars flaky) and shrinks `n`.
-//! * **per-loop floor (`floor/*`)** — ns per near-empty loop (64
+//!   exists to bound. It publishes exactly one assist handle plus one
+//!   re-publish per adoption, so its per-loop pushes are bounded by
+//!   `steals + 1`. The bound is a counting identity over `PoolStats`
+//!   deltas (`jobs_pushed`, `steals`, `assist_joins`), not a wall-clock
+//!   ratio, so it holds on any host — including a 1-CPU CI box — and is
+//!   enforced in both modes. Measured on a 1-worker pool (steals
+//!   impossible: the loop must push *nothing*) and a 4-worker pool
+//!   (pushes ≤ steals + loops).
+//! * **ns/iter** at the grains 64 / 512 / 2048 on a 1-worker pool, where
+//!   the time is pure splitting overhead (best-of-reps; multi-worker
+//!   timing on a time-shared host measures the OS scheduler, not the
+//!   splitter). `--smoke` shrinks `n`.
+//! * **per-loop floor (`floor/lazy/*`)** — ns per near-empty loop (64
 //!   iterations, grain 16: the body is negligible, so the timing *is* the
-//!   per-loop fixed cost) at P = 1/2/4, lazy vs eager, plus the forced
-//!   coordinator path at P = 1 (`floor/lazy_coord/p1` — what every P = 1
-//!   loop paid before the single-worker bypass). Timed *inside* one
-//!   `install`, so the injection round-trip is excluded and only the
-//!   loop machinery is measured. Full mode enforces the bypass bar
-//!   (`floor/lazy/p1` at least 2x below `floor/lazy_coord/p1`); P > 1
-//!   floors are report-only everywhere — on an oversubscribed host they
+//!   per-loop fixed cost) at P = 1/2/4. Timed *inside* one `install`, so
+//!   the injection round-trip is excluded and only the loop machinery is
+//!   measured. Report-only: on an oversubscribed host the P > 1 floors
 //!   time the OS scheduler.
 //!
 //! Usage: `cargo run --release -p parloop-bench --bin split_bench
@@ -42,25 +34,16 @@
 use std::ops::Range;
 
 use parloop_bench::{time_best_ns, Table};
-use parloop_core::{lazy_for_chunks_coordinator, ws_for_chunks_policy, SplitPolicy};
-use parloop_runtime::{PoolStats, ThreadPool};
+use parloop_core::lazy_for_chunks;
+use parloop_runtime::ThreadPool;
 
-/// `PoolStats` deltas from running `loops` identical lazy/eager loops.
+/// `PoolStats` deltas from running `loops` identical lazy loops.
 struct PushSample {
     workers: usize,
     loops: u64,
-    lazy_pushes: u64,
-    lazy_steals: u64,
-    lazy_assists: u64,
-    eager_pushes: u64,
-}
-
-fn delta(before: &PoolStats, after: &PoolStats) -> (u64, u64, u64) {
-    (
-        after.jobs_pushed - before.jobs_pushed,
-        after.steals - before.steals,
-        after.assist_joins - before.assist_joins,
-    )
+    pushes: u64,
+    steals: u64,
+    assists: u64,
 }
 
 fn measure_pushes(workers: usize, loops: u64, n: usize, grain: usize) -> PushSample {
@@ -68,23 +51,23 @@ fn measure_pushes(workers: usize, loops: u64, n: usize, grain: usize) -> PushSam
     let body = |chunk: Range<usize>| {
         std::hint::black_box(chunk.len());
     };
-    let run = |policy: SplitPolicy| {
-        let before = pool.stats();
-        for _ in 0..loops {
-            pool.install(|| ws_for_chunks_policy(0..n, grain, policy, &body));
-        }
-        let after = pool.stats();
-        delta(&before, &after)
-    };
-    let (lazy_pushes, lazy_steals, lazy_assists) = run(SplitPolicy::Lazy);
-    let (eager_pushes, _, _) = run(SplitPolicy::Eager);
-    PushSample { workers, loops, lazy_pushes, lazy_steals, lazy_assists, eager_pushes }
+    let before = pool.stats();
+    for _ in 0..loops {
+        pool.install(|| lazy_for_chunks(0..n, grain, &body));
+    }
+    let after = pool.stats();
+    PushSample {
+        workers,
+        loops,
+        pushes: after.jobs_pushed - before.jobs_pushed,
+        steals: after.steals - before.steals,
+        assists: after.assist_joins - before.assist_joins,
+    }
 }
 
 struct TimeRow {
     grain: usize,
-    lazy_ns_per_iter: f64,
-    eager_ns_per_iter: f64,
+    ns_per_iter: f64,
 }
 
 fn measure_time(pool: &ThreadPool, n: usize, grain: usize, reps: usize) -> TimeRow {
@@ -95,26 +78,16 @@ fn measure_time(pool: &ThreadPool, n: usize, grain: usize, reps: usize) -> TimeR
         }
         std::hint::black_box(acc);
     };
-    let time = |policy: SplitPolicy| {
-        time_best_ns(reps, || {
-            pool.install(|| ws_for_chunks_policy(0..n, grain, policy, &body));
-        }) / n as f64
-    };
-    TimeRow {
-        grain,
-        lazy_ns_per_iter: time(SplitPolicy::Lazy),
-        eager_ns_per_iter: time(SplitPolicy::Eager),
-    }
+    let ns = time_best_ns(reps, || {
+        pool.install(|| lazy_for_chunks(0..n, grain, &body));
+    });
+    TimeRow { grain, ns_per_iter: ns / n as f64 }
 }
 
 /// Per-loop fixed cost at one worker count: ns per near-empty loop.
 struct FloorRow {
     workers: usize,
-    lazy_ns: f64,
-    eager_ns: f64,
-    /// The pre-bypass coordinator path, measured at P = 1 only (elsewhere
-    /// it is the same code `lazy_ns` already measures).
-    coord_ns: Option<f64>,
+    ns: f64,
 }
 
 fn measure_floor(workers: usize, reps: usize) -> FloorRow {
@@ -129,27 +102,14 @@ fn measure_floor(workers: usize, reps: usize) -> FloorRow {
     let body = |chunk: Range<usize>| {
         std::hint::black_box(chunk.len());
     };
-    let time_policy = |policy: SplitPolicy| {
-        pool.install(|| {
-            time_best_ns(reps, || {
-                for _ in 0..LOOPS {
-                    ws_for_chunks_policy(0..n, grain, policy, &body);
-                }
-            })
-        }) / LOOPS as f64
-    };
-    let lazy_ns = time_policy(SplitPolicy::Lazy);
-    let eager_ns = time_policy(SplitPolicy::Eager);
-    let coord_ns = (workers == 1).then(|| {
-        pool.install(|| {
-            time_best_ns(reps, || {
-                for _ in 0..LOOPS {
-                    lazy_for_chunks_coordinator(0..n, grain, &body);
-                }
-            })
-        }) / LOOPS as f64
+    let ns = pool.install(|| {
+        time_best_ns(reps, || {
+            for _ in 0..LOOPS {
+                lazy_for_chunks(0..n, grain, &body);
+            }
+        })
     });
-    FloorRow { workers, lazy_ns, eager_ns, coord_ns }
+    FloorRow { workers, ns: ns / LOOPS as f64 }
 }
 
 fn main() {
@@ -178,42 +138,28 @@ fn main() {
         measure_pushes(4, push_loops, n, push_grain),
     ];
 
-    let mut t = Table::new(vec![
-        "workers",
-        "loops",
-        "lazy pushes",
-        "steals",
-        "assists",
-        "eager pushes",
-        "bound (steals+loops)",
-    ]);
+    let mut t =
+        Table::new(vec!["workers", "loops", "pushes", "steals", "assists", "bound (steals+loops)"]);
     for s in &samples {
         t.row(vec![
             s.workers.to_string(),
             s.loops.to_string(),
-            s.lazy_pushes.to_string(),
-            s.lazy_steals.to_string(),
-            s.lazy_assists.to_string(),
-            s.eager_pushes.to_string(),
-            (s.lazy_steals + s.loops).to_string(),
+            s.pushes.to_string(),
+            s.steals.to_string(),
+            s.assists.to_string(),
+            (s.steals + s.loops).to_string(),
         ]);
     }
     t.print();
 
-    // ns/iter on a 1-worker pool: same chunk sequence either way, so the
-    // difference is splitting overhead alone.
+    // ns/iter on a 1-worker pool: the splitting overhead alone.
     let timing_pool = ThreadPool::new(1);
     let rows: Vec<TimeRow> =
         grains.iter().map(|&g| measure_time(&timing_pool, n, g, reps)).collect();
 
-    let mut t = Table::new(vec!["grain", "lazy ns/iter", "eager ns/iter", "eager/lazy"]);
+    let mut t = Table::new(vec!["grain", "ns/iter"]);
     for r in &rows {
-        t.row(vec![
-            r.grain.to_string(),
-            format!("{:.3}", r.lazy_ns_per_iter),
-            format!("{:.3}", r.eager_ns_per_iter),
-            format!("{:.2}x", r.eager_ns_per_iter / r.lazy_ns_per_iter),
-        ]);
+        t.row(vec![r.grain.to_string(), format!("{:.3}", r.ns_per_iter)]);
     }
     println!();
     t.print();
@@ -221,14 +167,9 @@ fn main() {
     // Per-loop fixed cost at P = 1/2/4 (the paper's Fig. 1 latency-floor
     // measurement, which `split/lazy/*` ns/iter amortizes away).
     let floors: Vec<FloorRow> = [1usize, 2, 4].iter().map(|&p| measure_floor(p, reps)).collect();
-    let mut t = Table::new(vec!["workers", "lazy ns/loop", "eager ns/loop", "coord ns/loop"]);
+    let mut t = Table::new(vec!["workers", "ns/loop"]);
     for f in &floors {
-        t.row(vec![
-            f.workers.to_string(),
-            format!("{:.1}", f.lazy_ns),
-            format!("{:.1}", f.eager_ns),
-            f.coord_ns.map_or_else(|| "-".into(), |c| format!("{c:.1}")),
-        ]);
+        t.row(vec![f.workers.to_string(), format!("{:.1}", f.ns)]);
     }
     println!();
     t.print();
@@ -245,84 +186,28 @@ fn main() {
         println!("wrote {path}");
     }
 
-    // Acceptance bars. The push bounds are counting identities —
+    // Acceptance bars: the push bounds are counting identities —
     // host-core-count independent, enforced in both modes.
     let mut failed = false;
     let one = &samples[0];
-    println!(
-        "\ncheck P=1 lazy pushes: {} (need 0: no thieves, no handle published)",
-        one.lazy_pushes
-    );
-    if one.lazy_pushes != 0 {
+    println!("\ncheck P=1 pushes: {} (need 0: no thieves, no handle published)", one.pushes);
+    if one.pushes != 0 {
         failed = true;
     }
     let four = &samples[1];
-    let bound = four.lazy_steals + four.loops;
+    let bound = four.steals + four.loops;
     println!(
-        "check P=4 lazy pushes: {} <= steals + loops = {bound} (pushes per loop <= steals + 1)",
-        four.lazy_pushes
+        "check P=4 pushes: {} <= steals + loops = {bound} (pushes per loop <= steals + 1)",
+        four.pushes
     );
-    if four.lazy_pushes > bound {
+    if four.pushes > bound {
         failed = true;
-    }
-    let eager_floor = (n / push_grain) as u64 / 2 * one.loops;
-    println!(
-        "check P=1 eager pushes: {} >= {eager_floor} (O(n/grain) per loop — the overhead killed)",
-        one.eager_pushes
-    );
-    if one.eager_pushes < eager_floor {
-        failed = true;
-    }
-    for r in &rows {
-        let ok = r.lazy_ns_per_iter <= r.eager_ns_per_iter;
-        if smoke {
-            println!(
-                "check grain {}: lazy {:.3} vs eager {:.3} ns/iter (reported only in smoke mode)",
-                r.grain, r.lazy_ns_per_iter, r.eager_ns_per_iter
-            );
-        } else {
-            println!(
-                "check grain {}: lazy {:.3} <= eager {:.3} ns/iter [{}]",
-                r.grain,
-                r.lazy_ns_per_iter,
-                r.eager_ns_per_iter,
-                if ok { "OK" } else { "FAIL" }
-            );
-            if !ok {
-                failed = true;
-            }
-        }
-    }
-    // The bypass bar: the P = 1 fixed cost must sit at least 2x below the
-    // coordinator path it replaced. Report-only in smoke mode (same
-    // wall-clock flakiness argument as the ns/iter bars).
-    let f1 = &floors[0];
-    let coord = f1.coord_ns.expect("P=1 floor row measures the coordinator");
-    let ratio = coord / f1.lazy_ns.max(1e-9);
-    if smoke {
-        println!(
-            "check P=1 floor: bypass {:.1} vs coordinator {coord:.1} ns/loop = {ratio:.2}x \
-             (reported only in smoke mode)",
-            f1.lazy_ns
-        );
-    } else {
-        let ok = f1.lazy_ns * 2.0 <= coord;
-        println!(
-            "check P=1 floor: bypass {:.1} * 2 <= coordinator {coord:.1} ns/loop ({ratio:.2}x) [{}]",
-            f1.lazy_ns,
-            if ok { "OK" } else { "FAIL" }
-        );
-        if !ok {
-            failed = true;
-        }
     }
     if failed {
         eprintln!("FAILED: split acceptance bars not met");
         std::process::exit(1);
     }
-    println!(
-        "ok: lazy splitting bounds pushes by steals+1 per loop and is never slower than eager"
-    );
+    println!("ok: lazy splitting bounds pushes by steals+1 per loop");
 }
 
 /// The flat cross-commit tracking format: one `{name, value, unit}` entry
@@ -332,45 +217,19 @@ fn render_bench_json(samples: &[PushSample], rows: &[TimeRow], floors: &[FloorRo
     for r in rows {
         entries.push((
             format!("split/lazy/grain{}", r.grain),
-            format!("{:.4}", r.lazy_ns_per_iter),
-            "ns_per_iter",
-        ));
-        entries.push((
-            format!("split/eager/grain{}", r.grain),
-            format!("{:.4}", r.eager_ns_per_iter),
+            format!("{:.4}", r.ns_per_iter),
             "ns_per_iter",
         ));
     }
     for ps in samples {
         entries.push((
             format!("split/lazy/pushes_p{}", ps.workers),
-            format!("{:.2}", ps.lazy_pushes as f64 / ps.loops as f64),
-            "pushes_per_loop",
-        ));
-        entries.push((
-            format!("split/eager/pushes_p{}", ps.workers),
-            format!("{:.2}", ps.eager_pushes as f64 / ps.loops as f64),
+            format!("{:.2}", ps.pushes as f64 / ps.loops as f64),
             "pushes_per_loop",
         ));
     }
     for f in floors {
-        entries.push((
-            format!("floor/lazy/p{}", f.workers),
-            format!("{:.1}", f.lazy_ns),
-            "ns_per_loop",
-        ));
-        entries.push((
-            format!("floor/eager/p{}", f.workers),
-            format!("{:.1}", f.eager_ns),
-            "ns_per_loop",
-        ));
-        if let Some(c) = f.coord_ns {
-            entries.push((
-                format!("floor/lazy_coord/p{}", f.workers),
-                format!("{c:.1}"),
-                "ns_per_loop",
-            ));
-        }
+        entries.push((format!("floor/lazy/p{}", f.workers), format!("{:.1}", f.ns), "ns_per_loop"));
     }
     let mut s = String::from("{\n  \"benchmark\": \"parloop\",\n  \"results\": [\n");
     for (k, (name, value, unit)) in entries.iter().enumerate() {
@@ -399,14 +258,13 @@ fn render_json(
     for (k, ps) in samples.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"workers\": {}, \"loops\": {}, \"lazy_jobs_pushed\": {}, \"steals\": {}, \
-             \"assist_joins\": {}, \"eager_jobs_pushed\": {}, \"bound_steals_plus_loops\": {}}}{}\n",
+             \"assist_joins\": {}, \"bound_steals_plus_loops\": {}}}{}\n",
             ps.workers,
             ps.loops,
-            ps.lazy_pushes,
-            ps.lazy_steals,
-            ps.lazy_assists,
-            ps.eager_pushes,
-            ps.lazy_steals + ps.loops,
+            ps.pushes,
+            ps.steals,
+            ps.assists,
+            ps.steals + ps.loops,
             if k + 1 < samples.len() { "," } else { "" }
         ));
     }
@@ -414,23 +272,19 @@ fn render_json(
     s.push_str("  \"ns_per_iter\": [\n");
     for (k, r) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"grain\": {}, \"lazy\": {:.4}, \"eager\": {:.4}, \"eager_over_lazy\": {:.4}}}{}\n",
+            "    {{\"grain\": {}, \"lazy\": {:.4}}}{}\n",
             r.grain,
-            r.lazy_ns_per_iter,
-            r.eager_ns_per_iter,
-            r.eager_ns_per_iter / r.lazy_ns_per_iter,
+            r.ns_per_iter,
             if k + 1 < rows.len() { "," } else { "" }
         ));
     }
     s.push_str("  ],\n");
     s.push_str("  \"floor_ns_per_loop\": [\n");
     for (k, f) in floors.iter().enumerate() {
-        let coord = f.coord_ns.map_or_else(|| "null".into(), |c| format!("{c:.1}"));
         s.push_str(&format!(
-            "    {{\"workers\": {}, \"lazy\": {:.1}, \"eager\": {:.1}, \"lazy_coord\": {coord}}}{}\n",
+            "    {{\"workers\": {}, \"lazy\": {:.1}}}{}\n",
             f.workers,
-            f.lazy_ns,
-            f.eager_ns,
+            f.ns,
             if k + 1 < floors.len() { "," } else { "" }
         ));
     }

@@ -1,6 +1,6 @@
 //! Observability report for the threaded hybrid scheduler.
 //!
-//! Runs repeated real `hybrid_for` loops on a pool with a
+//! Runs repeated real hybrid loops on a pool with a
 //! [`RingTraceSink`] installed, then reports what the trace layer saw:
 //! per-worker counters, steal rate, the failed-claim-run histogram checked
 //! against Lemma 4's `max(lg R, 1)` bound, and affinity retention between
@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use parloop_bench::{quick_flag, Table};
-use parloop_core::hybrid_for_with_stats;
+use parloop_core::{Loop, Schedule};
 use parloop_runtime::ThreadPoolBuilder;
 use parloop_trace::metrics::{
     affinity_retention, claim_failure_histogram, event_counts, max_claim_failure_run,
@@ -59,9 +59,14 @@ fn main() {
     let mut snaps = Vec::with_capacity(reps);
     let mut partitions = 0usize;
     for _ in 0..reps {
-        let stats = hybrid_for_with_stats(&pool, 0..n, Some(64), |i| {
-            std::hint::black_box(i.wrapping_mul(0x9e37_79b9));
-        });
+        let sched = Schedule::hybrid().with_grain(64);
+        let stats = Loop::new(sched)
+            .run(&pool, 0..n, |chunk| {
+                for i in chunk {
+                    std::hint::black_box(i.wrapping_mul(0x9e37_79b9));
+                }
+            })
+            .expect("hybrid loop body panicked");
         partitions = stats.partitions;
         snaps.push(sink.drain());
     }

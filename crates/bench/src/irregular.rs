@@ -24,10 +24,7 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parloop_core::{
-    par_for_chunks, par_for_chunks_grain_policy, par_for_chunks_with_grain, AdaptiveSite,
-    GrainPolicy, Schedule, SplitPolicy,
-};
+use parloop_core::{par_for_chunks, AdaptiveSite, GrainPolicy, Loop, Schedule};
 use parloop_runtime::ThreadPool;
 
 /// How a benchmark run picks each loop's grain.
@@ -58,15 +55,12 @@ pub fn grain_loop<F>(
 {
     match mode {
         GrainMode::Default => par_for_chunks(pool, range, sched, body),
-        GrainMode::Fixed(g) => par_for_chunks_with_grain(pool, range, sched, g, body),
-        GrainMode::Adaptive(sites) => par_for_chunks_grain_policy(
-            pool,
-            range,
-            sched,
-            SplitPolicy::default(),
-            GrainPolicy::Adaptive(&sites[site]),
-            body,
-        ),
+        GrainMode::Fixed(g) => par_for_chunks(pool, range, sched.with_grain(g), body),
+        GrainMode::Adaptive(sites) => {
+            Loop { grain: GrainPolicy::Adaptive(&sites[site]), ..Loop::new(sched) }
+                .run(pool, range, body)
+                .expect("adaptive loop body panicked");
+        }
     }
 }
 

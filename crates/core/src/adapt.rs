@@ -49,9 +49,8 @@
 //!   (`assist_joins ≥ 2·workers`) adds one, up to `R = 8·P` — finer
 //!   static pieces for late-phase balance at `O(R lg R)` claim cost.
 //!
-//! The controller is wired through [`GrainPolicy::Adaptive`] (see
-//! `par_for_chunks_grain_policy`), mirroring how `SplitPolicy` and
-//! `StealPolicy` entered the API. Accepted adjustments surface as
+//! The controller is wired through [`GrainPolicy::Adaptive`], the grain
+//! option of [`Loop`](crate::Loop). Accepted adjustments surface as
 //! `TraceEvent::GrainAdjusted` events and the pool-global
 //! `PoolStats::grain_adjustments` counter; [`controller_report`] renders
 //! per-site snapshots for benches and experiments.
@@ -163,11 +162,11 @@ pub struct LoopSignals {
     /// Measured wall time of the whole loop, nanoseconds.
     pub wall_ns: u64,
     /// Assistants that joined *this* loop's lazy splitter(s) — per-loop
-    /// attribution (`lazy_for_chunks_counted` / `HybridStats::assist_joins`),
+    /// attribution (`LoopReport::assist_joins`),
     /// never the pool-global total, so nesting cannot leak an inner
     /// loop's contention into the enclosing site.
     pub assist_joins: usize,
-    /// Failed partition claims (`HybridStats::failed_claims`; 0 for
+    /// Failed partition claims (`LoopReport::failed_claims`; 0 for
     /// non-hybrid schemes).
     pub failed_claims: usize,
     /// Partition count `R` of the hybrid run (1 for non-hybrid schemes —
@@ -227,21 +226,18 @@ static NEXT_SITE_ID: AtomicU32 = AtomicU32::new(0);
 /// `static` (const-constructible) next to the loop it governs:
 ///
 /// ```
-/// use parloop_core::{par_for_chunks_grain_policy, AdaptiveSite, GrainPolicy, Schedule, SplitPolicy};
+/// use parloop_core::{AdaptiveSite, GrainPolicy, Loop, Schedule};
 /// use parloop_runtime::ThreadPool;
 ///
 /// static SITE: AdaptiveSite = AdaptiveSite::new("my_kernel");
 ///
 /// let pool = ThreadPool::new(2);
 /// for _ in 0..4 {
-///     par_for_chunks_grain_policy(
-///         &pool,
-///         0..4096,
-///         Schedule::hybrid(),
-///         SplitPolicy::Lazy,
-///         GrainPolicy::Adaptive(&SITE),
-///         |chunk| { std::hint::black_box(chunk.len()); },
-///     );
+///     Loop { grain: GrainPolicy::Adaptive(&SITE), ..Loop::new(Schedule::hybrid()) }
+///         .run(&pool, 0..4096, |chunk| {
+///             std::hint::black_box(chunk.len());
+///         })
+///         .unwrap();
 /// }
 /// assert!(SITE.snapshot().loops >= 4);
 /// ```

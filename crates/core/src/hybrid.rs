@@ -15,10 +15,10 @@
 //!    analysis's "at most P protocol steals"); if `r` is already claimed,
 //!    the thief simply returns to ordinary randomized work stealing —
 //!    where it can still steal *chunks* of claimed partitions, because
-//!    each partition body runs as a stealable divide-and-conquer loop.
+//!    each partition body runs as a stealable lazy loop.
 //! 3. `DoHybridLoop` walks the semi-deterministic claim sequence
 //!    ([`ClaimWalker`]); every successfully claimed partition executes via
-//!    [`ws_for_chunks`] and then decrements the loop's completion latch.
+//!    [`lazy_for_chunks`] and then decrements the loop's completion latch.
 //!
 //! Theorem 3 (every partition executes exactly once) carries over
 //! directly: claims are `fetch_or` on `A`, and only a winning claim
@@ -44,8 +44,8 @@
 //! *observability*, not synchronization, and runs `Relaxed`:
 //!
 //! * `adoptions` / `failed_claims` / `skipped` are monotone counters read
-//!   once in `stats_snapshot` *after* the latch resolves. Counts from any
-//!   participant that executed a partition are ordered by the latch edge;
+//!   once in `HybridState::report` *after* the latch resolves. Counts from
+//!   any participant that executed a partition are ordered by the latch edge;
 //!   a late adopter that claimed nothing may be missed by the snapshot —
 //!   exactly as it could be under the previous `SeqCst`-strength RMWs,
 //!   since no ordering makes "increments after the last decrement"
@@ -64,7 +64,7 @@
 
 use std::any::Any;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -74,84 +74,10 @@ use parloop_runtime::{
 };
 
 use crate::claim::{locality_earmark, partitions_oversubscribed, ClaimTable, ClaimWalker};
-use crate::lazy::SplitPolicy;
+use crate::lazy::lazy_for_chunks;
 use crate::range::block_bounds;
-use crate::stealing::ws_for_chunks_policy;
+use crate::schedule::{LoopError, LoopReport};
 use crate::util::SendPtr;
-
-/// Observability counters from one hybrid loop execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HybridStats {
-    /// Number of partitions `R`.
-    pub partitions: usize,
-    /// Workers that joined via the `DoHybridLoop` steal protocol
-    /// (excluding the initiator).
-    pub adoptions: usize,
-    /// Total unsuccessful claims across all participating workers
-    /// (Theorem 5 charges `O(R lg R)` work for these).
-    pub failed_claims: usize,
-    /// Partitions whose claim was won but whose body was *skipped*: the
-    /// loop was already poisoned by a sibling's panic, or its cancel token
-    /// had fired. These partitions still resolve the completion latch —
-    /// skipping keeps termination alive — but their iterations never ran.
-    pub skipped_partitions: usize,
-    /// Assistants that joined the *inner* lazy loops of this loop's
-    /// partitions (summed across partitions). Per-loop — nested hybrid
-    /// loops each count only their own partitions' assists — which is the
-    /// contention signal the adaptive grain controller consumes. Always 0
-    /// under [`SplitPolicy::Eager`] (no assist handles exist there).
-    pub assist_joins: usize,
-}
-
-/// Why a `try_` hybrid loop did not complete normally. Carries the stats
-/// either way, so skipped partitions stay observable in failed runs.
-pub enum HybridError {
-    /// The loop's [`CancelToken`] fired before all partitions executed.
-    Cancelled(HybridStats),
-    /// A loop body (or an injected fault) panicked; `payload` is the first
-    /// captured panic.
-    Panicked {
-        /// Counters up to the loop's resolution.
-        stats: HybridStats,
-        /// The first panic payload recorded by any participant.
-        payload: Box<dyn Any + Send>,
-    },
-}
-
-impl HybridError {
-    /// The scheduling counters, whatever the failure mode.
-    pub fn stats(&self) -> HybridStats {
-        match self {
-            HybridError::Cancelled(stats) => *stats,
-            HybridError::Panicked { stats, .. } => *stats,
-        }
-    }
-}
-
-impl std::fmt::Debug for HybridError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HybridError::Cancelled(stats) => f.debug_tuple("Cancelled").field(stats).finish(),
-            HybridError::Panicked { stats, .. } => {
-                f.debug_struct("Panicked").field("stats", stats).finish_non_exhaustive()
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for HybridError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Allocation-free: static strings only. The payload is opaque
-        // (`dyn Any`) and the stats live behind `.stats()` for callers
-        // that want numbers — `?`-chain error messages stay cheap.
-        match self {
-            HybridError::Cancelled(_) => f.write_str("hybrid loop cancelled before completion"),
-            HybridError::Panicked { .. } => f.write_str("hybrid loop body panicked"),
-        }
-    }
-}
-
-impl std::error::Error for HybridError {}
 
 /// Shared per-loop state. `F` is the (chunk) body type; the state never
 /// owns the body — `body` is a lifetime-erased pointer to the caller's
@@ -163,8 +89,6 @@ struct HybridState<F> {
     n: usize,
     r_parts: usize,
     grain: usize,
-    /// Splitting engine for the stealable inner loop of each partition.
-    policy: SplitPolicy,
     body: SendPtr<F>,
     /// Adopter frames spawned so far (the initial frame plus re-publishes).
     frames: AtomicUsize,
@@ -178,8 +102,8 @@ struct HybridState<F> {
     skipped: AtomicUsize,
     /// Assist joins across this loop's partitions' inner lazy loops.
     assists: AtomicUsize,
-    /// Cooperative cancellation for the `try_` entry points; `None` for the
-    /// infallible API (the common path pays one `Option` check per claim).
+    /// Cooperative cancellation; `None` when the loop has no token (the
+    /// common path pays one `Option` check per claim).
     cancel: Option<CancelToken>,
     /// The pool's worker → socket map, anchoring each participant's claim
     /// walk at a partition homed on its own socket ([`locality_earmark`]).
@@ -217,8 +141,8 @@ impl<F> HybridState<F> {
     /// latch resolved, which orders every partition-executing
     /// participant's `Relaxed` increments before these loads (module
     /// docs); hence no per-load ordering is needed.
-    fn stats_snapshot(&self) -> HybridStats {
-        HybridStats {
+    fn report(&self) -> LoopReport {
+        LoopReport {
             partitions: self.r_parts,
             adoptions: self.adoptions.load(Ordering::Relaxed),
             failed_claims: self.failed_claims.load(Ordering::Relaxed),
@@ -255,101 +179,27 @@ impl Drop for LatchBatch<'_> {
     }
 }
 
-/// Execute `body` over chunks of `range` with the hybrid scheme. Must be
-/// called on a pool worker (`token`). Returns scheduling counters.
+/// Execute `body` over chunks of `range` with the hybrid scheme and
+/// `R = next_pow2(P · oversub)` partitions (the paper's general-`R`
+/// setting, Theorem 5). Must be called on a pool worker (`token`).
+///
+/// Panics are returned rather than resumed, and the loop observes
+/// `cancel` cooperatively. Exactly-once (Theorem 3) is preserved for the
+/// partitions that *did* run: cancellation/poisoning only ever skips
+/// whole partitions whose claim was won after the token fired, never
+/// re-runs one. A cancelled run still resolves the completion latch —
+/// cancelled walkers drain the remaining unclaimed partitions (claiming
+/// them and skipping their bodies) so the initiator never hangs.
+/// `Err(Cancelled)` means the token skipped at least one partition body;
+/// a token that fires after the last body started yields `Ok`.
 pub(crate) fn hybrid_for<F>(
     token: WorkerToken,
     range: Range<usize>,
     grain: usize,
-    body: &F,
-) -> HybridStats
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    hybrid_for_oversub(token, range, grain, 1, body)
-}
-
-/// [`hybrid_for`] with `R = next_pow2(P · oversub)` partitions — the
-/// paper's general-`R` setting (Theorem 5).
-pub(crate) fn hybrid_for_oversub<F>(
-    token: WorkerToken,
-    range: Range<usize>,
-    grain: usize,
     oversub: usize,
+    cancel: Option<&CancelToken>,
     body: &F,
-) -> HybridStats
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    hybrid_for_oversub_policy(token, range, grain, oversub, SplitPolicy::default(), body)
-}
-
-/// [`hybrid_for_oversub`] with an explicit inner-loop [`SplitPolicy`]
-/// (the A/B knob the split benchmarks flip).
-pub(crate) fn hybrid_for_oversub_policy<F>(
-    token: WorkerToken,
-    range: Range<usize>,
-    grain: usize,
-    oversub: usize,
-    policy: SplitPolicy,
-    body: &F,
-) -> HybridStats
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    match hybrid_for_inner(token, range, grain, oversub, policy, None, body) {
-        Ok(stats) => stats,
-        Err(HybridError::Panicked { payload, .. }) => resume_unwind(payload),
-        Err(HybridError::Cancelled(_)) => {
-            unreachable!("no cancel token was supplied to hybrid_for_oversub")
-        }
-    }
-}
-
-/// Fallible [`hybrid_for_oversub`]: panics are returned rather than
-/// resumed, and the loop observes `cancel` cooperatively.
-///
-/// Exactly-once (Theorem 3) is preserved for the partitions that *did*
-/// run: cancellation/poisoning only ever skips whole partitions whose
-/// claim was won after the token fired, never re-runs one. A cancelled
-/// run still resolves the completion latch — cancelled walkers drain the
-/// remaining unclaimed partitions (claiming them and skipping their
-/// bodies) so the initiator never hangs.
-///
-/// Note: `Err(Cancelled)` means the token was observed fired while
-/// partitions were still outstanding; a token that fires after the last
-/// body finished may still yield `Ok`.
-pub(crate) fn try_hybrid_for_oversub<F>(
-    token: WorkerToken,
-    range: Range<usize>,
-    grain: usize,
-    oversub: usize,
-    cancel: &CancelToken,
-    body: &F,
-) -> Result<HybridStats, HybridError>
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    hybrid_for_inner(
-        token,
-        range,
-        grain,
-        oversub,
-        SplitPolicy::default(),
-        Some(cancel.clone()),
-        body,
-    )
-}
-
-fn hybrid_for_inner<F>(
-    token: WorkerToken,
-    range: Range<usize>,
-    grain: usize,
-    oversub: usize,
-    policy: SplitPolicy,
-    cancel: Option<CancelToken>,
-    body: &F,
-) -> Result<HybridStats, HybridError>
+) -> Result<LoopReport, LoopError>
 where
     F: Fn(Range<usize>) + Sync,
 {
@@ -364,12 +214,10 @@ where
     // Claim / PartitionBody sites stay exercised on one-worker pools) or
     // a cancel token is present (the cancel drain path needs the table).
     if r_parts == 1 && cancel.is_none() && !token.chaos_enabled() {
-        let stats = HybridStats { partitions: 1, ..HybridStats::default() };
-        return match catch_unwind(AssertUnwindSafe(|| {
-            ws_for_chunks_policy(range, grain, policy, body)
-        })) {
-            Ok(()) => Ok(stats),
-            Err(payload) => Err(HybridError::Panicked { stats, payload }),
+        let report = LoopReport { partitions: 1, ..LoopReport::default() };
+        return match catch_unwind(AssertUnwindSafe(|| lazy_for_chunks(range, grain, body))) {
+            Ok(assist_joins) => Ok(LoopReport { assist_joins, ..report }),
+            Err(payload) => Err(LoopError::Panicked { report, payload }),
         };
     }
 
@@ -380,7 +228,6 @@ where
         n,
         r_parts,
         grain,
-        policy,
         // SAFETY (lifetime erasure): this function blocks on `state.latch`
         // (all `R` partitions executed) before returning, and
         // `execute_partition` is the only deref site — every deref happens
@@ -396,7 +243,7 @@ where
         poisoned: AtomicBool::new(false),
         skipped: AtomicUsize::new(0),
         assists: AtomicUsize::new(0),
-        cancel,
+        cancel: cancel.cloned(),
         topology: token.topology(),
     });
 
@@ -418,15 +265,15 @@ where
     }
     token.wait_until(&state.latch);
 
-    let stats = state.stats_snapshot();
+    let report = state.report();
     let maybe_panic = state.panic.lock().unwrap().take();
     if let Some(payload) = maybe_panic {
-        return Err(HybridError::Panicked { stats, payload });
+        return Err(LoopError::Panicked { report, payload });
     }
-    if state.cancelled() && stats.skipped_partitions > 0 {
-        return Err(HybridError::Cancelled(stats));
+    if state.cancelled() && report.skipped_partitions > 0 {
+        return Err(LoopError::Cancelled(report));
     }
-    Ok(stats)
+    Ok(report)
 }
 
 /// Push one adopter frame onto the current worker's deque, if the protocol
@@ -636,7 +483,7 @@ where
                 FaultAction::Fail | FaultAction::Kill | FaultAction::None => {}
             }
         }
-        crate::stealing::ws_for_chunks_policy_counted(range, state.grain, state.policy, body)
+        lazy_for_chunks(range, state.grain, body)
     })) {
         Ok(assists) => {
             if assists > 0 {
@@ -651,6 +498,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::rethrow;
     use parloop_runtime::ThreadPool;
     use std::sync::atomic::AtomicUsize;
 
@@ -659,14 +507,14 @@ mod tests {
         n: usize,
         grain: usize,
         body: impl Fn(usize) + Sync,
-    ) -> HybridStats {
+    ) -> LoopReport {
         pool.install(|| {
             let token = WorkerToken::current().unwrap();
-            hybrid_for(token, 0..n, grain, &|chunk: Range<usize>| {
+            rethrow(hybrid_for(token, 0..n, grain, 1, None, &|chunk: Range<usize>| {
                 for i in chunk {
                     body(i);
                 }
-            })
+            }))
         })
     }
 
@@ -740,14 +588,14 @@ mod tests {
         let total = AtomicUsize::new(0);
         pool.install(|| {
             let token = WorkerToken::current().unwrap();
-            hybrid_for(token, 0..8, 1, &|outer: Range<usize>| {
+            rethrow(hybrid_for(token, 0..8, 1, 1, None, &|outer: Range<usize>| {
                 for _ in outer {
                     let inner_token = WorkerToken::current().unwrap();
-                    hybrid_for(inner_token, 0..10, 2, &|inner: Range<usize>| {
+                    rethrow(hybrid_for(inner_token, 0..10, 2, 1, None, &|inner: Range<usize>| {
                         total.fetch_add(inner.len(), Ordering::Relaxed);
-                    });
+                    }));
                 }
-            });
+            }));
         });
         assert_eq!(total.load(Ordering::Relaxed), 80);
     }
@@ -778,21 +626,13 @@ mod tests {
         let err = single
             .install(|| {
                 let token = WorkerToken::current().unwrap();
-                hybrid_for_inner(
-                    token,
-                    0..64,
-                    4,
-                    4,
-                    SplitPolicy::default(),
-                    None,
-                    &|_chunk: Range<usize>| {
-                        panic!("first partition dies");
-                    },
-                )
+                hybrid_for(token, 0..64, 4, 4, None, &|_chunk: Range<usize>| {
+                    panic!("first partition dies");
+                })
             })
             .expect_err("poisoned loop must report the panic");
         match err {
-            HybridError::Panicked { stats, .. } => {
+            LoopError::Panicked { report: stats, .. } => {
                 assert_eq!(stats.partitions, 4);
                 assert_eq!(
                     stats.skipped_partitions, 3,
@@ -823,11 +663,11 @@ mod tests {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             let stats = pool.install(|| {
                 let token = WorkerToken::current().unwrap();
-                hybrid_for_oversub(token, 0..n, 16, oversub, &|chunk: Range<usize>| {
+                rethrow(hybrid_for(token, 0..n, 16, oversub, None, &|chunk: Range<usize>| {
                     for i in chunk {
                         hits[i].fetch_add(1, Ordering::Relaxed);
                     }
-                })
+                }))
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "oversub={oversub}");
             assert_eq!(stats.partitions, (3 * oversub).next_power_of_two());
@@ -861,7 +701,6 @@ mod tests {
                 n: 0,
                 r_parts: 2,
                 grain: 1,
-                policy: SplitPolicy::default(),
                 body: SendPtr::new(&body),
                 frames: AtomicUsize::new(0),
                 adoptions: AtomicUsize::new(0),

@@ -1,8 +1,9 @@
-//! Lazy, steal-driven loop splitting — the default inner engine of every
-//! dynamically-stolen loop.
+//! Lazy, steal-driven loop splitting — the engine of every
+//! dynamically-stolen loop: the `vanilla` scheme and the inner loop of
+//! every claimed hybrid partition.
 //!
-//! Eager binary splitting ([`crate::stealing::ws_for_chunks_eager`]) pays
-//! one `join` — a deque push, a Chase–Lev pop or steal, and a latch — at
+//! Eager binary splitting (Cilk's divide-and-conquer `cilk_for`) pays one
+//! `join` — a deque push, a Chase–Lev pop or steal, and a latch — at
 //! *every* split level, so a loop of `n` iterations with grain `g` costs
 //! `~n/g` deque round-trips even when zero steals occur. The paper's
 //! Corollary 6 only needs chunks to be *stealable*, not pre-split; this
@@ -67,7 +68,10 @@
 //! call ([`lazy_for_chunks`] dispatches to `run_uncontended`). Observable
 //! behaviour is unchanged: chunk trace brackets still fire, panics still
 //! propagate to the caller, and `Site::AssistClaim` is — as on the
-//! coordinator path with zero assists — never consulted.
+//! coordinator path with zero assists — never consulted. The branch pays
+//! for itself: at P = 1 the coordinator costs 69.0 ns per near-empty loop
+//! against 10.9 for the bypass (`floor/lazy_coord/p1` vs `floor/lazy/p1`
+//! in `BENCH_parloop.json`).
 //!
 //! ## Memory-ordering audit (per-site happens-before arguments)
 //!
@@ -102,30 +106,6 @@ use parloop_runtime::chaos::{chaos_spin, INJECTED_PANIC_MSG};
 use parloop_runtime::{CountLatch, FaultAction, Latch, Site, TraceEvent, WorkerToken};
 
 use crate::util::SendPtr;
-
-/// How a dynamically-stolen loop turns its range into stealable units.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SplitPolicy {
-    /// Steal-driven lazy splitting (the default): one assist handle in the
-    /// deque, chunks claimed off a shared packed cursor, deque pushes per
-    /// loop bounded by `O(steals + 1)`.
-    #[default]
-    Lazy,
-    /// Eager divide-and-conquer binary splitting (the Cilk baseline):
-    /// every split level is a `join`, costing `~n/grain` deque round-trips
-    /// per loop regardless of steals. Kept for A/B comparison.
-    Eager,
-}
-
-impl SplitPolicy {
-    /// Short stable name for tables and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            SplitPolicy::Lazy => "lazy",
-            SplitPolicy::Eager => "eager",
-        }
-    }
-}
 
 #[inline]
 fn pack(cursor: u64, end: u64) -> u64 {
@@ -194,29 +174,24 @@ impl<F> LoopCoordinator<F> {
 /// Execute `body(chunk)` over `range` with lazy steal-driven splitting;
 /// chunks have at most `grain` iterations. Must run on a pool worker for
 /// actual parallelism; off-pool it degrades to a sequential chunked call
-/// (serial elision). Ranges longer than `u32::MAX` iterations fall back to
-/// eager splitting (the packed cursor is 32-bit).
+/// (serial elision). The packed cursor is 32-bit, so a range longer than
+/// `u32::MAX` iterations runs as consecutive lazy loops over segments of
+/// at most `u32::MAX` iterations each.
+///
+/// Returns how many assistants joined *this* loop. The count is per-loop
+/// (each join is charged to the loop whose handle was adopted, even under
+/// nesting), which is what the adaptive grain controller feeds on — the
+/// pool-global `assist_joins` total cannot distinguish an inner loop's
+/// contention from its enclosing loop's.
 ///
 /// On a **one-worker pool** the entire coordinator is bypassed: no thief
 /// can ever exist, so the loop runs as a plain chunked call — zero
 /// allocations, zero atomics, zero latch waits, and the `AssistClaim`
 /// chaos site is never consulted (there is no claim loop to inject into).
 /// Panics propagate unchanged (there is no sibling participant to poison).
-pub fn lazy_for_chunks<F>(range: Range<usize>, grain: usize, body: &F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    lazy_for_chunks_counted(range, grain, body);
-}
-
-/// [`lazy_for_chunks`] that also reports how many assistants joined *this*
-/// loop. The count is per-loop (each join is charged to the loop whose
-/// handle was adopted, even under nesting), which is what the adaptive
-/// grain controller feeds on — the pool-global `assist_joins` total cannot
-/// distinguish an inner loop's contention from its enclosing loop's. The
-/// bypass paths (off-pool, single chunk, one-worker pool) return 0 by
+/// The bypass paths (off-pool, single chunk, one-worker pool) return 0 by
 /// construction: no assist handle is ever published there.
-pub fn lazy_for_chunks_counted<F>(range: Range<usize>, grain: usize, body: &F) -> usize
+pub fn lazy_for_chunks<F>(range: Range<usize>, grain: usize, body: &F) -> usize
 where
     F: Fn(Range<usize>) + Sync,
 {
@@ -245,11 +220,14 @@ where
         run_uncontended(&token, tracing, range, grain, body);
         return 0;
     }
-    if n > u32::MAX as usize {
-        crate::stealing::ws_for_chunks_eager(range, grain, body);
-        return 0;
+    let mut assists = 0;
+    let mut lo = range.start;
+    while lo < range.end {
+        let hi = lo + (range.end - lo).min(u32::MAX as usize);
+        assists += coordinated_loop(&token, lo..hi, grain, body);
+        lo = hi;
     }
-    coordinated_loop(&token, range, grain, n, body)
+    assists
 }
 
 /// The single-worker fast path: a plain loop over grain-sized chunks.
@@ -274,56 +252,15 @@ fn run_uncontended<F>(
     }
 }
 
-/// Force the full coordinator path even where [`lazy_for_chunks`] would
-/// take the single-worker bypass. Exists so benchmarks can measure the
-/// bypass against the machinery it skips (`floor/lazy_coord/*` in
-/// `split_bench`) and so chaos tests can keep exercising the coordinator
-/// on a one-worker pool. Not part of the public API contract.
-#[doc(hidden)]
-pub fn lazy_for_chunks_coordinator<F>(range: Range<usize>, grain: usize, body: &F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let grain = grain.max(1);
-    let n = range.len();
-    if n == 0 {
-        return;
-    }
-    let Some(token) = WorkerToken::current() else {
-        let mut lo = range.start;
-        while lo < range.end {
-            let hi = (lo + grain).min(range.end);
-            body(lo..hi);
-            lo = hi;
-        }
-        return;
-    };
-    if n <= grain {
-        run_chunk(&token, token.tracing_enabled(), range, body);
-        return;
-    }
-    if n > u32::MAX as usize {
-        crate::stealing::ws_for_chunks_eager(range, grain, body);
-        return;
-    }
-    coordinated_loop(&token, range, grain, n, body);
-}
-
-/// The shared-cursor coordinator path (P > 1, or forced via
-/// [`lazy_for_chunks_coordinator`]). Returns this loop's assist-join
-/// count (see [`lazy_for_chunks_counted`]).
-fn coordinated_loop<F>(
-    token: &WorkerToken,
-    range: Range<usize>,
-    grain: usize,
-    n: usize,
-    body: &F,
-) -> usize
+/// The shared-cursor coordinator path (P > 1) over a range of at most
+/// `u32::MAX` iterations. Returns this loop's assist-join count (see
+/// [`lazy_for_chunks`]).
+fn coordinated_loop<F>(token: &WorkerToken, range: Range<usize>, grain: usize, body: &F) -> usize
 where
     F: Fn(Range<usize>) + Sync,
 {
     let state = Arc::new(LoopCoordinator {
-        range: AtomicU64::new(pack(0, n as u64)),
+        range: AtomicU64::new(pack(0, range.len() as u64)),
         grain,
         offset: range.start,
         // SAFETY (lifetime erasure): this function blocks on `state.latch`
@@ -343,12 +280,8 @@ where
         assists: AtomicUsize::new(0),
     });
 
-    // The single stealable entry point into this loop. On a one-worker
-    // pool no thief exists, so the loop costs zero deque pushes (only the
-    // forced-coordinator entry reaches here with P = 1).
-    if token.num_workers() > 1 {
-        publish_handle(token, &state);
-    }
+    // The single stealable entry point into this loop.
+    publish_handle(token, &state);
     participate(token, &state, true);
     token.wait_until(&state.latch);
 
@@ -694,10 +627,28 @@ mod tests {
     }
 
     #[test]
-    fn split_policy_names_are_stable() {
-        assert_eq!(SplitPolicy::Lazy.name(), "lazy");
-        assert_eq!(SplitPolicy::Eager.name(), "eager");
-        assert_eq!(SplitPolicy::default(), SplitPolicy::Lazy);
+    fn ranges_past_u32_max_run_as_segments() {
+        // The packed cursor holds 32-bit indices; a longer range runs as
+        // consecutive lazy loops over segments of at most `u32::MAX`
+        // iterations. About 1k chunks of 4 Mi iterations must still tile
+        // the whole range, none above the grain.
+        use crate::{par_for_chunks, Schedule};
+        let grain = 1usize << 22;
+        let n = u32::MAX as usize + 12_345;
+        let pool = ThreadPool::new(2);
+        let chunks = Mutex::new(Vec::new());
+        par_for_chunks(&pool, 0..n, Schedule::DynamicStealing { grain: Some(grain) }, |c| {
+            chunks.lock().unwrap().push(c);
+        });
+        let mut chunks = chunks.into_inner().unwrap();
+        chunks.sort_by_key(|c| c.start);
+        let mut expect = 0;
+        for c in &chunks {
+            assert_eq!(c.start, expect, "gap or overlap at {c:?}");
+            assert!(!c.is_empty() && c.len() <= grain, "chunk {c:?} breaks the grain");
+            expect = c.end;
+        }
+        assert_eq!(expect, n);
     }
 
     #[test]

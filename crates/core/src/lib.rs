@@ -13,7 +13,11 @@
 //! | `omp_dynamic` | `WorkSharing`               | shared cursor, fixed chunks         |
 //! | `omp_guided`  | `Guided`                    | shared cursor, decreasing chunks    |
 //! | `ff` (static) | `StaticSharing`             | shared counter over fixed blocks    |
-//! | `vanilla`     | `DynamicStealing`           | divide-and-conquer work stealing    |
+//! | `vanilla`     | `DynamicStealing`           | lazy steal-driven splitting         |
+//!
+//! Every loop goes through one dispatch, [`Loop::run`] (schedule, grain
+//! policy, optional cancel token; returns a [`LoopReport`]). [`par_for`]
+//! and [`par_for_chunks`] are its one-line conveniences.
 //!
 //! Quick start:
 //!
@@ -40,7 +44,6 @@ pub mod reduce;
 mod schedule;
 mod sharing;
 mod static_part;
-mod stealing;
 mod util;
 
 pub use adapt::{
@@ -53,19 +56,10 @@ pub use claim::{
     index_group, locality_earmark, partition_group, partition_home_socket, partitions_for_workers,
     partitions_oversubscribed, run_claim_heuristic, ClaimTable, ClaimWalker, HeuristicStats,
 };
-pub use hybrid::{HybridError, HybridStats};
-#[doc(hidden)]
-pub use lazy::lazy_for_chunks_coordinator;
-pub use lazy::{lazy_for_chunks, lazy_for_chunks_counted, SplitPolicy};
+pub use lazy::lazy_for_chunks;
 pub use range::{block_bounds, block_of, default_grain, grain_bounds};
 pub use reduce::{par_max_f64, par_reduce, par_sum_f64, par_sum_u64};
 pub use schedule::{
-    hybrid_for_with_stats, par_for, par_for_chunks, par_for_chunks_grain_policy,
-    par_for_chunks_policy, par_for_chunks_with_grain, par_for_dyn, par_for_tracked, try_hybrid_for,
-    try_par_for_chunks, GrainPolicy, Schedule,
+    par_for, par_for_chunks, par_for_tracked, GrainPolicy, Loop, LoopError, LoopReport, Schedule,
 };
 pub use static_part::{static_cyclic_owner, static_owner};
-pub use stealing::{
-    ws_for, ws_for_chunks, ws_for_chunks_eager, ws_for_chunks_policy, ws_for_chunks_policy_counted,
-    ws_for_policy,
-};

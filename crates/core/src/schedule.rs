@@ -1,33 +1,32 @@
-//! The unified scheduling API: pick a [`Schedule`], call [`par_for`] (or
-//! [`par_for_chunks`] when the body wants whole chunks).
+//! The scheduling API: pick a [`Schedule`], describe the loop with a
+//! [`Loop`] (schedule, grain policy, optional cancel token) and
+//! [`Loop::run`] it. That is the one dispatch; [`par_for`],
+//! [`par_for_chunks`] and [`par_for_tracked`] are one-line conveniences
+//! over it that re-raise body panics.
 //!
-//! All schedulers are generic over the body type: [`par_for_chunks`] is
-//! the primitive, and [`par_for`] layers a per-index loop over each chunk,
-//! so iteration bodies still compile to tight monomorphized loops. The
-//! dyn-dispatch path survives only as [`par_for_dyn`], a compatibility
-//! wrapper with the *same* chunk decomposition (one virtual call per
-//! iteration — the overhead the chunk layer exists to kill).
+//! All schedulers are generic over the chunk body, so a regular chunk
+//! body is monomorphized through every scheduler and [`par_for`]'s
+//! per-index loop over each chunk compiles to a tight loop with no
+//! per-iteration dispatch.
 
+use std::any::Any;
 use std::ops::Range;
-use std::panic::resume_unwind;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use parloop_runtime::chaos::chaos_spin;
 use parloop_runtime::{
-    current_worker_index, CancelToken, Cancelled, FaultAction, Site, ThreadPool, TraceEvent,
-    WorkerToken,
+    current_worker_index, CancelToken, FaultAction, Site, ThreadPool, TraceEvent, WorkerToken,
 };
 
 use crate::adapt::{AdaptiveSite, LoopSignals};
 use crate::affinity::AffinityProbe;
-use crate::hybrid::{
-    hybrid_for, hybrid_for_oversub_policy, try_hybrid_for_oversub, HybridError, HybridStats,
-};
-use crate::lazy::SplitPolicy;
+use crate::hybrid::hybrid_for;
+use crate::lazy::lazy_for_chunks;
 use crate::range::default_grain;
 use crate::sharing::{sharing_for, static_sharing_for, SharingPolicy};
-use crate::static_part::static_for;
-use crate::stealing::{ws_for_chunks_policy, ws_for_chunks_policy_counted};
+use crate::static_part::{static_cyclic_for, static_for};
 
 /// A loop-scheduling policy — one per platform/scheme the paper compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +39,8 @@ pub enum Schedule {
     StaticCyclic { chunk: usize },
     /// FastFlow static: fixed blocks claimed through a shared counter.
     StaticSharing,
-    /// Cilk `cilk_for` ("vanilla"): divide-and-conquer with work stealing.
+    /// Cilk `cilk_for` ("vanilla"): dynamic partitioning with work
+    /// stealing, run on the lazy splitter ([`crate::lazy`]).
     /// `grain = None` uses the Cilk default `min(2048, N/8P)`.
     DynamicStealing { grain: Option<usize> },
     /// OpenMP `schedule(dynamic, chunk)` / FastFlow dynamic: fixed chunks
@@ -106,6 +106,50 @@ impl Schedule {
         Schedule::Hybrid { grain: None, oversub: factor.max(1) }
     }
 
+    /// This schedule with its granularity knob set to `grain`, overriding
+    /// the derived `min(2048, N/8P)` default. `default_grain` only sees
+    /// the iteration *count*, never the body's weight — a caller that
+    /// knows each iteration is heavy (or trivially light) can pick a
+    /// smaller (or larger) chunk here; the adaptive controller
+    /// ([`GrainPolicy::Adaptive`]) sets its operating point the same way.
+    ///
+    /// The grain maps onto each scheme's own knob: the splitter grain for
+    /// [`Schedule::DynamicStealing`] / [`Schedule::Hybrid`], the fixed
+    /// chunk for [`Schedule::WorkSharing`] / [`Schedule::StaticCyclic`],
+    /// and the minimum chunk for [`Schedule::Guided`]. The
+    /// block-partitioned schemes ([`Schedule::Static`],
+    /// [`Schedule::StaticSharing`]) have no chunk parameter and come back
+    /// unchanged. A grain of `0` is clamped to `1`.
+    ///
+    /// ```
+    /// use parloop_core::{par_for_chunks, Schedule};
+    /// use parloop_runtime::ThreadPool;
+    /// use std::sync::atomic::{AtomicUsize, Ordering};
+    ///
+    /// let pool = ThreadPool::new(4);
+    /// // default_grain(16384, 4) would be 512; ask for 64 instead.
+    /// let max_len = AtomicUsize::new(0);
+    /// let total = AtomicUsize::new(0);
+    /// par_for_chunks(&pool, 0..16384, Schedule::vanilla().with_grain(64), |chunk| {
+    ///     max_len.fetch_max(chunk.len(), Ordering::Relaxed);
+    ///     total.fetch_add(chunk.len(), Ordering::Relaxed);
+    /// });
+    /// assert_eq!(total.load(Ordering::Relaxed), 16384);
+    /// // The largest chunk the splitter hands out is exactly the grain.
+    /// assert_eq!(max_len.load(Ordering::Relaxed), 64);
+    /// ```
+    pub fn with_grain(self, grain: usize) -> Schedule {
+        let grain = grain.max(1);
+        match self {
+            Schedule::DynamicStealing { .. } => Schedule::DynamicStealing { grain: Some(grain) },
+            Schedule::Hybrid { oversub, .. } => Schedule::Hybrid { grain: Some(grain), oversub },
+            Schedule::WorkSharing { .. } => Schedule::WorkSharing { chunk: grain },
+            Schedule::Guided { .. } => Schedule::Guided { min_chunk: grain },
+            Schedule::StaticCyclic { .. } => Schedule::StaticCyclic { chunk: grain },
+            keep @ (Schedule::Static | Schedule::StaticSharing) => keep,
+        }
+    }
+
     /// Short name used in tables and plots.
     pub fn name(&self) -> &'static str {
         match self {
@@ -159,6 +203,309 @@ impl std::str::FromStr for Schedule {
     }
 }
 
+/// How a loop's grain (and, for the hybrid scheme, its oversubscription
+/// factor `R`) is chosen.
+#[derive(Debug, Clone, Copy, Default)]
+pub enum GrainPolicy<'a> {
+    /// The schedule's own grain: an explicit pin if the [`Schedule`]
+    /// carries one, else the static Cilk rule ([`default_grain`]).
+    #[default]
+    Static,
+    /// Feedback-driven: the [`AdaptiveSite`] supplies the grain/R before
+    /// the loop and ingests its signals afterwards (see [`crate::adapt`]).
+    Adaptive(&'a AdaptiveSite),
+}
+
+/// Observability counters from one loop execution, filled for every
+/// schedule. The non-hybrid schemes run as one partition (`partitions`
+/// is 1, no adoptions or claims).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoopReport {
+    /// Number of partitions `R` (1 off the hybrid scheme).
+    pub partitions: usize,
+    /// Workers that joined via the `DoHybridLoop` steal protocol
+    /// (excluding the initiator).
+    pub adoptions: usize,
+    /// Total unsuccessful claims across all participating workers
+    /// (Theorem 5 charges `O(R lg R)` work for these).
+    pub failed_claims: usize,
+    /// Partitions whose body was *skipped*: the loop was already poisoned
+    /// by a sibling's panic, or its cancel token had fired (off the hybrid
+    /// scheme: 1 if the token skipped any chunk). Skipped partitions still
+    /// resolve the completion latch, but their iterations never ran.
+    pub skipped_partitions: usize,
+    /// Assistants that joined this loop's lazy splitters (the partitions'
+    /// inner loops under hybrid, the loop itself under vanilla). Per-loop
+    /// — nested loops each count only their own assists — which is the
+    /// contention signal the adaptive grain controller consumes.
+    pub assist_joins: usize,
+}
+
+/// Why [`Loop::run`] did not complete normally. Carries the report either
+/// way, so skipped partitions stay observable in failed runs.
+pub enum LoopError {
+    /// The loop's [`CancelToken`] fired and skipped at least one chunk or
+    /// partition body.
+    Cancelled(LoopReport),
+    /// A loop body (or an injected fault) panicked; `payload` is the first
+    /// captured panic.
+    Panicked {
+        /// Counters up to the loop's resolution.
+        report: LoopReport,
+        /// The first panic payload recorded by any participant.
+        payload: Box<dyn Any + Send>,
+    },
+}
+
+impl LoopError {
+    /// The scheduling counters, whatever the failure mode.
+    pub fn report(&self) -> LoopReport {
+        match self {
+            LoopError::Cancelled(report) => *report,
+            LoopError::Panicked { report, .. } => *report,
+        }
+    }
+}
+
+impl std::fmt::Debug for LoopError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LoopError::Cancelled(report) => f.debug_tuple("Cancelled").field(report).finish(),
+            LoopError::Panicked { report, .. } => {
+                f.debug_struct("Panicked").field("report", report).finish_non_exhaustive()
+            }
+        }
+    }
+}
+
+impl std::fmt::Display for LoopError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Allocation-free: static strings only. The payload is opaque
+        // (`dyn Any`) and the counters live behind `.report()` for callers
+        // that want numbers — `?`-chain error messages stay cheap.
+        match self {
+            LoopError::Cancelled(_) => f.write_str("loop cancelled before completion"),
+            LoopError::Panicked { .. } => f.write_str("loop body panicked"),
+        }
+    }
+}
+
+impl std::error::Error for LoopError {}
+
+/// One parallel loop: the scheme, how its grain is chosen, and an
+/// optional cancel token. [`Loop::run`] is the only loop dispatch.
+///
+/// ```
+/// use parloop_core::{AdaptiveSite, GrainPolicy, Loop, Schedule};
+/// use parloop_runtime::{CancelToken, ThreadPool};
+///
+/// static SITE: AdaptiveSite = AdaptiveSite::new("readme");
+///
+/// let pool = ThreadPool::new(2);
+/// let cancel = CancelToken::new();
+/// let report = Loop {
+///     grain: GrainPolicy::Adaptive(&SITE),
+///     cancel: Some(&cancel),
+///     ..Loop::new(Schedule::hybrid())
+/// }
+/// .run(&pool, 0..4096, |chunk| {
+///     std::hint::black_box(chunk.len());
+/// })
+/// .unwrap();
+/// assert_eq!(report.partitions, 2);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Loop<'a> {
+    /// The scheduling scheme.
+    pub schedule: Schedule,
+    /// How the grain (and the hybrid `R`) is chosen.
+    pub grain: GrainPolicy<'a>,
+    /// Cooperative cancellation. Once the token fires, no new chunk body
+    /// (hybrid: partition body) starts; bodies that already started are
+    /// not rolled back, so exactly-once holds for everything that ran.
+    pub cancel: Option<&'a CancelToken>,
+}
+
+impl<'a> Loop<'a> {
+    /// A loop under `schedule` with the static grain and no cancel token.
+    pub fn new(schedule: Schedule) -> Loop<'a> {
+        Loop { schedule, grain: GrainPolicy::Static, cancel: None }
+    }
+
+    /// Execute `body(chunk)` for each scheduler-chosen chunk of `range` on
+    /// `pool`, blocking until the loop completes. Chunks are non-empty,
+    /// disjoint, and tile `range`.
+    ///
+    /// Returns the loop's [`LoopReport`]. A body panic comes back as
+    /// [`LoopError::Panicked`] with its payload; [`LoopError::Cancelled`]
+    /// means the cancel token skipped at least one chunk (hybrid: one
+    /// partition) body — a token that fires after the last body started
+    /// still yields `Ok`. Under [`GrainPolicy::Adaptive`] the site's
+    /// operating point overrides the schedule's grain (and the hybrid
+    /// `oversub`), and a measured loop that completes feeds its wall time
+    /// and contention counters back through [`AdaptiveSite::record`].
+    pub fn run<F>(
+        self,
+        pool: &ThreadPool,
+        range: Range<usize>,
+        body: F,
+    ) -> Result<LoopReport, LoopError>
+    where
+        F: Fn(Range<usize>) + Sync,
+    {
+        match self.grain {
+            GrainPolicy::Static => dispatch(pool, range, self.schedule, self.cancel, &body),
+            GrainPolicy::Adaptive(site) => {
+                run_adaptive(pool, range, self.schedule, site, self.cancel, &body)
+            }
+        }
+    }
+}
+
+/// Unwrap the result of a loop run without a cancel token, re-raising a
+/// captured body panic.
+pub(crate) fn rethrow(result: Result<LoopReport, LoopError>) -> LoopReport {
+    match result {
+        Ok(report) => report,
+        Err(LoopError::Panicked { payload, .. }) => resume_unwind(payload),
+        Err(LoopError::Cancelled(_)) => unreachable!("no cancel token was supplied"),
+    }
+}
+
+/// Run one loop with every grain taken from `sched` (the Cilk default
+/// where it carries none).
+fn dispatch<F>(
+    pool: &ThreadPool,
+    range: Range<usize>,
+    sched: Schedule,
+    cancel: Option<&CancelToken>,
+    body: &F,
+) -> Result<LoopReport, LoopError>
+where
+    F: Fn(Range<usize>) + Sync,
+{
+    // The Cilk default grain is derived from the *pool's* worker count
+    // (`min(2048, N/8P)`), never the host's CPU count — the docs and the
+    // grain-pinning test below rely on exactly this wiring.
+    let n = range.len();
+    let p = pool.num_workers();
+    let grain_or_default = |grain: Option<usize>| grain.unwrap_or_else(|| default_grain(n, p));
+    if let Schedule::Hybrid { grain, oversub } = sched {
+        let grain = grain_or_default(grain);
+        return pool.install(|| {
+            let token = WorkerToken::current().expect("install puts us on a worker");
+            hybrid_for(token, range, grain, oversub, cancel, body)
+        });
+    }
+    // Every other scheme is one partition, cancelled per chunk: once the
+    // token fires, each chunk body still to start is skipped instead.
+    let skipped = AtomicBool::new(false);
+    let gated = |chunk: Range<usize>| {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            // Relaxed: read below only after the loop joined its workers.
+            skipped.store(true, Ordering::Relaxed);
+        } else {
+            body(chunk);
+        }
+    };
+    let mut assist_joins = 0;
+    let ran = catch_unwind(AssertUnwindSafe(|| match sched {
+        Schedule::Static => static_for(pool, range, &gated),
+        Schedule::StaticCyclic { chunk } => static_cyclic_for(pool, range, chunk, &gated),
+        Schedule::StaticSharing => static_sharing_for(pool, range, &gated),
+        Schedule::WorkSharing { chunk } => {
+            sharing_for(pool, range, SharingPolicy::Fixed(chunk), &gated)
+        }
+        Schedule::Guided { min_chunk } => {
+            sharing_for(pool, range, SharingPolicy::Guided { min_chunk }, &gated)
+        }
+        Schedule::DynamicStealing { grain } => {
+            let grain = grain_or_default(grain);
+            assist_joins = pool.install(|| lazy_for_chunks(range, grain, &gated));
+        }
+        Schedule::Hybrid { .. } => unreachable!("dispatched above"),
+    }));
+    let skipped = skipped.load(Ordering::Relaxed);
+    let report = LoopReport {
+        partitions: 1,
+        skipped_partitions: skipped as usize,
+        assist_joins,
+        ..LoopReport::default()
+    };
+    match ran {
+        Err(payload) => Err(LoopError::Panicked { report, payload }),
+        Ok(()) if skipped => Err(LoopError::Cancelled(report)),
+        Ok(()) => Ok(report),
+    }
+}
+
+/// The adaptive execution path: snapshot the site, run the loop under its
+/// operating point, feed the signals back.
+///
+/// The feedback is gated by the `Site::GrainAdjust` chaos site (an
+/// injected `Fail` drops the sample, a `Delay` stalls the recording
+/// thread — user iterations are never at risk). Accepted adjustments are
+/// counted in `PoolStats::grain_adjustments` and emitted as
+/// `TraceEvent::GrainAdjusted` events.
+fn run_adaptive<F>(
+    pool: &ThreadPool,
+    range: Range<usize>,
+    sched: Schedule,
+    site: &AdaptiveSite,
+    cancel: Option<&CancelToken>,
+    body: &F,
+) -> Result<LoopReport, LoopError>
+where
+    F: Fn(Range<usize>) + Sync,
+{
+    let n = range.len();
+    if n == 0 {
+        return dispatch(pool, range, sched, cancel, body);
+    }
+    let p = pool.num_workers();
+    let start = site.begin(n, p);
+    // The shared-cursor and static schemes take the grain as their chunk
+    // knob; they have no assist/claim machinery to observe, so only wall
+    // time drives their controller.
+    let sched = match sched.with_grain(start.grain) {
+        Schedule::Hybrid { grain, .. } => Schedule::Hybrid { grain, oversub: start.oversub },
+        other => other,
+    };
+    // Timestamps only on measured loops: in the settled steady state 15
+    // of 16 loops skip both `Instant::now` calls entirely.
+    let t0 = start.measure.then(Instant::now);
+    let report = dispatch(pool, range, sched, cancel, body)?;
+    let Some(t0) = t0 else { return Ok(report) };
+    let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    // Chaos: perturb the *controller*, never the loop. `Fail` drops this
+    // sample on the floor (convergence must survive missing
+    // observations); `Delay` stalls the recording thread so concurrent
+    // loops race their CAS. Panic/Kill are already demoted to Fail by
+    // the external-decision path.
+    match pool.chaos_decide_external(Site::GrainAdjust) {
+        FaultAction::Fail | FaultAction::Panic | FaultAction::Kill => return Ok(report),
+        FaultAction::Delay(spins) => chaos_spin(spins),
+        FaultAction::None => {}
+    }
+    let sig = LoopSignals {
+        n,
+        workers: p,
+        wall_ns,
+        assist_joins: report.assist_joins,
+        failed_claims: report.failed_claims,
+        r_parts: report.partitions,
+    };
+    if let Some(adj) = site.record(&start, &sig) {
+        pool.note_grain_adjustment();
+        pool.trace_external(TraceEvent::GrainAdjusted {
+            site: site.id(),
+            grain: u32::try_from(adj.grain).unwrap_or(u32::MAX),
+            r: u32::try_from(adj.oversub).unwrap_or(u32::MAX),
+        });
+    }
+    Ok(report)
+}
+
 /// Execute `body(i)` for each `i` in `range` under `sched` on `pool`,
 /// blocking until the loop completes. Panics in `body` are re-thrown.
 ///
@@ -186,10 +533,8 @@ where
 }
 
 /// Execute `body(chunk)` for each scheduler-chosen chunk of `range` under
-/// `sched` on `pool`. This is the primitive the per-index [`par_for`] is
-/// built on: the body is monomorphized through every scheduler, so a
-/// regular chunk body compiles to a tight loop with no per-iteration
-/// dispatch. Chunks are non-empty, disjoint, and tile `range`.
+/// `sched` on `pool` — [`Loop::run`] with the static grain and no cancel
+/// token. Panics in `body` are re-thrown.
 ///
 /// ```
 /// use parloop_core::{par_for_chunks, Schedule};
@@ -208,231 +553,7 @@ pub fn par_for_chunks<F>(pool: &ThreadPool, range: Range<usize>, sched: Schedule
 where
     F: Fn(Range<usize>) + Sync,
 {
-    par_for_chunks_policy(pool, range, sched, SplitPolicy::default(), body);
-}
-
-/// [`par_for_chunks`] with an explicit [`SplitPolicy`] for the
-/// work-stealing inner engine. Only [`Schedule::DynamicStealing`] and
-/// [`Schedule::Hybrid`] consult the policy (they are the schemes built on
-/// the stealable splitter); the shared-cursor and static schemes ignore
-/// it. This is the A/B entry point `split_bench` drives.
-pub fn par_for_chunks_policy<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    sched: Schedule,
-    policy: SplitPolicy,
-    body: F,
-) where
-    F: Fn(Range<usize>) + Sync,
-{
-    let n = range.len();
-    // The Cilk default grain is derived from the *pool's* worker count
-    // (`min(2048, N/8P)`), never the host's CPU count — the docs and the
-    // grain-pinning test below rely on exactly this wiring.
-    let p = pool.num_workers();
-    match sched {
-        Schedule::Static => static_for(pool, range, &body),
-        Schedule::StaticCyclic { chunk } => {
-            crate::static_part::static_cyclic_for(pool, range, chunk, &body)
-        }
-        Schedule::StaticSharing => static_sharing_for(pool, range, &body),
-        Schedule::WorkSharing { chunk } => {
-            sharing_for(pool, range, SharingPolicy::Fixed(chunk), &body)
-        }
-        Schedule::Guided { min_chunk } => {
-            sharing_for(pool, range, SharingPolicy::Guided { min_chunk }, &body)
-        }
-        Schedule::DynamicStealing { grain } => {
-            let grain = grain.unwrap_or_else(|| default_grain(n, p));
-            pool.install(|| ws_for_chunks_policy(range, grain, policy, &body));
-        }
-        Schedule::Hybrid { grain, oversub } => {
-            let grain = grain.unwrap_or_else(|| default_grain(n, p));
-            pool.install(|| {
-                let token = WorkerToken::current().expect("install puts us on a worker");
-                hybrid_for_oversub_policy(token, range, grain, oversub, policy, &body);
-            });
-        }
-    }
-}
-
-/// How a loop's grain (and, for the hybrid scheme, its oversubscription
-/// factor `R`) is chosen — the third policy knob after [`SplitPolicy`]
-/// and the runtime's `StealPolicy`.
-#[derive(Debug, Clone, Copy, Default)]
-pub enum GrainPolicy<'a> {
-    /// The schedule's own grain: an explicit pin if the [`Schedule`]
-    /// carries one, else the static Cilk rule ([`default_grain`]).
-    #[default]
-    Static,
-    /// Feedback-driven: the [`AdaptiveSite`] supplies the grain/R before
-    /// the loop and ingests its signals afterwards (see [`crate::adapt`]).
-    Adaptive(&'a AdaptiveSite),
-}
-
-/// [`par_for_chunks_policy`] with an explicit [`GrainPolicy`] — the entry
-/// point for the adaptive grain controller, mirroring how the
-/// [`SplitPolicy`] A/B knob was introduced.
-///
-/// Under [`GrainPolicy::Static`] this is exactly
-/// [`par_for_chunks_policy`]. Under [`GrainPolicy::Adaptive`] the site's
-/// current operating point overrides the schedule's grain (and, for
-/// [`Schedule::Hybrid`], its `oversub`); on measured loops the wall time
-/// and the engine's per-loop contention counters are fed back through
-/// [`AdaptiveSite::record`], gated by the `Site::GrainAdjust` chaos site
-/// (an injected `Fail` drops the sample, a `Delay` stalls the recording
-/// thread — user iterations are never at risk). Accepted adjustments are
-/// counted in `PoolStats::grain_adjustments` and emitted as
-/// `TraceEvent::GrainAdjusted` events.
-pub fn par_for_chunks_grain_policy<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    sched: Schedule,
-    split: SplitPolicy,
-    grain: GrainPolicy<'_>,
-    body: F,
-) where
-    F: Fn(Range<usize>) + Sync,
-{
-    match grain {
-        GrainPolicy::Static => par_for_chunks_policy(pool, range, sched, split, body),
-        GrainPolicy::Adaptive(site) => adaptive_for_chunks(pool, range, sched, split, site, &body),
-    }
-}
-
-/// The adaptive execution path: snapshot the site, run the loop under its
-/// operating point, feed the signals back.
-fn adaptive_for_chunks<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    sched: Schedule,
-    split: SplitPolicy,
-    site: &AdaptiveSite,
-    body: &F,
-) where
-    F: Fn(Range<usize>) + Sync,
-{
-    let n = range.len();
-    if n == 0 {
-        return;
-    }
-    let p = pool.num_workers();
-    let start = site.begin(n, p);
-    // Timestamps only on measured loops: in the settled steady state 15
-    // of 16 loops skip both `Instant::now` calls entirely.
-    let t0 = start.measure.then(Instant::now);
-    let (assist_joins, failed_claims, r_parts) = match sched {
-        Schedule::DynamicStealing { .. } => {
-            let assists =
-                pool.install(|| ws_for_chunks_policy_counted(range, start.grain, split, body));
-            (assists, 0, 1)
-        }
-        Schedule::Hybrid { .. } => {
-            let stats = pool.install(|| {
-                let token = WorkerToken::current().expect("install puts us on a worker");
-                hybrid_for_oversub_policy(token, range, start.grain, start.oversub, split, body)
-            });
-            (stats.assist_joins, stats.failed_claims, stats.partitions)
-        }
-        // The shared-cursor and static schemes take the grain as their
-        // chunk knob; they have no assist/claim machinery to observe, so
-        // only wall time drives their controller.
-        other => {
-            par_for_chunks_with_grain(pool, range, other, start.grain, body);
-            (0, 0, 1)
-        }
-    };
-    let Some(t0) = t0 else { return };
-    let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    // Chaos: perturb the *controller*, never the loop. `Fail` drops this
-    // sample on the floor (convergence must survive missing
-    // observations); `Delay` stalls the recording thread so concurrent
-    // loops race their CAS. Panic/Kill are already demoted to Fail by
-    // the external-decision path.
-    match pool.chaos_decide_external(Site::GrainAdjust) {
-        FaultAction::Fail | FaultAction::Panic | FaultAction::Kill => return,
-        FaultAction::Delay(spins) => chaos_spin(spins),
-        FaultAction::None => {}
-    }
-    let sig = LoopSignals { n, workers: p, wall_ns, assist_joins, failed_claims, r_parts };
-    if let Some(adj) = site.record(&start, &sig) {
-        pool.note_grain_adjustment();
-        pool.trace_external(TraceEvent::GrainAdjusted {
-            site: site.id(),
-            grain: u32::try_from(adj.grain).unwrap_or(u32::MAX),
-            r: u32::try_from(adj.oversub).unwrap_or(u32::MAX),
-        });
-    }
-}
-
-/// [`par_for_chunks`] with an explicit grain hint, overriding the derived
-/// `min(2048, N/8P)` default. `default_grain` only sees the iteration
-/// *count*, never the body's weight — a caller that knows each iteration
-/// is heavy (or trivially light) can hint a smaller (or larger) chunk
-/// here. Groundwork for the adaptive grain controller (ROADMAP item 3).
-///
-/// The hint maps onto each scheme's own granularity knob: the splitter
-/// grain for [`Schedule::DynamicStealing`] / [`Schedule::Hybrid`], the
-/// fixed chunk for [`Schedule::WorkSharing`] / [`Schedule::StaticCyclic`],
-/// and the minimum chunk for [`Schedule::Guided`]. The block-partitioned
-/// schemes ([`Schedule::Static`], [`Schedule::StaticSharing`]) have no
-/// chunk parameter and ignore it. A hint of `0` is clamped to `1`.
-///
-/// ```
-/// use parloop_core::{par_for_chunks_with_grain, Schedule};
-/// use parloop_runtime::ThreadPool;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-///
-/// let pool = ThreadPool::new(4);
-/// // default_grain(16384, 4) would be 512; hint 64 instead.
-/// let max_len = AtomicUsize::new(0);
-/// let total = AtomicUsize::new(0);
-/// par_for_chunks_with_grain(&pool, 0..16384, Schedule::vanilla(), 64, |chunk| {
-///     max_len.fetch_max(chunk.len(), Ordering::Relaxed);
-///     total.fetch_add(chunk.len(), Ordering::Relaxed);
-/// });
-/// assert_eq!(total.load(Ordering::Relaxed), 16384);
-/// // The largest chunk the splitter hands out is exactly the hint.
-/// assert_eq!(max_len.load(Ordering::Relaxed), 64);
-/// ```
-pub fn par_for_chunks_with_grain<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    sched: Schedule,
-    grain_hint: usize,
-    body: F,
-) where
-    F: Fn(Range<usize>) + Sync,
-{
-    let hint = grain_hint.max(1);
-    let sched = match sched {
-        Schedule::DynamicStealing { .. } => Schedule::DynamicStealing { grain: Some(hint) },
-        Schedule::Hybrid { oversub, .. } => Schedule::Hybrid { grain: Some(hint), oversub },
-        Schedule::WorkSharing { .. } => Schedule::WorkSharing { chunk: hint },
-        Schedule::Guided { .. } => Schedule::Guided { min_chunk: hint },
-        Schedule::StaticCyclic { .. } => Schedule::StaticCyclic { chunk: hint },
-        // Block-partitioned schemes have no chunk knob; the hint is moot.
-        keep @ (Schedule::Static | Schedule::StaticSharing) => keep,
-    };
-    par_for_chunks(pool, range, sched, body);
-}
-
-/// Dyn-compatible [`par_for`]: the body is a trait object, so every
-/// iteration pays one virtual call. Decomposes `range` into exactly the
-/// same chunks as the generic path (it runs through [`par_for_chunks`]),
-/// which makes it the baseline the overhead harness compares against and
-/// keeps worker↔iteration placement identical to [`par_for`].
-pub fn par_for_dyn(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    sched: Schedule,
-    body: &(dyn Fn(usize) + Sync),
-) {
-    par_for_chunks(pool, range, sched, move |chunk: Range<usize>| {
-        for i in chunk {
-            body(i);
-        }
-    });
+    rethrow(Loop::new(sched).run(pool, range, body));
 }
 
 /// Like [`par_for`], but records which worker executed each iteration into
@@ -459,113 +580,10 @@ pub fn par_for_tracked<F>(
     });
 }
 
-/// Cancellable [`par_for_chunks`]: stops scheduling new chunk bodies once
-/// `cancel` fires and returns `Err(Cancelled)`.
-///
-/// Chunks whose body already started (or finished) before the token was
-/// observed are *not* rolled back — exactly-once execution is preserved
-/// for everything that ran; cancellation only prevents *future* bodies.
-/// Under [`Schedule::Hybrid`] this is the deep integration (cancelled
-/// walkers drain the claim table so the loop's latch still resolves); the
-/// other schedules gate each chunk on the token cooperatively. Panics in
-/// the body are re-thrown, exactly as in [`par_for_chunks`].
-pub fn try_par_for_chunks<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    sched: Schedule,
-    cancel: &CancelToken,
-    body: F,
-) -> Result<(), Cancelled>
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if cancel.is_cancelled() {
-        return Err(Cancelled);
-    }
-    match sched {
-        Schedule::Hybrid { grain, oversub } => {
-            let n = range.len();
-            let p = pool.num_workers();
-            let grain = grain.unwrap_or_else(|| default_grain(n, p));
-            let res = pool.install(|| {
-                let token = WorkerToken::current().expect("install puts us on a worker");
-                try_hybrid_for_oversub(token, range, grain, oversub, cancel, &body)
-            });
-            match res {
-                Ok(_) => Ok(()),
-                Err(HybridError::Cancelled(_)) => Err(Cancelled),
-                Err(HybridError::Panicked { payload, .. }) => resume_unwind(payload),
-            }
-        }
-        other => {
-            par_for_chunks(pool, range, other, |chunk: Range<usize>| {
-                if !cancel.is_cancelled() {
-                    body(chunk);
-                }
-            });
-            if cancel.is_cancelled() {
-                Err(Cancelled)
-            } else {
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Cancellable, fallible hybrid loop: like [`hybrid_for_with_stats`] but
-/// panics come back as [`HybridError::Panicked`] (payload included) and a
-/// fired `cancel` token yields [`HybridError::Cancelled`] — both carrying
-/// the scheduling counters, so skipped partitions stay observable.
-pub fn try_hybrid_for<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    grain: Option<usize>,
-    cancel: &CancelToken,
-    body: F,
-) -> Result<HybridStats, HybridError>
-where
-    F: Fn(usize) + Sync,
-{
-    let n = range.len();
-    let p = pool.num_workers();
-    let grain = grain.unwrap_or_else(|| default_grain(n, p));
-    pool.install(|| {
-        let token = WorkerToken::current().expect("install puts us on a worker");
-        try_hybrid_for_oversub(token, range, grain, 1, cancel, &|chunk: Range<usize>| {
-            for i in chunk {
-                body(i);
-            }
-        })
-    })
-}
-
-/// Run a hybrid loop and return its scheduling counters (tests, benches).
-pub fn hybrid_for_with_stats<F>(
-    pool: &ThreadPool,
-    range: Range<usize>,
-    grain: Option<usize>,
-    body: F,
-) -> HybridStats
-where
-    F: Fn(usize) + Sync,
-{
-    let n = range.len();
-    let p = pool.num_workers();
-    let grain = grain.unwrap_or_else(|| default_grain(n, p));
-    pool.install(|| {
-        let token = WorkerToken::current().expect("install puts us on a worker");
-        hybrid_for(token, range, grain, &|chunk: Range<usize>| {
-            for i in chunk {
-                body(i);
-            }
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::AtomicUsize;
 
     fn all_schedules(n: usize, p: usize) -> Vec<Schedule> {
         Schedule::roster(n, p)
@@ -631,7 +649,7 @@ mod tests {
     #[test]
     fn hybrid_stats_reported() {
         let pool = ThreadPool::new(4);
-        let s = hybrid_for_with_stats(&pool, 0..1000, None, |_| {});
+        let s = Loop::new(Schedule::hybrid()).run(&pool, 0..1000, |_| {}).unwrap();
         assert_eq!(s.partitions, 4);
         assert!(s.adoptions <= 4);
     }
@@ -665,12 +683,13 @@ mod tests {
         for sched in all_schedules(n, 3) {
             let cancel = CancelToken::new();
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            try_par_for_chunks(&pool, 0..n, sched, &cancel, |chunk| {
-                for i in chunk {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .unwrap_or_else(|_| panic!("{}: spuriously cancelled", sched.name()));
+            Loop { cancel: Some(&cancel), ..Loop::new(sched) }
+                .run(&pool, 0..n, |chunk| {
+                    for i in chunk {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+                .unwrap_or_else(|_| panic!("{}: spuriously cancelled", sched.name()));
             assert!(
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
                 "{}: not exactly-once",
@@ -678,7 +697,9 @@ mod tests {
             );
         }
         let cancel = CancelToken::new();
-        let stats = try_hybrid_for(&pool, 0..n, None, &cancel, |_| {}).unwrap();
+        let stats = Loop { cancel: Some(&cancel), ..Loop::new(Schedule::hybrid()) }
+            .run(&pool, 0..n, |_| {})
+            .unwrap();
         assert_eq!(stats.partitions, 4);
         assert_eq!(stats.skipped_partitions, 0);
     }
@@ -690,24 +711,51 @@ mod tests {
         cancel.cancel();
         let ran = AtomicUsize::new(0);
         for sched in all_schedules(100, 2) {
-            let r = try_par_for_chunks(&pool, 0..100, sched, &cancel, |_| {
+            let r = Loop { cancel: Some(&cancel), ..Loop::new(sched) }.run(&pool, 0..100, |_| {
                 ran.fetch_add(1, Ordering::Relaxed);
             });
             assert!(r.is_err(), "{}: must observe the fired token", sched.name());
         }
         assert_eq!(ran.load(Ordering::Relaxed), 0, "no body may run after cancellation");
 
-        let err = try_hybrid_for(&pool, 0..100, None, &cancel, |_| {
-            ran.fetch_add(1, Ordering::Relaxed);
-        })
-        .expect_err("pre-fired token must cancel the hybrid loop");
+        let err = Loop { cancel: Some(&cancel), ..Loop::new(Schedule::hybrid()) }
+            .run(&pool, 0..100, |_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            })
+            .expect_err("pre-fired token must cancel the hybrid loop");
         match err {
-            HybridError::Cancelled(stats) => {
+            LoopError::Cancelled(stats) => {
                 assert_eq!(stats.skipped_partitions, stats.partitions);
             }
             other => panic!("expected Cancelled, got {other:?}"),
         }
         assert_eq!(ran.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn token_fired_in_the_final_chunk_is_not_a_cancellation() {
+        // One worker runs every schedule's chunks in order, so the chunk
+        // ending at the last iteration is the final body to start. Firing
+        // the token at its end skips nothing: every schedule must return
+        // `Ok`, with all 100 iterations run exactly once.
+        let pool = ThreadPool::new(1);
+        for sched in all_schedules(100, 1) {
+            let cancel = CancelToken::new();
+            let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
+            let r =
+                Loop { cancel: Some(&cancel), ..Loop::new(sched) }.run(&pool, 0..100, |chunk| {
+                    let last = chunk.end == 100;
+                    for i in chunk {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                    if last {
+                        cancel.cancel();
+                    }
+                });
+            assert!(r.is_ok(), "{}: nothing was skipped, got {r:?}", sched.name());
+            assert!(cancel.is_cancelled());
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{}", sched.name());
+        }
     }
 
     #[test]
@@ -721,27 +769,18 @@ mod tests {
         assert_eq!(default_grain(n, p), 512);
 
         let pool = ThreadPool::new(p);
-        for policy in [SplitPolicy::Lazy, SplitPolicy::Eager] {
-            let max_len = std::sync::atomic::AtomicUsize::new(0);
-            let total = AtomicUsize::new(0);
-            par_for_chunks_policy(
-                &pool,
-                0..n,
-                Schedule::DynamicStealing { grain: None },
-                policy,
-                |chunk| {
-                    max_len.fetch_max(chunk.len(), Ordering::Relaxed);
-                    total.fetch_add(chunk.len(), Ordering::Relaxed);
-                },
-            );
-            assert_eq!(total.load(Ordering::Relaxed), n, "{}", policy.name());
-            assert_eq!(
-                max_len.load(Ordering::Relaxed),
-                512,
-                "{}: observed grain disagrees with default_grain(n, pool.num_workers())",
-                policy.name()
-            );
-        }
+        let max_len = std::sync::atomic::AtomicUsize::new(0);
+        let total = AtomicUsize::new(0);
+        par_for_chunks(&pool, 0..n, Schedule::DynamicStealing { grain: None }, |chunk| {
+            max_len.fetch_max(chunk.len(), Ordering::Relaxed);
+            total.fetch_add(chunk.len(), Ordering::Relaxed);
+        });
+        assert_eq!(total.load(Ordering::Relaxed), n);
+        assert_eq!(
+            max_len.load(Ordering::Relaxed),
+            512,
+            "observed grain disagrees with default_grain(n, pool.num_workers())"
+        );
     }
 
     #[test]
@@ -756,7 +795,7 @@ mod tests {
         ] {
             let max_len = AtomicUsize::new(0);
             let total = AtomicUsize::new(0);
-            par_for_chunks_with_grain(&pool, 0..n, sched, 32, |chunk| {
+            par_for_chunks(&pool, 0..n, sched.with_grain(32), |chunk| {
                 max_len.fetch_max(chunk.len(), Ordering::Relaxed);
                 total.fetch_add(chunk.len(), Ordering::Relaxed);
             });
@@ -769,7 +808,7 @@ mod tests {
         }
         // Zero clamps to 1 rather than panicking or hanging.
         let total = AtomicUsize::new(0);
-        par_for_chunks_with_grain(&pool, 0..17, Schedule::vanilla(), 0, |chunk| {
+        par_for_chunks(&pool, 0..17, Schedule::vanilla().with_grain(0), |chunk| {
             total.fetch_add(chunk.len(), Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 17);

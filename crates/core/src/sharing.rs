@@ -45,19 +45,22 @@ pub(crate) fn sharing_for<F>(
     if range.is_empty() {
         return;
     }
-    let end = range.end;
+    let (start, n) = (range.start, range.len());
     let team = pool.num_workers();
-    let cursor = AtomicUsize::new(range.start);
+    // Loop-relative cursors that cannot wrap: the fixed one counts chunks
+    // handed out (at most `⌈n/chunk⌉` plus one failing `fetch_add` per
+    // worker), the guided one claims iterations by CAS, never past `n`.
+    let cursor = AtomicUsize::new(0);
 
     pool.broadcast_all(|_w| loop {
         let (lo, hi) = match policy {
             SharingPolicy::Fixed(chunk) => {
-                let chunk = chunk.max(1);
-                let lo = cursor.fetch_add(chunk, Ordering::AcqRel);
-                if lo >= end {
+                let chunk = chunk.clamp(1, n);
+                let lo = cursor.fetch_add(1, Ordering::AcqRel).saturating_mul(chunk);
+                if lo >= n {
                     break;
                 }
-                (lo, (lo + chunk).min(end))
+                (lo, lo + chunk.min(n - lo))
             }
             SharingPolicy::Guided { min_chunk } => {
                 let min_chunk = min_chunk.max(1);
@@ -65,10 +68,10 @@ pub(crate) fn sharing_for<F>(
                 let mut hi;
                 loop {
                     lo = cursor.load(Ordering::Acquire);
-                    if lo >= end {
+                    if lo >= n {
                         return;
                     }
-                    let remaining = end - lo;
+                    let remaining = n - lo;
                     let chunk = (remaining / team).max(min_chunk).min(remaining);
                     hi = lo + chunk;
                     if cursor
@@ -81,7 +84,7 @@ pub(crate) fn sharing_for<F>(
                 (lo, hi)
             }
         };
-        body(lo..hi);
+        body(start + lo..start + hi);
     });
 }
 
@@ -174,13 +177,15 @@ mod tests {
     #[test]
     fn nonzero_range_start_respected() {
         let pool = ThreadPool::new(2);
-        let sum = AtomicUsize::new(0);
-        sharing_for(&pool, 10..20, SharingPolicy::Fixed(3), &|chunk: Range<usize>| {
-            for i in chunk {
-                assert!((10..20).contains(&i));
-                sum.fetch_add(i, Ordering::Relaxed);
-            }
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), (10..20).sum::<usize>());
+        for chunk in [3, usize::MAX / 2, usize::MAX] {
+            let sum = AtomicUsize::new(0);
+            sharing_for(&pool, 10..20, SharingPolicy::Fixed(chunk), &|r: Range<usize>| {
+                for i in r {
+                    assert!((10..20).contains(&i), "chunk {chunk}: index {i}");
+                    sum.fetch_add(i, Ordering::Relaxed);
+                }
+            });
+            assert_eq!(sum.load(Ordering::Relaxed), (10..20).sum::<usize>(), "chunk {chunk}");
+        }
     }
 }

@@ -12,10 +12,11 @@ struct Inner {
     deadline: Option<Instant>,
 }
 
-/// A cloneable cancellation flag observed by the `try_*` loop entry points.
+/// A cloneable cancellation flag observed by loops that carry one (the
+/// `cancel` option of `parloop_core::Loop`).
 ///
 /// Cancellation is *cooperative*: loops stop claiming new partitions and
-/// chunks once the flag is set and return `Err(Cancelled)`, but work that
+/// chunks once the flag is set and report the loop cancelled, but work that
 /// already started runs to completion — the exactly-once guarantee still
 /// holds for every partition that did run, and the pool is immediately
 /// reusable afterwards.
@@ -81,19 +82,6 @@ impl CancelToken {
     }
 }
 
-/// The error returned by `try_*` loop entry points when their
-/// [`CancelToken`] fired before the loop completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cancelled;
-
-impl std::fmt::Display for Cancelled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("parallel loop cancelled")
-    }
-}
-
-impl std::error::Error for Cancelled {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,10 +127,5 @@ mod tests {
     #[test]
     fn plain_token_has_no_deadline() {
         assert_eq!(CancelToken::new().deadline(), None);
-    }
-
-    #[test]
-    fn cancelled_formats() {
-        assert_eq!(Cancelled.to_string(), "parallel loop cancelled");
     }
 }

@@ -47,7 +47,7 @@ mod join;
 mod scope;
 pub mod util;
 
-pub use cancel::{CancelToken, Cancelled};
+pub use cancel::CancelToken;
 pub use health::{PoolHealth, StallReport, WorkerState};
 pub use inject::{QosClass, DRR_WEIGHTS};
 pub use job::POISONED_JOB_MSG;

@@ -1237,6 +1237,10 @@ impl ThreadPoolBuilder {
             n,
         });
 
+        // Each worker reports in as its first action. The OS thread name is
+        // set before a spawned closure runs, so once every worker has
+        // reported, the pool's threads are visible under their names.
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
         {
             // One lock hold across the whole spawn loop: a worker killed
             // on its very first run-loop pass blocks in
@@ -1246,16 +1250,25 @@ impl ThreadPoolBuilder {
             let mut slots = registry.handles.lock().unwrap_or_else(|e| e.into_inner());
             for (index, wdeque) in workers.into_iter().enumerate() {
                 let reg = Arc::clone(&registry);
+                let started = started_tx.clone();
                 let name = format!("{}-{}", self.thread_name_prefix, index);
                 let mut builder = std::thread::Builder::new().name(name);
                 if let Some(bytes) = self.stack_size {
                     builder = builder.stack_size(bytes);
                 }
                 let handle = builder
-                    .spawn(move || worker_entry(reg, index, Some(wdeque), None))
+                    .spawn(move || {
+                        // The receiver lives until every worker reported.
+                        let _ = started.send(());
+                        worker_entry(reg, index, Some(wdeque), None)
+                    })
                     .expect("failed to spawn pool worker");
                 slots[index] = Some(handle);
             }
+        }
+        drop(started_tx);
+        for _ in 0..n {
+            started_rx.recv().expect("a pool worker exited before reporting in");
         }
 
         ThreadPool { registry }

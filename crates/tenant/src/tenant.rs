@@ -1,12 +1,13 @@
 //! Tenant handles: QoS class, fair-share weight, deadline, admission.
 
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parloop_chaos::{chaos_spin, FaultAction, Site};
-use parloop_core::{try_par_for_chunks, Schedule};
+use parloop_core::{Loop, LoopError, Schedule};
 use parloop_runtime::{CancelToken, QosClass, ThreadPool, TraceEvent, WorkerToken};
 
 use crate::global::global_pool;
@@ -521,10 +522,10 @@ impl Tenant {
     }
 
     /// Run a chunked parallel loop under this tenant's class, weight
-    /// window, and deadline. See
-    /// [`try_par_for_chunks`](parloop_core::try_par_for_chunks) for the
-    /// chunk semantics; on `Err` nothing leaks — admission slots are
-    /// released and every chunk that started ran exactly once.
+    /// window, and deadline. See [`Loop::run`] for the chunk and
+    /// cancellation semantics; on `Err` nothing leaks — admission slots
+    /// are released and every chunk that started ran exactly once. Body
+    /// panics are re-raised.
     pub fn par_for_chunks<F>(
         &self,
         range: Range<usize>,
@@ -539,7 +540,7 @@ impl Tenant {
         let shared = &self.shared;
         let pool = &self.pool;
         let submitted = Instant::now();
-        let result = pool.install_class(shared.class, || {
+        let cancelled = pool.install_class(shared.class, || {
             // First instruction on the worker: the queueing delay QoS is
             // supposed to bound. The nested loop entry below installs
             // inline (same pool), so this is the only injected hop.
@@ -551,8 +552,13 @@ impl Tenant {
                     class: shared.class.as_u8(),
                 });
             }
-            let r = try_par_for_chunks(pool, range, sched, &cancel, &body);
-            if r.is_err() {
+            let run = Loop { cancel: Some(&cancel), ..Loop::new(sched) }.run(pool, range, &body);
+            let cancelled = match run {
+                Ok(_) => false,
+                Err(LoopError::Cancelled(_)) => true,
+                Err(LoopError::Panicked { payload, .. }) => resume_unwind(payload),
+            };
+            if cancelled {
                 // Still on the worker: the deadline event must be traced
                 // here (trace sinks index per-worker rings; the submitter
                 // thread has none).
@@ -560,15 +566,13 @@ impl Tenant {
                     token.trace(TraceEvent::TenantDeadline { tenant: shared.id });
                 }
             }
-            r
+            cancelled
         });
-        match result {
-            Ok(()) => Ok(()),
-            Err(_cancelled) => {
-                shared.cancelled_by_deadline.fetch_add(1, Ordering::Relaxed);
-                Err(TenantError::DeadlineExceeded)
-            }
+        if cancelled {
+            shared.cancelled_by_deadline.fetch_add(1, Ordering::Relaxed);
+            return Err(TenantError::DeadlineExceeded);
         }
+        Ok(())
     }
 
     /// Per-index convenience over [`par_for_chunks`](Self::par_for_chunks).

@@ -4,7 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use parloop::core::{hybrid_for_with_stats, par_for_chunks, Schedule};
+use parloop::core::{par_for_chunks, Loop, Schedule};
 use parloop::runtime::ThreadPool;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,9 +38,11 @@ fn main() {
     // partitions it made, how many workers adopted the loop through the
     // DoHybridLoop steal protocol, and how many claims failed (bounded by
     // lg R per worker between successes — Lemma 4).
-    let stats = hybrid_for_with_stats(&pool, 0..n, None, |i| {
-        std::hint::black_box(i);
-    });
+    let stats = Loop::new(Schedule::hybrid())
+        .run(&pool, 0..n, |chunk| {
+            std::hint::black_box(chunk);
+        })
+        .expect("hybrid loop body panicked");
     println!(
         "\nhybrid loop stats: partitions={} adoptions={} failed_claims={}",
         stats.partitions, stats.adoptions, stats.failed_claims

@@ -10,10 +10,9 @@
 
 use std::sync::Arc;
 
-use parloop::core::hybrid_for_with_stats;
 use parloop::sim::{micro_app, simulate_traced, MicroParams, PolicyKind, SimConfig};
 use parloop::trace::{export, metrics, RingTraceSink};
-use parloop::ThreadPoolBuilder;
+use parloop::{par_for, Schedule, ThreadPoolBuilder};
 
 fn bar(frac: f64, width: usize) -> String {
     let filled = (frac * width as f64).round() as usize;
@@ -81,7 +80,7 @@ fn emit_real_trace() {
         .trace_sink(Arc::<RingTraceSink>::clone(&sink))
         .build();
 
-    hybrid_for_with_stats(&pool, 0..n, Some(64), |i| {
+    par_for(&pool, 0..n, Schedule::hybrid().with_grain(64), |i| {
         std::hint::black_box(i.wrapping_mul(0x9e37_79b9));
     });
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Perf-trajectory harness: run the split-policy, multi-tenant traffic,
+# Perf-trajectory harness: run the lazy-splitter, multi-tenant traffic,
 # resilience, locality and adaptive-grain benchmarks in full mode and
 # emit the stable top-level BENCH_parloop.json (flat {name, value, unit}
-# entries — ns/iter for the micro kernel under lazy vs eager splitting,
-# deque pushes per loop, the tenant/* QoS latency series, the
+# entries — ns/iter for the micro kernel under lazy splitting, deque
+# pushes and the fixed cost per loop, the tenant/* QoS latency series, the
 # resilience/* dip-and-recovery series, and the adaptive/* controller
 # series) so results are comparable across commits.
 #

@@ -88,11 +88,12 @@ if [ "$QUICK" -eq 0 ]; then
   test -s results/inject_latency.json \
     || { echo "verify.sh: results/inject_latency.json missing or empty" >&2; exit 1; }
 
-  # Split-policy acceptance: the lazy splitter's deque-push bound
-  # (pushes per loop <= steals + 1, a counting identity over PoolStats —
-  # host-core-count independent, so it is enforced even on a 1-CPU box).
-  # Exits non-zero when the bound is missed and writes
-  # results/lazy_split.json.
+  # Lazy-splitter acceptance: the deque-push bound — zero pushes at P=1
+  # (no thieves, no assist handle published) and pushes <= steals + loops
+  # at P=4 (at most one handle per loop plus one re-publish per steal).
+  # Both are counting identities over PoolStats, host-core-count
+  # independent, so they are enforced even on a 1-CPU box. Exits non-zero
+  # when a bound is missed and writes results/lazy_split.json.
   echo "== split_bench --smoke =="
   ./target/release/split_bench --smoke
   test -s results/lazy_split.json \

@@ -39,12 +39,11 @@ pub use parloop_trace as trace;
 
 pub use parloop_chaos::{FaultAction, FaultInjector, NoopInjector, PlannedInjector, Site};
 pub use parloop_core::{
-    par_for, par_for_chunks, par_for_chunks_policy, par_for_dyn, par_for_tracked, try_hybrid_for,
-    try_par_for_chunks, HybridError, HybridStats, Schedule, SplitPolicy,
+    par_for, par_for_chunks, par_for_tracked, GrainPolicy, Loop, LoopError, LoopReport, Schedule,
 };
 pub use parloop_runtime::{
-    join, scope, CancelToken, Cancelled, PoolHealth, QosClass, StallReport, ThreadPool,
-    ThreadPoolBuilder, WorkerState,
+    join, scope, CancelToken, PoolHealth, QosClass, StallReport, ThreadPool, ThreadPoolBuilder,
+    WorkerState,
 };
 pub use parloop_tenant::{
     global_pool, init_global, teardown_global, GlobalError, RetryPolicy, Tenant, TenantBuilder,

@@ -12,9 +12,8 @@
 //! * **Nested attribution** — assists recorded while an inner loop runs
 //!   inside an outer loop's body are charged to the *inner* loop's
 //!   count; outer + Σinner equals the pool-global counter exactly.
-//! * **Static equivalence** — `GrainPolicy::Static` through the
-//!   grain-policy entry point is indistinguishable from the plain policy
-//!   path.
+//! * **Static equivalence** — `GrainPolicy::Static` through `Loop::run`
+//!   is indistinguishable from plain `par_for_chunks`.
 //! * **End-to-end plumbing** — accepted adjustments show up in
 //!   `PoolStats::grain_adjustments` and as `TraceEvent::GrainAdjusted`
 //!   records carrying the site's id.
@@ -23,12 +22,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parloop::chaos::{PlannedInjector, Site, RATE_DENOM};
-use parloop::core::{
-    lazy_for_chunks_counted, par_for_chunks_grain_policy, par_for_chunks_policy, AdaptiveSite,
-    GrainPolicy, LoopSignals, SplitPolicy,
-};
+use parloop::core::{lazy_for_chunks, AdaptiveSite, GrainPolicy, LoopSignals};
 use parloop::trace::init_clock;
-use parloop::{RingTraceSink, Schedule, ThreadPool, ThreadPoolBuilder, TraceEvent};
+use parloop::{
+    par_for_chunks, Loop, RingTraceSink, Schedule, ThreadPool, ThreadPoolBuilder, TraceEvent,
+};
 
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -111,14 +109,9 @@ fn grain_adjust_chaos_sweep_preserves_exactly_once_and_converges() {
         let mut settled = false;
         for _ in 0..160 {
             assert_exactly_once(n, |body| {
-                par_for_chunks_grain_policy(
-                    &pool,
-                    0..n,
-                    Schedule::vanilla(),
-                    SplitPolicy::default(),
-                    GrainPolicy::Adaptive(&site),
-                    body,
-                );
+                Loop { grain: GrainPolicy::Adaptive(&site), ..Loop::new(Schedule::vanilla()) }
+                    .run(&pool, 0..n, body)
+                    .unwrap();
             });
             if site.settled() {
                 settled = true;
@@ -147,9 +140,9 @@ fn nested_loop_assists_attribute_to_their_own_loop() {
     let outer_items = 8;
     let inner_n = 512;
     let outer_assists = pool.install(|| {
-        lazy_for_chunks_counted(0..outer_items, 1, &|outer_chunk| {
+        lazy_for_chunks(0..outer_items, 1, &|outer_chunk| {
             for _o in outer_chunk {
-                let inner = lazy_for_chunks_counted(0..inner_n, 16, &|chunk| {
+                let inner = lazy_for_chunks(0..inner_n, 16, &|chunk| {
                     for i in chunk {
                         executed.fetch_add(1, Ordering::Relaxed);
                         std::hint::black_box(splitmix64(i as u64));
@@ -168,8 +161,8 @@ fn nested_loop_assists_attribute_to_their_own_loop() {
     );
 }
 
-/// `GrainPolicy::Static` through the grain-policy entry point must be
-/// the plain policy path: same coverage, exactly once, for both engine
+/// `GrainPolicy::Static` through `Loop::run` must be plain
+/// `par_for_chunks`: same coverage, exactly once, for both engine
 /// schedules — and it is the `Default` policy.
 #[test]
 fn grain_policy_static_matches_plain_policy_path() {
@@ -177,17 +170,12 @@ fn grain_policy_static_matches_plain_policy_path() {
     let pool = ThreadPool::new(2);
     for sched in [Schedule::hybrid(), Schedule::vanilla()] {
         assert_exactly_once(2048, |body| {
-            par_for_chunks_grain_policy(
-                &pool,
-                0..2048,
-                sched,
-                SplitPolicy::default(),
-                GrainPolicy::Static,
-                body,
-            );
+            Loop { grain: GrainPolicy::Static, ..Loop::new(sched) }
+                .run(&pool, 0..2048, body)
+                .unwrap();
         });
         assert_exactly_once(2048, |body| {
-            par_for_chunks_policy(&pool, 0..2048, sched, SplitPolicy::default(), body);
+            par_for_chunks(&pool, 0..2048, sched, body);
         });
     }
 }
@@ -206,14 +194,9 @@ fn adaptive_adjustments_reach_pool_stats_and_trace() {
     let site = AdaptiveSite::new("e2e-layer");
     for _ in 0..48 {
         assert_exactly_once(2048, |body| {
-            par_for_chunks_grain_policy(
-                &pool,
-                0..2048,
-                Schedule::hybrid(),
-                SplitPolicy::default(),
-                GrainPolicy::Adaptive(&site),
-                body,
-            );
+            Loop { grain: GrainPolicy::Adaptive(&site), ..Loop::new(Schedule::hybrid()) }
+                .run(&pool, 0..2048, body)
+                .unwrap();
         });
     }
     assert!(site.adjustments() > 0, "48 warmup loops must adjust at least once");

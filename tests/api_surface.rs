@@ -155,7 +155,7 @@ fn pinning_valid_for_odd_machines() {
 
 #[test]
 fn error_types_implement_error_and_display() {
-    use parloop::{HybridError, TenantError};
+    use parloop::{LoopError, TenantError};
 
     // `dyn Error` coercion is the whole point: downstream `?`-chains and
     // anyhow-style boxing must accept both error types.
@@ -167,12 +167,12 @@ fn error_types_implement_error_and_display() {
     assert_eq!(takes_error(&TenantError::DeadlineExceeded), "tenant deadline exceeded");
     assert_eq!(takes_error(&TenantError::BreakerOpen), "tenant circuit breaker open");
 
-    let cancelled = HybridError::Cancelled(Default::default());
-    assert_eq!(takes_error(&cancelled), "hybrid loop cancelled before completion");
-    let panicked = HybridError::Panicked { stats: Default::default(), payload: Box::new("boom") };
-    assert_eq!(takes_error(&panicked), "hybrid loop body panicked");
+    let cancelled = LoopError::Cancelled(Default::default());
+    assert_eq!(takes_error(&cancelled), "loop cancelled before completion");
+    let panicked = LoopError::Panicked { report: Default::default(), payload: Box::new("boom") };
+    assert_eq!(takes_error(&panicked), "loop body panicked");
     // The counters stay reachable through the typed error.
-    assert_eq!(panicked.stats().partitions, 0);
+    assert_eq!(panicked.report().partitions, 0);
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! * **Panic safety** — a panic injected at *any* site leaves the pool
 //!   reusable.
 //! * **Off-path proof** — a disabled injector is never consulted.
-//! * **Cancellation** — `try_` loops observe a fired [`CancelToken`],
+//! * **Cancellation** — loops with a cancel token observe it firing,
 //!   return `Err`, and preserve exactly-once for everything that ran.
 //! * **Watchdog** — a stalled pool produces a diagnostic, not a hang.
 //! * **Locality** — the topology-aware configuration (multi-socket map,
@@ -26,14 +26,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parloop::chaos::{FaultAction, FaultInjector, PlannedInjector, Site};
-use parloop::core::{
-    same_socket_fraction, same_worker_fraction, try_hybrid_for, try_par_for_chunks, AffinityProbe,
-    HybridError,
-};
+use parloop::core::{same_socket_fraction, same_worker_fraction, AffinityProbe};
 use parloop::runtime::{Latch, StealPolicy, TopologyMap, WorkerToken};
 use parloop::trace::metrics::max_claim_failure_run;
 use parloop::trace::{init_clock, RingTraceSink};
-use parloop::{par_for_tracked, CancelToken, Schedule, ThreadPool, ThreadPoolBuilder, TraceEvent};
+use parloop::{
+    par_for_tracked, CancelToken, Loop, LoopError, Schedule, ThreadPool, ThreadPoolBuilder,
+    TraceEvent,
+};
 
 fn seed_count() -> u64 {
     std::env::var("CHAOS_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(64)
@@ -63,10 +63,13 @@ fn exactly_once_and_lemma4_hold_across_seed_sweep() {
         let (pool, sink) = chaos_pool(p, Arc::clone(&injector));
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let cancel = CancelToken::new();
-        let stats = try_hybrid_for(&pool, 0..n, Some(8), &cancel, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap_or_else(|e| panic!("seed {seed}: loop failed: {e:?}"));
+        let stats = Loop { cancel: Some(&cancel), ..Loop::new(Schedule::hybrid().with_grain(8)) }
+            .run(&pool, 0..n, |chunk| {
+                for i in chunk {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+            })
+            .unwrap_or_else(|e| panic!("seed {seed}: loop failed: {e:?}"));
 
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "seed {seed}: iteration {i} not exactly-once");
@@ -120,16 +123,20 @@ fn injected_panic_at_every_site_leaves_pool_reusable() {
             let (pool, _sink) = chaos_pool(p, Arc::clone(&injector));
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             let cancel = CancelToken::new();
-            let result = try_hybrid_for(&pool, 0..n, Some(8), &cancel, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
+            let sched = Schedule::hybrid().with_grain(8);
+            let result =
+                Loop { cancel: Some(&cancel), ..Loop::new(sched) }.run(&pool, 0..n, |chunk| {
+                    for i in chunk {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                });
             for (i, h) in hits.iter().enumerate() {
                 assert!(
                     h.load(Ordering::Relaxed) <= 1,
                     "{site} nth={nth}: iteration {i} ran twice"
                 );
             }
-            if let Err(HybridError::Cancelled(_)) = &result {
+            if let Err(LoopError::Cancelled(_)) = &result {
                 panic!("{site} nth={nth}: spurious cancellation");
             }
             // The panic may have landed at a runtime site (absorbed or
@@ -143,9 +150,14 @@ fn injected_panic_at_every_site_leaves_pool_reusable() {
             for _ in 0..4 {
                 let sum = AtomicUsize::new(0);
                 let clean = CancelToken::new();
-                match try_hybrid_for(&pool, 0..100, Some(4), &clean, |i| {
-                    sum.fetch_add(i, Ordering::Relaxed);
-                }) {
+                let result =
+                    Loop { cancel: Some(&clean), ..Loop::new(Schedule::hybrid().with_grain(4)) }
+                        .run(&pool, 0..100, |chunk| {
+                            for i in chunk {
+                                sum.fetch_add(i, Ordering::Relaxed);
+                            }
+                        });
+                match result {
                     Ok(stats) => {
                         assert_eq!(sum.load(Ordering::Relaxed), 4950, "{site} nth={nth}");
                         assert_eq!(stats.skipped_partitions, 0, "{site} nth={nth}");
@@ -200,18 +212,13 @@ fn cancellation_mid_loop_returns_err_and_pool_stays_usable() {
     let cancel = CancelToken::new();
     let ran: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
     let c2 = cancel.clone();
-    let r = try_par_for_chunks(
-        &pool,
-        0..64,
-        Schedule::Hybrid { grain: Some(4), oversub: 4 },
-        &cancel,
-        |chunk| {
-            c2.cancel();
-            for i in chunk {
-                ran[i].fetch_add(1, Ordering::Relaxed);
-            }
-        },
-    );
+    let sched = Schedule::Hybrid { grain: Some(4), oversub: 4 };
+    let r = Loop { cancel: Some(&cancel), ..Loop::new(sched) }.run(&pool, 0..64, |chunk| {
+        c2.cancel();
+        for i in chunk {
+            ran[i].fetch_add(1, Ordering::Relaxed);
+        }
+    });
     assert!(r.is_err(), "token fired inside the first chunk must cancel the loop");
     let executed: usize = ran.iter().map(|h| h.load(Ordering::Relaxed)).sum();
     assert!(ran.iter().all(|h| h.load(Ordering::Relaxed) <= 1), "some iteration ran twice");
@@ -226,15 +233,17 @@ fn cancellation_mid_loop_returns_err_and_pool_stays_usable() {
     assert_eq!(sum.load(Ordering::Relaxed), 4950);
 }
 
-/// `try_hybrid_for` reports cancellation with stats: the drained
+/// A cancelled hybrid loop reports its counters: the drained
 /// partitions show up as `skipped_partitions`.
 #[test]
 fn cancelled_hybrid_reports_skipped_partitions() {
     let pool = ThreadPool::new(1);
     let cancel = CancelToken::new();
     cancel.cancel();
-    match try_hybrid_for(&pool, 0..128, Some(8), &cancel, |_| {}) {
-        Err(HybridError::Cancelled(stats)) => {
+    let sched = Schedule::hybrid().with_grain(8);
+    let result = Loop { cancel: Some(&cancel), ..Loop::new(sched) }.run(&pool, 0..128, |_| {});
+    match result {
+        Err(LoopError::Cancelled(stats)) => {
             assert_eq!(stats.skipped_partitions, stats.partitions);
         }
         other => panic!("expected Cancelled, got {other:?}"),
@@ -299,10 +308,13 @@ fn chaos_runs_actually_inject_faults() {
     for _ in 0..10 {
         let cancel = CancelToken::new();
         let hits: Vec<AtomicUsize> = (0..256).map(|_| AtomicUsize::new(0)).collect();
-        try_hybrid_for(&pool, 0..256, Some(8), &cancel, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
+        Loop { cancel: Some(&cancel), ..Loop::new(Schedule::hybrid().with_grain(8)) }
+            .run(&pool, 0..256, |chunk| {
+                for i in chunk {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+            })
+            .unwrap();
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
     assert!(injector.queries_total() > 0, "no site ever consulted the injector");
@@ -350,10 +362,13 @@ fn worker_exit_kill_sweep_recovers_exactly_once() {
         for round in 0..3 {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             let cancel = CancelToken::new();
-            try_hybrid_for(&pool, 0..n, Some(8), &cancel, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap_or_else(|e| panic!("seed {seed} round {round}: loop failed: {e:?}"));
+            Loop { cancel: Some(&cancel), ..Loop::new(Schedule::hybrid().with_grain(8)) }
+                .run(&pool, 0..n, |chunk| {
+                    for i in chunk {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+                .unwrap_or_else(|e| panic!("seed {seed} round {round}: loop failed: {e:?}"));
             for (i, h) in hits.iter().enumerate() {
                 assert_eq!(
                     h.load(Ordering::Relaxed),
@@ -395,10 +410,13 @@ fn worker_exit_kill_sweep_recovers_exactly_once() {
         // Post-recovery service check: the replacement participates.
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         let cancel = CancelToken::new();
-        try_hybrid_for(&pool, 0..n, Some(8), &cancel, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap_or_else(|e| panic!("seed {seed}: post-recovery loop failed: {e:?}"));
+        Loop { cancel: Some(&cancel), ..Loop::new(Schedule::hybrid().with_grain(8)) }
+            .run(&pool, 0..n, |chunk| {
+                for i in chunk {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+            })
+            .unwrap_or_else(|e| panic!("seed {seed}: post-recovery loop failed: {e:?}"));
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "seed {seed}");
         drop(pool);
         assert_eq!(threads_named(&prefix), 0, "seed {seed}: drop leaked worker threads");
@@ -741,10 +759,13 @@ fn flat_map_socket_first_never_counts_remote_steals() {
         for _ in 0..3 {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             let cancel = CancelToken::new();
-            try_hybrid_for(&pool, 0..n, Some(8), &cancel, |i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap_or_else(|e| panic!("seed {seed}: loop failed: {e:?}"));
+            Loop { cancel: Some(&cancel), ..Loop::new(Schedule::hybrid().with_grain(8)) }
+                .run(&pool, 0..n, |chunk| {
+                    for i in chunk {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+                .unwrap_or_else(|e| panic!("seed {seed}: loop failed: {e:?}"));
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "seed {seed}");
         }
         let stats = pool.stats();

@@ -4,7 +4,7 @@
 //! chunked path must place iterations on the same workers as the dyn
 //! path (they share one decomposition).
 
-use parloop::core::{par_for_chunks, par_for_dyn, par_for_tracked, AffinityProbe, Schedule};
+use parloop::core::{par_for, par_for_chunks, par_for_tracked, AffinityProbe, Schedule};
 use parloop::runtime::{current_worker_index, ThreadPool};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -111,7 +111,7 @@ fn tracked_probe_matches_dyn_ownership_for_static() {
         let w = current_worker_index().expect("loop bodies run on pool workers");
         dyn_probe.record(i, w);
     };
-    par_for_dyn(&pool, 0..n, Schedule::Static, &body);
+    par_for(&pool, 0..n, Schedule::Static, &body as &(dyn Fn(usize) + Sync));
 
     assert_eq!(
         chunked.snapshot(),

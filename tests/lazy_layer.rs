@@ -1,8 +1,7 @@
 //! Integration tests for the lazy steal-driven splitter: exactly-once
 //! coverage across adversarial loop shapes, nesting, hybrid composition,
 //! assistant panic propagation, and a seeded chaos sweep over the
-//! `AssistClaim` injection site — all run under *both* [`SplitPolicy`]
-//! variants where the property is policy-independent.
+//! `AssistClaim` injection site.
 //!
 //! The chaos sweep honours `CHAOS_SEEDS` (default 32) like the other
 //! chaos suites, so CI can dial the stress level.
@@ -15,19 +14,17 @@ use std::time::{Duration, Instant};
 
 use common::run_cases;
 use parloop::chaos::{PlannedInjector, Site, RATE_DENOM};
-use parloop::core::{par_for_chunks_policy, ws_for_chunks_policy};
-use parloop::{Schedule, SplitPolicy, ThreadPool, ThreadPoolBuilder};
-
-const POLICIES: [SplitPolicy; 2] = [SplitPolicy::Lazy, SplitPolicy::Eager];
+use parloop::core::lazy_for_chunks;
+use parloop::{par_for_chunks, Schedule, ThreadPool, ThreadPoolBuilder};
 
 fn seed_count() -> u64 {
     std::env::var("CHAOS_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(32)
 }
 
-fn assert_exactly_once(pool: &ThreadPool, n: usize, grain: usize, policy: SplitPolicy) {
+fn assert_exactly_once(pool: &ThreadPool, n: usize, grain: usize) {
     let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
     pool.install(|| {
-        ws_for_chunks_policy(0..n, grain, policy, &|chunk| {
+        lazy_for_chunks(0..n, grain, &|chunk| {
             assert!(!chunk.is_empty() && chunk.len() <= grain.max(1), "oversized chunk {chunk:?}");
             for i in chunk {
                 hits[i].fetch_add(1, Ordering::Relaxed);
@@ -38,8 +35,7 @@ fn assert_exactly_once(pool: &ThreadPool, n: usize, grain: usize, policy: SplitP
         assert_eq!(
             h.load(Ordering::Relaxed),
             1,
-            "{} n={n} grain={grain}: iteration {i} not exactly-once",
-            policy.name()
+            "n={n} grain={grain}: iteration {i} not exactly-once"
         );
     }
 }
@@ -53,15 +49,13 @@ fn exactly_once_across_boundary_shapes() {
     run_cases(0x1A2_2026, 3, |rng| {
         let grain = *[1usize, 7, 64, 512, 2048].get(rng.usize_in(0, 5)).unwrap();
         let ns = [0usize, 1, grain - 1, grain, grain + 1, 13, 1009, 7919, 104_729, 1_000_000];
-        for policy in POLICIES {
-            for &n in &ns {
-                assert_exactly_once(&pool, n, grain, policy);
-            }
+        for &n in &ns {
+            assert_exactly_once(&pool, n, grain);
         }
     });
 }
 
-/// Randomized (n, grain, pool size) shapes, both policies.
+/// Randomized (n, grain, pool size) shapes.
 #[test]
 fn exactly_once_random_shapes() {
     run_cases(0x1A2_BEEF, 12, |rng| {
@@ -69,10 +63,8 @@ fn exactly_once_random_shapes() {
         let n = rng.usize_in(0, 20_000);
         let grain = rng.usize_in(1, 300);
         let pool = ThreadPool::new(p);
-        for policy in POLICIES {
-            if n > 0 {
-                assert_exactly_once(&pool, n, grain, policy);
-            }
+        if n > 0 {
+            assert_exactly_once(&pool, n, grain);
         }
     });
 }
@@ -86,9 +78,9 @@ fn nested_lazy_loops_cover_exactly_once() {
     let (outer_n, inner_n) = (8usize, 1000usize);
     let hits: Vec<AtomicUsize> = (0..outer_n * inner_n).map(|_| AtomicUsize::new(0)).collect();
     pool.install(|| {
-        ws_for_chunks_policy(0..outer_n, 1, SplitPolicy::Lazy, &|outer| {
+        lazy_for_chunks(0..outer_n, 1, &|outer| {
             for o in outer {
-                ws_for_chunks_policy(0..inner_n, 32, SplitPolicy::Lazy, &|inner| {
+                lazy_for_chunks(0..inner_n, 32, &|inner| {
                     for i in inner {
                         hits[o * inner_n + i].fetch_add(1, Ordering::Relaxed);
                     }
@@ -109,25 +101,16 @@ fn lazy_under_hybrid_with_oversub() {
         let n = rng.usize_in(1, 8_000);
         let oversub = *[1usize, 2, 4].get(rng.usize_in(0, 3)).unwrap();
         let pool = ThreadPool::new(p);
-        for policy in POLICIES {
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            par_for_chunks_policy(
-                &pool,
-                0..n,
-                Schedule::Hybrid { grain: Some(16), oversub },
-                policy,
-                |chunk| {
-                    for i in chunk {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                },
-            );
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "{} p={p} n={n} oversub={oversub}",
-                policy.name()
-            );
-        }
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        par_for_chunks(&pool, 0..n, Schedule::Hybrid { grain: Some(16), oversub }, |chunk| {
+            for i in chunk {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert!(
+            hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+            "p={p} n={n} oversub={oversub}"
+        );
     });
 }
 
@@ -150,7 +133,7 @@ fn panic_in_assistant_propagates_and_pool_is_reusable() {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         pool.install(|| {
             let owner = WorkerToken::current().unwrap().index();
-            ws_for_chunks_policy(0..4096, 16, SplitPolicy::Lazy, &|chunk| {
+            lazy_for_chunks(0..4096, 16, &|chunk| {
                 let me = WorkerToken::current().unwrap().index();
                 if me != owner {
                     assistant_fired.store(true, Ordering::Release);
@@ -184,7 +167,7 @@ fn panic_in_assistant_propagates_and_pool_is_reusable() {
     assert!(!pool.is_degraded());
     let sum = AtomicUsize::new(0);
     pool.install(|| {
-        ws_for_chunks_policy(0..100, 8, SplitPolicy::Lazy, &|chunk| {
+        lazy_for_chunks(0..100, 8, &|chunk| {
             for i in chunk {
                 sum.fetch_add(i, Ordering::Relaxed);
             }
@@ -201,7 +184,7 @@ fn single_worker_bypass_exactly_once_and_pushes_nothing() {
     let pool = ThreadPool::new(1);
     for (n, grain) in [(1usize, 1usize), (64, 16), (1009, 7), (4096, 64), (100, 4096)] {
         let before = pool.stats().jobs_pushed;
-        assert_exactly_once(&pool, n, grain, SplitPolicy::Lazy);
+        assert_exactly_once(&pool, n, grain);
         assert_eq!(
             pool.stats().jobs_pushed,
             before,
@@ -219,7 +202,7 @@ fn single_worker_bypass_propagates_panics_and_pool_survives() {
     let ran = AtomicUsize::new(0);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         pool.install(|| {
-            ws_for_chunks_policy(0..256, 16, SplitPolicy::Lazy, &|chunk| {
+            lazy_for_chunks(0..256, 16, &|chunk| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 if chunk.contains(&100) {
                     panic!("bypassed chunk dies");
@@ -234,7 +217,7 @@ fn single_worker_bypass_propagates_panics_and_pool_survives() {
     assert!(!pool.is_degraded());
     let sum = AtomicUsize::new(0);
     pool.install(|| {
-        ws_for_chunks_policy(0..100, 8, SplitPolicy::Lazy, &|chunk| {
+        lazy_for_chunks(0..100, 8, &|chunk| {
             for i in chunk {
                 sum.fetch_add(i, Ordering::Relaxed);
             }
@@ -264,7 +247,7 @@ fn single_worker_bypass_never_consults_assist_claim() {
         for (n, grain) in [(512usize, 8usize), (2048, 64), (63, 16)] {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             pool.install(|| {
-                ws_for_chunks_policy(0..n, grain, SplitPolicy::Lazy, &|chunk| {
+                lazy_for_chunks(0..n, grain, &|chunk| {
                     for i in chunk {
                         hits[i].fetch_add(1, Ordering::Relaxed);
                     }
@@ -305,7 +288,7 @@ fn assist_claim_chaos_sweep_preserves_exactly_once() {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 pool.install(|| {
-                    ws_for_chunks_policy(0..n, 16, SplitPolicy::Lazy, &|chunk| {
+                    lazy_for_chunks(0..n, 16, &|chunk| {
                         for i in chunk {
                             hits[i].fetch_add(1, Ordering::Relaxed);
                         }
@@ -337,7 +320,7 @@ fn assist_claim_chaos_sweep_preserves_exactly_once() {
         let sum = AtomicUsize::new(0);
         let clean = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.install(|| {
-                ws_for_chunks_policy(0..100, 8, SplitPolicy::Lazy, &|chunk| {
+                lazy_for_chunks(0..100, 8, &|chunk| {
                     for i in chunk {
                         sum.fetch_add(i, Ordering::Relaxed);
                     }
@@ -360,7 +343,7 @@ fn rate_one_assist_claim_losses_still_make_progress() {
     let pool = ThreadPoolBuilder::new().num_workers(2).fault_injector(Arc::new(injector)).build();
     let hits: Vec<AtomicUsize> = (0..1024).map(|_| AtomicUsize::new(0)).collect();
     pool.install(|| {
-        ws_for_chunks_policy(0..1024, 8, SplitPolicy::Lazy, &|chunk| {
+        lazy_for_chunks(0..1024, 8, &|chunk| {
             for i in chunk {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }

@@ -6,7 +6,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parloop::core::hybrid_for_with_stats;
 use parloop::trace::metrics::{claim_failure_histogram, event_counts, max_claim_failure_run};
 use parloop::trace::{export, init_clock};
 use parloop::{
@@ -27,7 +26,7 @@ fn traced_pool(p: usize, capacity: usize) -> (ThreadPool, Arc<RingTraceSink>) {
 fn real_run_records_full_chunk_coverage() {
     let (pool, sink) = traced_pool(4, 1 << 14);
     let n = 1 << 12;
-    hybrid_for_with_stats(&pool, 0..n, Some(32), |i| {
+    par_for(&pool, 0..n, Schedule::hybrid().with_grain(32), |i| {
         std::hint::black_box(i);
     });
     let snap = sink.drain();
@@ -47,7 +46,7 @@ fn ring_overflow_keeps_newest_events_per_worker() {
     // Capacity far below the event volume: the ring must overwrite oldest,
     // report the loss, and keep per-worker timestamps monotone.
     let (pool, sink) = traced_pool(2, 64);
-    hybrid_for_with_stats(&pool, 0..(1 << 13), Some(8), |i| {
+    par_for(&pool, 0..(1 << 13), Schedule::hybrid().with_grain(8), |i| {
         std::hint::black_box(i);
     });
     let snap = sink.drain();
@@ -170,7 +169,7 @@ fn disabled_sink_is_never_called_on_any_path() {
     // Exercise every instrumented path: push/pop/steal/park via joins,
     // claims/chunks/frames via hybrid loops.
     let count = AtomicUsize::new(0);
-    hybrid_for_with_stats(&pool, 0..4096, Some(16), |_| {
+    par_for(&pool, 0..4096, Schedule::hybrid().with_grain(16), |_| {
         count.fetch_add(1, Ordering::Relaxed);
     });
     pool.install(|| {
@@ -183,7 +182,7 @@ fn disabled_sink_is_never_called_on_any_path() {
 fn default_pool_has_tracing_off() {
     let pool = ThreadPool::new(2);
     assert!(!pool.tracing_enabled());
-    hybrid_for_with_stats(&pool, 0..256, Some(16), |i| {
+    par_for(&pool, 0..256, Schedule::hybrid().with_grain(16), |i| {
         std::hint::black_box(i);
     });
 }
@@ -191,7 +190,7 @@ fn default_pool_has_tracing_off() {
 #[test]
 fn per_worker_stats_sum_to_pool_stats() {
     let pool = ThreadPool::new(3);
-    hybrid_for_with_stats(&pool, 0..8192, Some(32), |i| {
+    par_for(&pool, 0..8192, Schedule::hybrid().with_grain(32), |i| {
         std::hint::black_box(i);
     });
     let per = pool.worker_stats();
@@ -315,7 +314,7 @@ fn check_json(s: &str) -> Result<(), String> {
 #[test]
 fn exporters_emit_well_formed_output_from_a_real_run() {
     let (pool, sink) = traced_pool(4, 1 << 13);
-    hybrid_for_with_stats(&pool, 0..2048, Some(32), |i| {
+    par_for(&pool, 0..2048, Schedule::hybrid().with_grain(32), |i| {
         std::hint::black_box(i);
     });
     let snap = sink.drain();
