@@ -39,7 +39,7 @@
 //! [--smoke] [--bench-json PATH]`
 
 use parloop_bench::irregular::{workloads, GrainMode};
-use parloop_bench::Table;
+use parloop_bench::{bench_json_arg, merge_bench_json, Table};
 use parloop_core::{controller_report, AdaptiveSite};
 use parloop_runtime::ThreadPool;
 
@@ -98,13 +98,7 @@ impl Row {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut bench_json = None;
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--bench-json" {
-            bench_json = Some(args.next().expect("--bench-json requires a path"));
-        }
-    }
+    let bench_json = bench_json_arg();
 
     let p = 2usize;
     let reps = if smoke { 5 } else { 15 };
@@ -245,7 +239,7 @@ fn main() {
     println!("\nwrote results/adapt.json");
 
     if let Some(path) = &bench_json {
-        merge_bench_json(path, &rows, lost, regular_ok, irregular_wins);
+        merge_bench_json(path, &bench_entries(&rows, lost, regular_ok, irregular_wins));
         println!("merged adaptive/* series into {path}");
     }
 
@@ -326,11 +320,14 @@ fn render_json(
     s
 }
 
-/// Append the `adaptive/*` series to an existing flat bench JSON (written
-/// by earlier bins in `scripts/bench.sh`), or create a fresh document
-/// when the file is missing.
-fn merge_bench_json(path: &str, rows: &[Row], lost: u64, regular_ok: usize, irregular_wins: usize) {
-    let mut entries: Vec<(String, String, &str)> = Vec::new();
+/// The `adaptive/*` series for the flat cross-commit file.
+fn bench_entries(
+    rows: &[Row],
+    lost: u64,
+    regular_ok: usize,
+    irregular_wins: usize,
+) -> Vec<(String, String, &'static str)> {
+    let mut entries = Vec::new();
     for r in rows {
         entries.push((
             format!("adaptive/{}/default_ns", r.name),
@@ -351,26 +348,5 @@ fn merge_bench_json(path: &str, rows: &[Row], lost: u64, regular_ok: usize, irre
     entries.push(("adaptive/lost_iterations".into(), lost.to_string(), "iterations"));
     entries.push(("adaptive/regular_within_5pct".into(), regular_ok.to_string(), "workloads"));
     entries.push(("adaptive/irregular_wins".into(), irregular_wins.to_string(), "workloads"));
-    let rendered: Vec<String> = entries
-        .iter()
-        .map(|(name, value, unit)| {
-            format!("    {{\"name\": \"{name}\", \"value\": {value}, \"unit\": \"{unit}\"}}")
-        })
-        .collect();
-    let doc = match std::fs::read_to_string(path) {
-        Ok(existing) if existing.contains("\"results\": [") => {
-            // Splice before the closing of the results array. The file is
-            // machine-written by split_bench with a fixed layout.
-            let tail = "  ]\n}\n";
-            let body = existing
-                .strip_suffix(tail)
-                .unwrap_or_else(|| panic!("{path} does not end with the expected results layout"));
-            format!("{},\n{}\n{}", body.trim_end_matches('\n'), rendered.join(",\n"), tail)
-        }
-        _ => format!(
-            "{{\n  \"benchmark\": \"parloop\",\n  \"results\": [\n{}\n  ]\n}}\n",
-            rendered.join(",\n")
-        ),
-    };
-    std::fs::write(path, doc).expect("write bench JSON");
+    entries
 }

@@ -9,11 +9,10 @@
 //!   (socket-first stealing + NUMA-earmarked anchors); compared on the
 //!   consecutive-loop same-socket fraction, the local-steal fraction and
 //!   the simulated L3 hit rate — the scaled-up Figure 4 comparison.
-//! * **Flat-map real pool** — a `SocketFirst` thread pool built with the
-//!   default single-socket topology map runs real hybrid loops next to a
-//!   `Uniform` pool. On a flat map socket-first stealing must degenerate
-//!   to the uniform baseline: zero remote steals, exactly-once intact,
-//!   wall time within noise (reported, not enforced).
+//! * **Flat-map real pool** — a default thread pool (single-socket
+//!   topology map, so one uniform steal pass) runs real hybrid loops:
+//!   zero remote steals, exactly-once intact, wall time per loop
+//!   reported, not enforced.
 //!
 //! Measurements land in `results/locality.json`; with `--bench-json PATH`
 //! the `locality/*` series is merged into the flat cross-commit file.
@@ -21,8 +20,8 @@
 //! Acceptance (process exits 1 otherwise):
 //! * `hybrid_sf` same-socket fraction >= `hybrid`'s at every simulated
 //!   scale, and its L3 hit rate is no worse;
-//! * the flat-map `SocketFirst` pool reports zero remote steals and
-//!   exactly-once iteration counts.
+//! * the flat-map pool reports zero remote steals and exactly-once
+//!   iteration counts.
 //!
 //! Usage: `cargo run --release -p parloop-bench --bin locality_bench
 //! [--smoke] [--bench-json PATH]`
@@ -30,9 +29,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use parloop_bench::Table;
+use parloop_bench::{bench_json_arg, merge_bench_json, Table};
 use parloop_core::{par_for, Schedule};
-use parloop_runtime::{StealPolicy, ThreadPoolBuilder};
+use parloop_runtime::ThreadPool;
 use parloop_sim::{micro_app, simulate, CostModel, MicroParams, PolicyKind, SimConfig};
 use parloop_topo::{AccessLevel, LatencyTable, MachineSpec, PinningPolicy};
 
@@ -83,45 +82,32 @@ fn sim_scale(sockets: usize, cores_per_socket: usize, iterations: usize) -> Vec<
 }
 
 struct FlatPoolResult {
-    uniform_ms: f64,
-    socket_first_ms: f64,
+    ms: f64,
     remote_steals: u64,
     lost_iterations: u64,
 }
 
-/// Real-pool sanity: with the default 1-socket map, `SocketFirst` must be
-/// indistinguishable from `Uniform` — all victims are local, so the sweep
-/// order coincides and no steal can be remote.
-fn flat_pool_comparison(p: usize, n: usize, rounds: usize) -> FlatPoolResult {
-    let run = |policy: StealPolicy| -> (f64, u64, u64) {
-        let pool = ThreadPoolBuilder::new().num_workers(p).steal_policy(policy).build();
-        let mut lost = 0u64;
-        let t0 = Instant::now();
-        for _ in 0..rounds {
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            par_for(&pool, 0..n, Schedule::hybrid(), |i| {
-                std::hint::black_box(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            });
-            lost += hits.iter().filter(|h| h.load(Ordering::Relaxed) != 1).count() as u64;
-        }
-        let ms = t0.elapsed().as_secs_f64() * 1e3 / rounds as f64;
-        (ms, pool.stats().remote_steals, lost)
-    };
-    let (uniform_ms, _, lost_u) = run(StealPolicy::Uniform);
-    let (socket_first_ms, remote_steals, lost_sf) = run(StealPolicy::SocketFirst);
-    FlatPoolResult { uniform_ms, socket_first_ms, remote_steals, lost_iterations: lost_u + lost_sf }
+/// Real-pool sanity: with the default 1-socket map every victim is local,
+/// so the sweep is one uniform pass and no steal can be remote.
+fn flat_pool_run(p: usize, n: usize, rounds: usize) -> FlatPoolResult {
+    let pool = ThreadPool::new(p);
+    let mut lost_iterations = 0u64;
+    let t0 = Instant::now();
+    for _ in 0..rounds {
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        par_for(&pool, 0..n, Schedule::hybrid(), |i| {
+            std::hint::black_box(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        lost_iterations += hits.iter().filter(|h| h.load(Ordering::Relaxed) != 1).count() as u64;
+    }
+    let ms = t0.elapsed().as_secs_f64() * 1e3 / rounds as f64;
+    FlatPoolResult { ms, remote_steals: pool.stats().remote_steals, lost_iterations }
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut bench_json = None;
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--bench-json" {
-            bench_json = Some(args.next().expect("--bench-json requires a path"));
-        }
-    }
+    let bench_json = bench_json_arg();
 
     println!(
         "locality bench: scaled socket-first sim sweep{}",
@@ -158,11 +144,10 @@ fn main() {
 
     let flat_p = 4;
     let (flat_n, flat_rounds) = if smoke { (20_000, 20) } else { (100_000, 50) };
-    let flat = flat_pool_comparison(flat_p, flat_n, flat_rounds);
+    let flat = flat_pool_run(flat_p, flat_n, flat_rounds);
     println!(
-        "\nflat-map real pool (P={flat_p}): uniform {:.3} ms/loop, socket-first {:.3} ms/loop, \
-         {} remote steals, {} lost iterations",
-        flat.uniform_ms, flat.socket_first_ms, flat.remote_steals, flat.lost_iterations
+        "\nflat-map real pool (P={flat_p}): {:.3} ms/loop, {} remote steals, {} lost iterations",
+        flat.ms, flat.remote_steals, flat.lost_iterations
     );
 
     let cpus = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
@@ -172,7 +157,32 @@ fn main() {
     println!("wrote results/locality.json");
 
     if let Some(path) = &bench_json {
-        merge_bench_json(path, &rows, &flat);
+        let mut entries: Vec<(String, String, &str)> = Vec::new();
+        for r in &rows {
+            let scheme =
+                if r.kind == PolicyKind::HybridSocketFirst { "socket_first" } else { "uniform" };
+            let series = format!("locality/{}c", r.cores);
+            entries.extend([
+                (
+                    format!("{series}/socket_affinity_{scheme}"),
+                    format!("{:.6}", r.socket_affinity),
+                    "ratio",
+                ),
+                (
+                    format!("{series}/l3_hit_rate_{scheme}"),
+                    format!("{:.6}", r.l3_hit_rate),
+                    "ratio",
+                ),
+                (format!("{series}/remote_steals_{scheme}"), r.remote_steals.to_string(), "steals"),
+            ]);
+        }
+        entries.push(("locality/flat_pool_ms".into(), format!("{:.4}", flat.ms), "ms/loop"));
+        entries.push((
+            "locality/flat_pool_remote_steals".into(),
+            flat.remote_steals.to_string(),
+            "steals",
+        ));
+        merge_bench_json(path, &entries);
         println!("merged locality/* series into {path}");
     }
 
@@ -234,70 +244,9 @@ fn render_json(cpus: usize, rows: &[SimRow], flat: &FlatPoolResult) -> String {
     }
     s.push_str("  ],\n");
     s.push_str(&format!(
-        "  \"flat_pool\": {{\"uniform_ms_per_loop\": {:.4}, \"socket_first_ms_per_loop\": {:.4}, \
-         \"remote_steals\": {}, \"lost_iterations\": {}}}\n",
-        flat.uniform_ms, flat.socket_first_ms, flat.remote_steals, flat.lost_iterations
+        "  \"flat_pool\": {{\"ms_per_loop\": {:.4}, \"remote_steals\": {}, \"lost_iterations\": {}}}\n",
+        flat.ms, flat.remote_steals, flat.lost_iterations
     ));
     s.push_str("}\n");
     s
-}
-
-/// Append the `locality/*` series to the flat bench JSON written by the
-/// earlier bins in `scripts/bench.sh` (or create a fresh document).
-fn merge_bench_json(path: &str, rows: &[SimRow], flat: &FlatPoolResult) {
-    let mut entries: Vec<(String, String, &str)> = Vec::new();
-    for r in rows {
-        let scheme =
-            if r.kind == PolicyKind::HybridSocketFirst { "socket_first" } else { "uniform" };
-        entries.push((
-            format!("locality/{}c/socket_affinity_{scheme}", r.cores),
-            format!("{:.6}", r.socket_affinity),
-            "ratio",
-        ));
-        entries.push((
-            format!("locality/{}c/l3_hit_rate_{scheme}", r.cores),
-            format!("{:.6}", r.l3_hit_rate),
-            "ratio",
-        ));
-        entries.push((
-            format!("locality/{}c/remote_steals_{scheme}", r.cores),
-            r.remote_steals.to_string(),
-            "steals",
-        ));
-    }
-    entries.push((
-        "locality/flat_pool_socket_first_ms".to_string(),
-        format!("{:.4}", flat.socket_first_ms),
-        "ms/loop",
-    ));
-    entries.push((
-        "locality/flat_pool_uniform_ms".to_string(),
-        format!("{:.4}", flat.uniform_ms),
-        "ms/loop",
-    ));
-    entries.push((
-        "locality/flat_pool_remote_steals".to_string(),
-        flat.remote_steals.to_string(),
-        "steals",
-    ));
-    let rendered: Vec<String> = entries
-        .iter()
-        .map(|(name, value, unit)| {
-            format!("    {{\"name\": \"{name}\", \"value\": {value}, \"unit\": \"{unit}\"}}")
-        })
-        .collect();
-    let doc = match std::fs::read_to_string(path) {
-        Ok(existing) if existing.contains("\"results\": [") => {
-            let tail = "  ]\n}\n";
-            let body = existing
-                .strip_suffix(tail)
-                .unwrap_or_else(|| panic!("{path} does not end with the expected results layout"));
-            format!("{},\n{}\n{}", body.trim_end_matches('\n'), rendered.join(",\n"), tail)
-        }
-        _ => format!(
-            "{{\n  \"benchmark\": \"parloop\",\n  \"results\": [\n{}\n  ]\n}}\n",
-            rendered.join(",\n")
-        ),
-    };
-    std::fs::write(path, doc).expect("write bench JSON");
 }

@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parloop_bench::Table;
+use parloop_bench::{bench_json_arg, merge_bench_json, Table};
 use parloop_chaos::{FaultAction, FaultInjector, PlannedInjector, Site};
 use parloop_core::{par_for, Schedule};
 use parloop_runtime::{ThreadPool, ThreadPoolBuilder};
@@ -226,13 +226,7 @@ fn dip_and_recovery(p: usize, n: usize, window: Duration) -> ThroughputResult {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut bench_json = None;
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--bench-json" {
-            bench_json = Some(args.next().expect("--bench-json requires a path"));
-        }
-    }
+    let bench_json = bench_json_arg();
 
     let p = 4usize;
     let sweep_n = if smoke { 2_000 } else { 8_000 };
@@ -273,7 +267,7 @@ fn main() {
     println!("\nwrote results/resilience.json");
 
     if let Some(path) = &bench_json {
-        merge_bench_json(path, &sweep, &tp);
+        merge_bench_json(path, &bench_entries(&sweep, &tp));
         println!("merged resilience/* series into {path}");
     }
 
@@ -319,10 +313,12 @@ fn render_json(p: usize, cpus: usize, sweep: &SweepResult, tp: &ThroughputResult
     s
 }
 
-/// Append the `resilience/*` series to the flat bench JSON written by the
-/// earlier bins in `scripts/bench.sh` (or create a fresh document).
-fn merge_bench_json(path: &str, sweep: &SweepResult, tp: &ThroughputResult) {
-    let entries = [
+/// The `resilience/*` series for the flat cross-commit file.
+fn bench_entries(
+    sweep: &SweepResult,
+    tp: &ThroughputResult,
+) -> Vec<(String, String, &'static str)> {
+    vec![
         (
             "resilience/baseline_throughput_mips".to_string(),
             format!("{:.3}", tp.baseline_ips / 1e6),
@@ -337,25 +333,5 @@ fn merge_bench_json(path: &str, sweep: &SweepResult, tp: &ThroughputResult) {
         ("resilience/sweep_respawns".to_string(), sweep.respawns.to_string(), "respawns"),
         ("resilience/orphans_rescued".to_string(), sweep.orphans_rescued.to_string(), "jobs"),
         ("resilience/lost_iterations".to_string(), tp.lost_iterations.to_string(), "iterations"),
-    ];
-    let rendered: Vec<String> = entries
-        .iter()
-        .map(|(name, value, unit)| {
-            format!("    {{\"name\": \"{name}\", \"value\": {value}, \"unit\": \"{unit}\"}}")
-        })
-        .collect();
-    let doc = match std::fs::read_to_string(path) {
-        Ok(existing) if existing.contains("\"results\": [") => {
-            let tail = "  ]\n}\n";
-            let body = existing
-                .strip_suffix(tail)
-                .unwrap_or_else(|| panic!("{path} does not end with the expected results layout"));
-            format!("{},\n{}\n{}", body.trim_end_matches('\n'), rendered.join(",\n"), tail)
-        }
-        _ => format!(
-            "{{\n  \"benchmark\": \"parloop\",\n  \"results\": [\n{}\n  ]\n}}\n",
-            rendered.join(",\n")
-        ),
-    };
-    std::fs::write(path, doc).expect("write bench JSON");
+    ]
 }

@@ -33,7 +33,7 @@
 
 use std::ops::Range;
 
-use parloop_bench::{time_best_ns, Table};
+use parloop_bench::{bench_json_arg, merge_bench_json, time_best_ns, Table};
 use parloop_core::lazy_for_chunks;
 use parloop_runtime::ThreadPool;
 
@@ -114,13 +114,7 @@ fn measure_floor(workers: usize, reps: usize) -> FloorRow {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut bench_json = None;
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--bench-json" {
-            bench_json = Some(args.next().expect("--bench-json requires a path"));
-        }
-    }
+    let bench_json = bench_json_arg();
     let n = if smoke { 1 << 16 } else { 1 << 20 };
     let reps = if smoke { 5 } else { 20 };
     let push_loops = if smoke { 10u64 } else { 50 };
@@ -181,9 +175,8 @@ fn main() {
     println!("\nwrote results/lazy_split.json");
 
     if let Some(path) = &bench_json {
-        let flat = render_bench_json(&samples, &rows, &floors);
-        std::fs::write(path, &flat).expect("write bench JSON");
-        println!("wrote {path}");
+        merge_bench_json(path, &bench_entries(&samples, &rows, &floors));
+        println!("merged split/lazy/* and floor/lazy/* series into {path}");
     }
 
     // Acceptance bars: the push bounds are counting identities —
@@ -210,10 +203,15 @@ fn main() {
     println!("ok: lazy splitting bounds pushes by steals+1 per loop");
 }
 
-/// The flat cross-commit tracking format: one `{name, value, unit}` entry
-/// per measured quantity, names stable across PRs.
-fn render_bench_json(samples: &[PushSample], rows: &[TimeRow], floors: &[FloorRow]) -> String {
-    let mut entries: Vec<(String, String, &str)> = Vec::new();
+/// The `split/lazy/*` and `floor/lazy/*` series for the flat cross-commit
+/// file: one `{name, value, unit}` entry per measured quantity, names
+/// stable across commits.
+fn bench_entries(
+    samples: &[PushSample],
+    rows: &[TimeRow],
+    floors: &[FloorRow],
+) -> Vec<(String, String, &'static str)> {
+    let mut entries = Vec::new();
     for r in rows {
         entries.push((
             format!("split/lazy/grain{}", r.grain),
@@ -231,15 +229,7 @@ fn render_bench_json(samples: &[PushSample], rows: &[TimeRow], floors: &[FloorRo
     for f in floors {
         entries.push((format!("floor/lazy/p{}", f.workers), format!("{:.1}", f.ns), "ns_per_loop"));
     }
-    let mut s = String::from("{\n  \"benchmark\": \"parloop\",\n  \"results\": [\n");
-    for (k, (name, value, unit)) in entries.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"value\": {value}, \"unit\": \"{unit}\"}}{}\n",
-            if k + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    entries
 }
 
 fn render_json(

@@ -3,31 +3,32 @@
 //!
 //! Scenario: a fleet of batch submitter threads keeps the pool saturated
 //! with batch-class loops (several queued behind the running ones at all
-//! times) while one latency-class tenant periodically installs a tiny
-//! op and measures the round trip — the queueing delay the QoS sub-lanes
-//! are supposed to bound. Two pool configurations run the same traffic:
+//! times) while one interactive tenant periodically installs a tiny op
+//! and measures the round trip — the queueing delay the QoS sub-lanes are
+//! supposed to bound. Two runs drive the same traffic, each through a
+//! fresh default pool:
 //!
-//! * **fifo** — `inject_lanes(1)`: the priority sub-lanes degrade to one
-//!   strict-FIFO queue (the documented single-lane behavior), so latency
-//!   installs wait behind the whole batch backlog;
-//! * **qos** — default sharded lanes: deficit-round-robin drains latency
-//!   work first, so a latency install waits only for a worker to finish
-//!   its current job.
+//! * **class_blind** — the interactive tenant is tagged `Batch`, so its
+//!   installs queue in the flood's sub-lane and wait behind the whole
+//!   batch backlog (the no-QoS baseline);
+//! * **qos** — the interactive tenant is tagged `Latency`:
+//!   deficit-round-robin drains its work first, so an install waits only
+//!   for a worker to finish its current job.
 //!
 //! A separate fairness phase floods two *equal-weight* batch tenants
 //! through the QoS pool and compares completed loops.
 //!
 //! Measurements land in `results/traffic.json`; with `--bench-json PATH`
 //! the `tenant/*` series is merged into the flat cross-commit tracking
-//! file (appending to the entries `split_bench` wrote there).
+//! file.
 //!
 //! Acceptance (process exits 1 otherwise):
 //! * zero lost iterations — every admitted loop ran exactly once, in
 //!   both phases (enforced in smoke and full modes);
 //! * fairness ratio between the equal-weight tenants in [0.5, 2.0]
 //!   (enforced in both modes);
-//! * latency-class p99 install latency under overload ≥ 5x lower on the
-//!   QoS pool than on the FIFO baseline (full mode only; `--smoke`
+//! * latency-class p99 install latency under overload ≥ 5x lower than
+//!   the class-blind baseline's (full mode only; `--smoke`
 //!   reports the ratio without enforcing it — the smoke backlog is too
 //!   shallow for a stable ratio on shared CI boxes). The ratio is
 //!   queueing-structural, not parallelism, so the full-mode bar holds
@@ -40,9 +41,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parloop_bench::Table;
+use parloop_bench::{bench_json_arg, merge_bench_json, Table};
 use parloop_core::Schedule;
-use parloop_runtime::{QosClass, ThreadPool, ThreadPoolBuilder};
+use parloop_runtime::{QosClass, ThreadPool};
 use parloop_tenant::Tenant;
 
 /// ~100ns of register-only spin per iteration, so batch loops cost real
@@ -67,18 +68,20 @@ struct OverloadResult {
     lost_iterations: i64,
 }
 
-/// Drive `batch_submitters` threads of batch loops through `pool` while a
-/// latency tenant samples install round trips. Returns the latency
-/// percentiles and the exactly-once balance of the batch traffic.
+/// Drive `batch_submitters` threads of batch loops through `pool` while an
+/// interactive tenant of class `interactive` samples install round trips.
+/// Returns the latency percentiles and the exactly-once balance of the
+/// batch traffic.
 fn overload(
     pool: &Arc<ThreadPool>,
     label: &str,
+    interactive: QosClass,
     batch_submitters: usize,
     batch_n: usize,
     samples: usize,
 ) -> OverloadResult {
     let latency = Tenant::builder(format!("interactive-{label}"))
-        .class(QosClass::Latency)
+        .class(interactive)
         .weight(4)
         .build_on(Arc::clone(pool));
     // One slot per submitter: the flood keeps the pool saturated but is
@@ -110,7 +113,7 @@ fn overload(
         for _ in 0..samples {
             std::thread::sleep(Duration::from_millis(2));
             let t0 = Instant::now();
-            latency.install(|| {}).expect("latency tenant never exceeds its window");
+            latency.install(|| {}).expect("interactive tenant never exceeds its window");
             lats_us.push(t0.elapsed().as_nanos() as f64 / 1000.0);
         }
         stop.store(true, Ordering::Relaxed);
@@ -184,13 +187,7 @@ fn fairness(
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut bench_json = None;
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--bench-json" {
-            bench_json = Some(args.next().expect("--bench-json requires a path"));
-        }
-    }
+    let bench_json = bench_json_arg();
 
     let p = 4usize;
     let batch_submitters = if smoke { 12 } else { 64 };
@@ -206,16 +203,19 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
 
-    // `inject_lanes(1)` degrades the QoS sub-lanes to one strict-FIFO
-    // queue: the no-QoS single-class baseline.
-    let fifo = Arc::new(ThreadPoolBuilder::new().num_workers(p).inject_lanes(1).build());
-    let qos = Arc::new(ThreadPoolBuilder::new().num_workers(p).build());
-    assert!(!fifo.qos_enabled());
-    assert!(qos.qos_enabled());
-
-    let fifo_res = overload(&fifo, "fifo", batch_submitters, batch_n, samples);
-    let qos_res = overload(&qos, "qos", batch_submitters, batch_n, samples);
-    let speedup = fifo_res.p99_us / qos_res.p99_us;
+    // The no-QoS baseline: interactive installs tagged `Batch` share the
+    // flood's sub-lane, on a pool of their own.
+    let blind_res = overload(
+        &Arc::new(ThreadPool::new(p)),
+        "class-blind",
+        QosClass::Batch,
+        batch_submitters,
+        batch_n,
+        samples,
+    );
+    let qos = Arc::new(ThreadPool::new(p));
+    let qos_res = overload(&qos, "qos", QosClass::Latency, batch_submitters, batch_n, samples);
+    let speedup = blind_res.p99_us / qos_res.p99_us;
 
     let mut t = Table::new(vec![
         "pool",
@@ -225,7 +225,7 @@ fn main() {
         "batch rejected",
         "lost iters",
     ]);
-    for (name, r) in [("fifo", &fifo_res), ("qos", &qos_res)] {
+    for (name, r) in [("class_blind", &blind_res), ("qos", &qos_res)] {
         t.row(vec![
             name.into(),
             format!("{:.1}", r.p50_us),
@@ -236,7 +236,7 @@ fn main() {
         ]);
     }
     t.print();
-    println!("\nlatency-class p99 under batch overload: qos {speedup:.2}x lower than fifo");
+    println!("\nlatency-class p99 under batch overload: qos {speedup:.2}x lower than class-blind");
 
     let fair = fairness(&qos, fair_submitters, fair_n, fair_window);
     println!(
@@ -245,19 +245,33 @@ fn main() {
     );
 
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let json = render_json(p, cpus, batch_submitters, batch_n, &fifo_res, &qos_res, speedup, &fair);
+    let json =
+        render_json(p, cpus, batch_submitters, batch_n, &blind_res, &qos_res, speedup, &fair);
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/traffic.json", &json).expect("write results JSON");
     println!("\nwrote results/traffic.json");
 
+    let lost = blind_res.lost_iterations + qos_res.lost_iterations + fair.lost_iterations;
     if let Some(path) = &bench_json {
-        merge_bench_json(path, &fifo_res, &qos_res, speedup, &fair);
+        merge_bench_json(
+            path,
+            &[
+                (
+                    "tenant/latency_p99_us/class_blind".into(),
+                    format!("{:.2}", blind_res.p99_us),
+                    "us",
+                ),
+                ("tenant/latency_p99_us/qos".into(), format!("{:.2}", qos_res.p99_us), "us"),
+                ("tenant/qos_p99_speedup".into(), format!("{speedup:.3}"), "ratio"),
+                ("tenant/fairness_ratio".into(), format!("{:.3}", fair.ratio), "ratio"),
+                ("tenant/lost_iterations".into(), lost.to_string(), "iterations"),
+            ],
+        );
         println!("merged tenant/* series into {path}");
     }
 
     // Acceptance bars.
     let mut failed = false;
-    let lost = fifo_res.lost_iterations + qos_res.lost_iterations + fair.lost_iterations;
     println!("\ncheck lost iterations: {lost} (need 0: exactly-once per admitted loop)");
     if lost != 0 {
         failed = true;
@@ -290,7 +304,7 @@ fn render_json(
     cpus: usize,
     batch_submitters: usize,
     batch_n: usize,
-    fifo: &OverloadResult,
+    class_blind: &OverloadResult,
     qos: &OverloadResult,
     speedup: f64,
     fair: &FairnessResult,
@@ -300,7 +314,7 @@ fn render_json(
     s.push_str(&format!(
         "  \"workers\": {p},\n  \"host_cpus\": {cpus},\n  \"batch_submitters\": {batch_submitters},\n  \"batch_loop_iters\": {batch_n},\n"
     ));
-    for (name, r) in [("fifo", fifo), ("qos", qos)] {
+    for (name, r) in [("class_blind", class_blind), ("qos", qos)] {
         s.push_str(&format!(
             "  \"{name}\": {{\"latency_p50_us\": {:.2}, \"latency_p99_us\": {:.2}, \"batch_loops\": {}, \"batch_rejected\": {}, \"lost_iterations\": {}}},\n",
             r.p50_us, r.p99_us, r.batch_completed, r.batch_rejected, r.lost_iterations
@@ -313,49 +327,4 @@ fn render_json(
     ));
     s.push_str("}\n");
     s
-}
-
-/// Append the `tenant/*` series to an existing flat bench JSON (written
-/// by `split_bench` earlier in `scripts/bench.sh`), or create a fresh
-/// document when the file is missing.
-fn merge_bench_json(
-    path: &str,
-    fifo: &OverloadResult,
-    qos: &OverloadResult,
-    speedup: f64,
-    fair: &FairnessResult,
-) {
-    let entries = [
-        ("tenant/latency_p99_us/fifo".to_string(), format!("{:.2}", fifo.p99_us), "us"),
-        ("tenant/latency_p99_us/qos".to_string(), format!("{:.2}", qos.p99_us), "us"),
-        ("tenant/qos_p99_speedup".to_string(), format!("{speedup:.3}"), "ratio"),
-        ("tenant/fairness_ratio".to_string(), format!("{:.3}", fair.ratio), "ratio"),
-        (
-            "tenant/lost_iterations".to_string(),
-            (fifo.lost_iterations + qos.lost_iterations + fair.lost_iterations).to_string(),
-            "iterations",
-        ),
-    ];
-    let rendered: Vec<String> = entries
-        .iter()
-        .map(|(name, value, unit)| {
-            format!("    {{\"name\": \"{name}\", \"value\": {value}, \"unit\": \"{unit}\"}}")
-        })
-        .collect();
-    let doc = match std::fs::read_to_string(path) {
-        Ok(existing) if existing.contains("\"results\": [") => {
-            // Splice before the closing of the results array. The file is
-            // machine-written by split_bench with a fixed layout.
-            let tail = "  ]\n}\n";
-            let body = existing
-                .strip_suffix(tail)
-                .unwrap_or_else(|| panic!("{path} does not end with the expected results layout"));
-            format!("{},\n{}\n{}", body.trim_end_matches('\n'), rendered.join(",\n"), tail)
-        }
-        _ => format!(
-            "{{\n  \"benchmark\": \"parloop\",\n  \"results\": [\n{}\n  ]\n}}\n",
-            rendered.join(",\n")
-        ),
-    };
-    std::fs::write(path, doc).expect("write bench JSON");
 }

@@ -12,6 +12,10 @@
 //! | `fig3_nas`      | Figure 3 — NAS kernel scalability |
 //! | `fig4_counters` | Figure 4 — memory-hierarchy access counts + inferred latency |
 //! | `fig5_latency`  | Figure 5 — per-level access latency of the modeled machine |
+//!
+//! The acceptance bins that track series across commits (`split_bench`,
+//! `traffic_bench`, `resilience_bench`, `locality_bench`, `adapt_bench`)
+//! report them through [`merge_bench_json`].
 
 use parloop_sim::PolicyKind;
 
@@ -113,6 +117,71 @@ pub fn time_best_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
+/// The `--bench-json PATH` argument of the bins that report into the flat
+/// cross-commit file (`BENCH_parloop.json`), if one was given.
+pub fn bench_json_arg() -> Option<String> {
+    let mut args = std::env::args();
+    while let Some(a) = args.next() {
+        if a == "--bench-json" {
+            return Some(args.next().expect("--bench-json requires a path"));
+        }
+    }
+    None
+}
+
+/// Merge `(name, value, unit)` series into the flat cross-commit file at
+/// `path`: `{"benchmark": "parloop", "results": [{name, value, unit}, ...]}`
+/// with one entry per line. `value` is a JSON number already rendered at
+/// the precision its bin chose.
+///
+/// A name already in the file is replaced in place (and any later copy of
+/// it dropped), a new name is appended, and every other entry is kept in
+/// its order — so one bin can re-run alone, and series whose engines are
+/// gone stay on record. A missing file is created.
+pub fn merge_bench_json(path: &str, entries: &[(String, String, &str)]) {
+    let existing = match std::fs::read_to_string(path) {
+        Ok(doc) => doc,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => panic!("read {path}: {e}"),
+    };
+    let mut lines: Vec<(String, String)> = existing
+        .lines()
+        .filter(|l| l.contains("\"name\":"))
+        .map(|l| {
+            let l = l.trim().trim_end_matches(',');
+            let name = l
+                .strip_prefix("{\"name\": \"")
+                .and_then(|rest| rest.split('"').next())
+                .unwrap_or_else(|| panic!("{path}: unexpected entry layout: {l}"));
+            (name.to_string(), l.to_string())
+        })
+        .collect();
+    for (name, value, unit) in entries {
+        let entry = format!("{{\"name\": \"{name}\", \"value\": {value}, \"unit\": \"{unit}\"}}");
+        let mut kept = false;
+        lines.retain_mut(|(n, l)| {
+            if n != name {
+                return true;
+            }
+            if kept {
+                return false;
+            }
+            *l = entry.clone();
+            kept = true;
+            true
+        });
+        if !kept {
+            lines.push((name.clone(), entry));
+        }
+    }
+    let body: Vec<String> = lines.iter().map(|(_, l)| format!("    {l}")).collect();
+    let doc = format!(
+        "{{\n  \"benchmark\": \"parloop\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        body.join(",\n")
+    );
+    std::fs::write(path, doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
+}
+
 /// Format a count in scientific notation like the paper's Figure 4.
 pub fn sci(v: u64) -> String {
     if v == 0 {
@@ -156,5 +225,57 @@ mod tests {
     #[test]
     fn roster_has_six_schemes() {
         assert_eq!(scheme_roster().len(), 6);
+    }
+
+    fn entry(name: &str, value: &str, unit: &'static str) -> (String, String, &'static str) {
+        (name.to_string(), value.to_string(), unit)
+    }
+
+    fn names(doc: &str) -> Vec<String> {
+        doc.lines()
+            .filter_map(|l| l.split("\"name\": \"").nth(1))
+            .map(|rest| rest.split('"').next().unwrap().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn bench_json_merge_replaces_by_name_and_keeps_foreign_entries() {
+        let path =
+            std::env::temp_dir().join(format!("parloop-bench-merge-{}.json", std::process::id()));
+        let path_str = path.to_str().unwrap();
+        let _ = std::fs::remove_file(&path);
+
+        // A missing file becomes a fresh, valid document.
+        merge_bench_json(path_str, &[entry("a/x", "1.5", "ms"), entry("b/y", "7", "steals")]);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            "{\n  \"benchmark\": \"parloop\",\n  \"results\": [\n    \
+             {\"name\": \"a/x\", \"value\": 1.5, \"unit\": \"ms\"},\n    \
+             {\"name\": \"b/y\", \"value\": 7, \"unit\": \"steals\"}\n  ]\n}\n"
+        );
+
+        // Another bin's series land after the foreign ones.
+        merge_bench_json(path_str, &[entry("c/z", "0.25", "ratio")]);
+        // Re-running the first bin twice replaces its values in place.
+        for value in ["2.5", "3.5"] {
+            merge_bench_json(path_str, &[entry("a/x", value, "ms"), entry("d/new", "9", "jobs")]);
+        }
+        let doc = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(names(&doc), ["a/x", "b/y", "c/z", "d/new"]);
+        assert!(doc.contains("{\"name\": \"a/x\", \"value\": 3.5, \"unit\": \"ms\"},"));
+        assert!(doc.contains("{\"name\": \"c/z\", \"value\": 0.25, \"unit\": \"ratio\"},"));
+        assert!(doc.ends_with("{\"name\": \"d/new\", \"value\": 9, \"unit\": \"jobs\"}\n  ]\n}\n"));
+
+        // A file that already holds duplicates comes out unique.
+        let dup = doc.replace(
+            "    {\"name\": \"c/z\"",
+            "    {\"name\": \"a/x\", \"value\": 0, \"unit\": \"ms\"},\n    {\"name\": \"c/z\"",
+        );
+        std::fs::write(&path, dup).unwrap();
+        merge_bench_json(path_str, &[entry("a/x", "4.5", "ms")]);
+        let doc = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(names(&doc), ["a/x", "b/y", "c/z", "d/new"]);
+        assert!(doc.contains("\"value\": 4.5"));
+        std::fs::remove_file(&path).unwrap();
     }
 }

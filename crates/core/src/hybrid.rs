@@ -116,7 +116,7 @@ impl<F> HybridState<F> {
     /// partition → socket mapping matches `NumaPolicy::BlockedByRange`,
     /// so under first-touch the earmarked partition's pages live on the
     /// claimer's socket. The *steal* side of locality is the runtime's
-    /// `StealPolicy::SocketFirst`; both consult the same topology map, so
+    /// socket-first victim order, derived from the same topology map, so
     /// "local" means the same thing in both layers.
     fn earmark(&self, w: usize) -> usize {
         if self.topology.is_flat() {
@@ -539,11 +539,10 @@ mod tests {
     fn multi_socket_earmarks_keep_exactly_once() {
         // A 2-socket map with socket-first stealing relabels every worker's
         // claim anchor; coverage and exactly-once must be unaffected.
-        use parloop_runtime::{StealPolicy, ThreadPoolBuilder, TopologyMap};
+        use parloop_runtime::{ThreadPoolBuilder, TopologyMap};
         let pool = ThreadPoolBuilder::new()
             .num_workers(8)
             .topology(TopologyMap::from_sockets(vec![0, 0, 0, 0, 1, 1, 1, 1]))
-            .steal_policy(StealPolicy::SocketFirst)
             .build();
         let n = 5000;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();

@@ -1,11 +1,11 @@
 //! Sharded external-injection lanes.
 //!
 //! External threads hand jobs to the pool through [`InjectLanes`]: a bank
-//! of per-lane locked MPSC segments (one lane per worker by default)
-//! instead of the single global `Mutex<VecDeque>` the pool used to have.
-//! Submitter threads are spread across lanes round-robin via a
-//! process-wide thread-local token, so concurrent injectors contend on
-//! *different* locks; workers drain their own lane first and then sweep
+//! of per-lane locked MPSC segments (one lane per worker) instead of the
+//! single global `Mutex<VecDeque>` the pool used to have. Submitter
+//! threads are spread across lanes round-robin via a process-wide
+//! thread-local token, so concurrent injectors contend on *different*
+//! locks; workers drain their own lane first and then sweep
 //! the others like steal victims, so no lane can be starved.
 //!
 //! # Counter-publication invariant
@@ -58,10 +58,10 @@ use crate::util::CachePadded;
 
 /// Quality-of-service class carried by externally-injected work.
 ///
-/// The class selects which priority sub-lane a job lands in when the pool
-/// runs QoS lanes (more than one injection lane). Workers drain sub-lanes
-/// with weighted deficit-round-robin at [`DRR_WEIGHTS`] — latency jobs go
-/// first but batch work is never starved.
+/// The class selects which priority sub-lane of an injection lane a job
+/// lands in. Workers drain sub-lanes with weighted deficit-round-robin at
+/// [`DRR_WEIGHTS`] — latency jobs go first but batch work is never
+/// starved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QosClass {
     /// Interactive work: drained with weight 8 per DRR round.
@@ -111,73 +111,49 @@ struct LaneInner {
 /// One locked MPSC segment with an atomic length published under the lock.
 ///
 /// Also used for the per-worker mailboxes, which had the same
-/// publish-after-unlock counter bug. Mailboxes and single-lane banks use
-/// [`Lane::new_fifo`]: both sub-queues collapse into one and pushes ignore
-/// the class, reproducing the old strict-FIFO behavior exactly (the
-/// injection bench's baseline mode depends on this).
+/// publish-after-unlock counter bug. Mailbox jobs all go through the
+/// class-blind [`push`](Self::push), so they share the latency sub-queue
+/// and pop in arrival order.
 pub(crate) struct Lane {
     queue: Mutex<LaneInner>,
     len: AtomicUsize,
-    qos: bool,
 }
 
 impl Lane {
-    /// A class-blind FIFO lane: every push lands in sub-queue 0 and pops
-    /// are strict arrival order.
-    pub(crate) fn new_fifo() -> Self {
-        Lane::with_mode(false)
-    }
-
-    /// A QoS lane: pushes route by class and pops run weighted DRR.
-    pub(crate) fn new_qos() -> Self {
-        Lane::with_mode(true)
-    }
-
-    fn with_mode(qos: bool) -> Self {
+    pub(crate) fn new() -> Self {
         Lane {
             queue: Mutex::new(LaneInner {
                 sub: [VecDeque::new(), VecDeque::new()],
                 deficit: DRR_WEIGHTS,
             }),
             len: AtomicUsize::new(0),
-            qos,
         }
     }
 
-    /// Whether this lane routes by class (false for mailboxes and
-    /// single-lane banks).
-    pub(crate) fn is_qos(&self) -> bool {
-        self.qos
+    /// Enqueue `job` class-blind (mailbox path): it lands in the latency
+    /// sub-queue.
+    pub(crate) fn push(&self, job: JobRef) {
+        self.push_class(job, QosClass::Latency);
     }
 
-    /// Enqueue `job` class-blind (mailbox path), publishing the new length
+    /// Enqueue `job` in the sub-lane for `class`, publishing the new length
     /// before the lock releases (see the module docs for why the ordering
     /// matters).
-    pub(crate) fn push(&self, job: JobRef) {
-        let mut q = self.queue.lock().unwrap();
-        q.sub[0].push_back(job);
-        self.len.fetch_add(1, Ordering::Release);
-    }
-
-    /// Enqueue `job` in the sub-lane for `class`. FIFO lanes ignore the
-    /// class and keep strict arrival order.
     pub(crate) fn push_class(&self, job: JobRef, class: QosClass) {
-        let idx = if self.qos { class.index() } else { 0 };
         let mut q = self.queue.lock().unwrap();
-        q.sub[idx].push_back(job);
+        q.sub[class.index()].push_back(job);
         self.len.fetch_add(1, Ordering::Release);
     }
 
-    /// Dequeue one job, reporting which class's sub-lane served it (`None`
-    /// on FIFO lanes, which don't track class). The length check lets idle
-    /// sweeps skip empty lanes without touching their locks.
-    pub(crate) fn pop_class(&self) -> Option<(JobRef, Option<QosClass>)> {
+    /// Dequeue one job, reporting which class's sub-lane served it. The
+    /// length check lets idle sweeps skip empty lanes without touching
+    /// their locks.
+    pub(crate) fn pop_class(&self) -> Option<(JobRef, QosClass)> {
         if self.len.load(Ordering::Acquire) == 0 {
             return None;
         }
         let mut q = self.queue.lock().unwrap();
-        let popped =
-            if self.qos { Self::drr_pop(&mut q) } else { q.sub[0].pop_front().map(|j| (j, None)) };
+        let popped = Self::drr_pop(&mut q);
         if popped.is_some() {
             self.len.fetch_sub(1, Ordering::Relaxed);
         }
@@ -193,7 +169,7 @@ impl Lane {
     /// class while it has credit, refresh credits from [`DRR_WEIGHTS`] when
     /// no backlogged class does. Work-conserving — an empty class never
     /// blocks the other, so a lone backlogged class drains at full speed.
-    fn drr_pop(inner: &mut LaneInner) -> Option<(JobRef, Option<QosClass>)> {
+    fn drr_pop(inner: &mut LaneInner) -> Option<(JobRef, QosClass)> {
         const CLASSES: [QosClass; 2] = [QosClass::Latency, QosClass::Batch];
         for round in 0..2 {
             for class in CLASSES {
@@ -201,7 +177,7 @@ impl Lane {
                 if inner.deficit[c] > 0 && !inner.sub[c].is_empty() {
                     inner.deficit[c] -= 1;
                     let job = inner.sub[c].pop_front().expect("checked non-empty under lock");
-                    return Some((job, Some(class)));
+                    return Some((job, class));
                 }
             }
             if round == 0 {
@@ -250,28 +226,17 @@ pub(crate) struct InjectLanes {
 }
 
 impl InjectLanes {
-    /// A bank of `lanes` lanes. With more than one lane each lane runs QoS
-    /// priority sub-lanes; `1` reproduces the old single-queue strict-FIFO
-    /// behavior exactly (the injection bench uses it as its baseline, and
-    /// the tenant layer documents that QoS degrades to FIFO there).
+    /// A bank of `lanes` lanes, each with QoS priority sub-lanes.
     pub(crate) fn new(lanes: usize) -> Self {
         assert!(lanes > 0, "a pool needs at least one injection lane");
-        let qos = lanes > 1;
         InjectLanes {
-            lanes: (0..lanes)
-                .map(|_| CachePadded::new(if qos { Lane::new_qos() } else { Lane::new_fifo() }))
-                .collect(),
+            lanes: (0..lanes).map(|_| CachePadded::new(Lane::new())).collect(),
             fenced: (0..lanes).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
     pub(crate) fn num_lanes(&self) -> usize {
         self.lanes.len()
-    }
-
-    /// Whether the bank routes by QoS class (false iff it has one lane).
-    pub(crate) fn qos_enabled(&self) -> bool {
-        self.lanes[0].is_qos()
     }
 
     /// The lane this submitter thread posts to. Fenced lanes are skipped
@@ -309,7 +274,7 @@ impl InjectLanes {
     /// the recovery sweep can re-inject it into a live lane at the same
     /// priority. Used after [`fence_lane`](Self::fence_lane); safe to race
     /// with worker sweeps (both pop under the lane lock).
-    pub(crate) fn drain_lane(&self, lane: usize) -> Vec<(JobRef, Option<QosClass>)> {
+    pub(crate) fn drain_lane(&self, lane: usize) -> Vec<(JobRef, QosClass)> {
         let mut drained = Vec::new();
         while let Some(entry) = self.lanes[lane].pop_class() {
             drained.push(entry);
@@ -325,12 +290,8 @@ impl InjectLanes {
     /// Dequeue one job: the caller's `own` lane first, then a sweep over
     /// the remaining lanes starting at `sweep_start` (workers randomize it
     /// like a steal sweep). Returns the job, the lane it came from, and
-    /// the QoS class that served it (`None` in single-lane FIFO mode).
-    pub(crate) fn take(
-        &self,
-        own: usize,
-        sweep_start: usize,
-    ) -> Option<(JobRef, usize, Option<QosClass>)> {
+    /// the QoS class that served it.
+    pub(crate) fn take(&self, own: usize, sweep_start: usize) -> Option<(JobRef, usize, QosClass)> {
         let n = self.lanes.len();
         let own = own % n;
         if let Some((job, class)) = self.lanes[own].pop_class() {
@@ -379,24 +340,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_lane_ignores_class_and_keeps_arrival_order() {
-        let lane = Lane::new_fifo();
-        assert!(!lane.is_qos());
-        let log = Arc::new(Mutex::new(Vec::new()));
-        lane.push_class(tagged(&log, 0), QosClass::Batch);
-        lane.push_class(tagged(&log, 1), QosClass::Latency);
-        lane.push_class(tagged(&log, 2), QosClass::Batch);
-        // FIFO lanes never report a class.
-        let (job, class) = lane.pop_class().unwrap();
-        assert_eq!(class, None);
-        unsafe { job.execute() };
-        assert_eq!(drain_order(&lane, &log), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn qos_lane_serves_latency_first_without_starving_batch() {
-        let lane = Lane::new_qos();
-        assert!(lane.is_qos());
+        let lane = Lane::new();
         let log = Arc::new(Mutex::new(Vec::new()));
         // 20 latency jobs (ids 0..20) and 4 batch jobs (ids 100..104),
         // batch pushed first so plain FIFO would drain it first.
@@ -423,28 +368,31 @@ mod tests {
 
     #[test]
     fn qos_lane_is_work_conserving_when_one_class_is_empty() {
-        let lane = Lane::new_qos();
-        let log = Arc::new(Mutex::new(Vec::new()));
-        // Only batch work queued: it must drain at full speed even though
-        // the latency sub-lane holds all the initial DRR credit.
-        for id in 0..30 {
-            lane.push_class(tagged(&log, id), QosClass::Batch);
+        // Two inputs with one class each: only batch work (it must drain
+        // at full speed even though the latency sub-lane holds all the
+        // initial DRR credit), and the class-blind mailbox push, which
+        // lands in the latency sub-lane and must keep arrival order
+        // across the deficit refill every 8 pops.
+        type Push = fn(&Lane, JobRef);
+        let inputs: [(Push, QosClass); 2] = [
+            (|lane, job| lane.push_class(job, QosClass::Batch), QosClass::Batch),
+            (|lane, job| lane.push(job), QosClass::Latency),
+        ];
+        for (push, served_by) in inputs {
+            let lane = Lane::new();
+            let log = Arc::new(Mutex::new(Vec::new()));
+            for id in 0..30 {
+                push(&lane, tagged(&log, id));
+            }
+            let mut classes = Vec::new();
+            while let Some((job, class)) = lane.pop_class() {
+                unsafe { job.execute() };
+                classes.push(class);
+            }
+            assert_eq!(log.lock().unwrap().len(), 30);
+            assert!(classes.iter().all(|c| *c == served_by));
+            assert_eq!(log.lock().unwrap().as_slice(), (0..30).collect::<Vec<_>>().as_slice());
         }
-        let mut classes = Vec::new();
-        while let Some((job, class)) = lane.pop_class() {
-            unsafe { job.execute() };
-            classes.push(class);
-        }
-        assert_eq!(log.lock().unwrap().len(), 30);
-        assert!(classes.iter().all(|c| *c == Some(QosClass::Batch)));
-        assert_eq!(log.lock().unwrap().as_slice(), (0..30).collect::<Vec<_>>().as_slice());
-    }
-
-    #[test]
-    fn bank_qos_mode_tracks_lane_count() {
-        assert!(!InjectLanes::new(1).qos_enabled());
-        assert!(InjectLanes::new(2).qos_enabled());
-        assert!(InjectLanes::new(8).qos_enabled());
     }
 
     #[test]
@@ -459,15 +407,15 @@ mod tests {
         assert_eq!(lanes.home_lane(), 1);
         let drained = lanes.drain_lane(0);
         assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].1, Some(QosClass::Latency));
+        assert_eq!(drained[0].1, QosClass::Latency);
         for (job, class) in drained {
-            lanes.push(1, job, class.unwrap_or(QosClass::Batch));
+            lanes.push(1, job, class);
         }
         lanes.unfence_lane(0);
         assert!(!lanes.is_fenced(0));
         let (job, lane, class) = lanes.take(1, 0).unwrap();
         assert_eq!(lane, 1);
-        assert_eq!(class, Some(QosClass::Latency));
+        assert_eq!(class, QosClass::Latency);
         unsafe { job.execute() };
         assert_eq!(log.lock().unwrap().as_slice(), &[7]);
     }
@@ -479,7 +427,7 @@ mod tests {
         lanes.push(0, tagged(&log, 1), QosClass::Batch);
         let (job, lane, class) = lanes.take(0, 1).unwrap();
         assert_eq!(lane, 0);
-        assert_eq!(class, Some(QosClass::Batch));
+        assert_eq!(class, QosClass::Batch);
         unsafe { job.execute() };
         assert!(lanes.is_empty());
     }

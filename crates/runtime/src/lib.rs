@@ -4,8 +4,9 @@
 //! work-first, randomized work-stealing scheduler in the style of Cilk and
 //! rayon-core. Each worker thread owns a [Chase–Lev deque](deque) of jobs;
 //! it pushes and pops at the *bottom* of its own deque, and idle workers
-//! steal from the *top* of a uniformly random victim's deque. On top of the
-//! deques sit:
+//! steal from the *top* of a uniformly random victim's deque (same-socket
+//! victims first when the pool has a multi-socket [`TopologyMap`]). On top
+//! of the deques sit:
 //!
 //! * [`join`] — the binary fork-join primitive used to implement
 //!   divide-and-conquer `cilk_for` loops (work-first: the continuation is
@@ -54,7 +55,7 @@ pub use job::POISONED_JOB_MSG;
 pub use join::join;
 pub use latch::{CountLatch, Latch, LockLatch, Probe, SpinLatch};
 pub use registry::{
-    current_worker_index, PoolStats, StealPolicy, ThreadPool, ThreadPoolBuilder, WorkerToken,
+    current_worker_index, PoolStats, ThreadPool, ThreadPoolBuilder, WorkerToken,
     DEFAULT_STALL_THRESHOLD,
 };
 pub use scope::{scope, Scope};

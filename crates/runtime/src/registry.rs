@@ -75,26 +75,6 @@ impl<T: ?Sized> SendPtr<T> {
     }
 }
 
-/// How an idle worker orders steal victims.
-///
-/// Localized stealing (in the sense of Suksompong–Leiserson–Schardl)
-/// prefers victims whose deques live in the thief's own L3 domain: a
-/// stolen chunk's pages are more likely to be resident in the shared
-/// last-level cache, and the paper's Fig. 4 locality wins depend on most
-/// steals staying on-socket.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum StealPolicy {
-    /// One randomized sweep over all other workers — the classic
-    /// uniform-victim baseline (and the default).
-    #[default]
-    Uniform,
-    /// Two-phase sweep: a randomized pass over *same-socket* victims
-    /// first, then a randomized pass over remote-socket victims. Under a
-    /// flat (single-socket) [`TopologyMap`] every victim is local and
-    /// this coincides with [`Uniform`](Self::Uniform).
-    SocketFirst,
-}
-
 /// Sentinel "worker" id the registry hands the fault injector for
 /// decisions made on external submitter threads (which have no worker id).
 /// It must never be used to index per-worker state — in particular, such
@@ -217,11 +197,10 @@ pub(crate) struct Registry {
     /// [`WorkerToken::topology`] so partition earmarking and victim
     /// selection agree on what "local" means.
     topology: Arc<TopologyMap>,
-    steal_policy: StealPolicy,
     /// Per-worker victim lists: `(local, remote)`, each excluding the
-    /// worker itself. Under [`StealPolicy::Uniform`] every victim is in
-    /// `local` (one phase); under [`StealPolicy::SocketFirst`] the split
-    /// follows the topology map. Built once — sweeps only index.
+    /// worker itself, split by the topology map's sockets. Under the flat
+    /// map every victim is in `local` (one phase). Built once — sweeps
+    /// only index.
     victims: VictimTable,
     n: usize,
 }
@@ -249,8 +228,7 @@ impl Registry {
     pub(crate) fn inject(&self, job: JobRef) {
         // Untagged external work defaults to the latency class: blocking
         // `install` calls are interactive by nature and must not queue
-        // behind a tenant's batch backlog. Single-lane pools ignore the
-        // class entirely (strict FIFO).
+        // behind a tenant's batch backlog.
         self.inject_class(job, QosClass::Latency);
     }
 
@@ -344,9 +322,7 @@ impl Registry {
                 )
                 .is_ok()
             {
-                if worker < self.injected.num_lanes() {
-                    self.injected.fence_lane(worker);
-                }
+                self.injected.fence_lane(worker);
                 return true;
             }
         }
@@ -361,9 +337,7 @@ impl Registry {
     fn announce_respawn(&self, worker: usize) -> u64 {
         let slot = &self.slots[worker];
         let epoch = slot.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        if worker < self.injected.num_lanes() {
-            self.injected.unfence_lane(worker);
-        }
+        self.injected.unfence_lane(worker);
         slot.state.store(WorkerState::Healthy.as_u8(), Ordering::Release);
         if self.trace_on {
             self.trace.record(
@@ -594,11 +568,12 @@ impl WorkerThread {
         job
     }
 
-    /// One full randomized sweep over other workers' deques: under
-    /// [`StealPolicy::Uniform`] a single pass over everyone; under
-    /// [`StealPolicy::SocketFirst`] a pass over same-socket victims, then
-    /// — only if the whole local phase came up empty — a pass over remote
-    /// sockets. Each phase randomizes its own start, so no victim inside
+    /// One full randomized sweep over other workers' deques, in the order
+    /// the topology map gives (localized stealing in the sense of
+    /// Suksompong–Leiserson–Schardl): a pass over same-socket victims,
+    /// then — only if the whole local phase came up empty — a pass over
+    /// remote sockets. Under the flat map that is a single pass over
+    /// everyone. Each phase randomizes its own start, so no victim inside
     /// a phase is structurally favored.
     fn steal(&self) -> Option<JobRef> {
         let n = self.registry.n;
@@ -694,9 +669,8 @@ impl WorkerThread {
         let (job, lane, class) = self.registry.injected.take(self.index, sweep_start)?;
         self.registry.counters.note_lane_job(self.index);
         match class {
-            Some(QosClass::Latency) => self.registry.counters.note_latency_job(self.index),
-            Some(QosClass::Batch) => self.registry.counters.note_batch_job(self.index),
-            None => {}
+            QosClass::Latency => self.registry.counters.note_latency_job(self.index),
+            QosClass::Batch => self.registry.counters.note_batch_job(self.index),
         }
         self.trace(TraceEvent::InjectLane { lane: lane as u32 });
         Some(job)
@@ -835,12 +809,10 @@ impl WorkerThread {
         self.trace(TraceEvent::WorkerQuarantined { worker: victim as u32 });
         // Lane first: once fenced, submitters route elsewhere, so the
         // drain observes a shrinking queue. Preserve each job's class.
-        if victim < reg.injected.num_lanes() {
-            for (job, class) in reg.injected.drain_lane(victim) {
-                reg.counters.note_orphan_rescued(victim);
-                self.trace(TraceEvent::OrphanRescued { from: victim as u32 });
-                reg.republish(job, class.unwrap_or(QosClass::Latency));
-            }
+        for (job, class) in reg.injected.drain_lane(victim) {
+            reg.counters.note_orphan_rescued(victim);
+            self.trace(TraceEvent::OrphanRescued { from: victim as u32 });
+            reg.republish(job, class);
         }
         // Then the deque, through the victim's stealer (safe from any
         // thread). A wedged-but-alive victim may push more later; steal
@@ -1052,10 +1024,8 @@ pub struct ThreadPoolBuilder {
     fault_injector: Option<Arc<dyn FaultInjector>>,
     stall_threshold: Duration,
     stall_handler: Option<StallHandler>,
-    inject_lanes: Option<usize>,
     backstop_interval: Duration,
     topology: Option<TopologyMap>,
-    steal_policy: StealPolicy,
 }
 
 impl ThreadPoolBuilder {
@@ -1068,10 +1038,8 @@ impl ThreadPoolBuilder {
             fault_injector: None,
             stall_threshold: DEFAULT_STALL_THRESHOLD,
             stall_handler: None,
-            inject_lanes: None,
             backstop_interval: crate::sleep::DEFAULT_BACKSTOP_INTERVAL,
             topology: None,
-            steal_policy: StealPolicy::Uniform,
         }
     }
 
@@ -1129,16 +1097,6 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Number of sharded external-injection lanes. Defaults to the worker
-    /// count. `1` reproduces the old single-global-queue behavior (the
-    /// injection benchmark's baseline); more lanes let concurrent
-    /// submitter threads contend on different locks.
-    pub fn inject_lanes(mut self, lanes: usize) -> Self {
-        assert!(lanes > 0, "a pool needs at least one injection lane");
-        self.inject_lanes = Some(lanes);
-        self
-    }
-
     /// Base interval of the sleep-protocol timeout backstop (the bound on
     /// how long a *lost* wakeup can delay an idle worker; real wakes are
     /// notification-driven and unaffected). Fruitless backstop wakes back
@@ -1151,18 +1109,13 @@ impl ThreadPoolBuilder {
     }
 
     /// Install a worker → socket map (see [`TopologyMap`]). The map must
-    /// describe exactly this pool's workers. Defaults to the flat
-    /// single-socket map, under which every steal victim is local and
+    /// describe exactly this pool's workers. It decides both partition
+    /// earmarks and steal order: idle workers sweep same-socket victims
+    /// before remote ones. Defaults to the flat single-socket map, under
+    /// which every steal victim is local (one randomized sweep) and
     /// partition earmarking is the identity.
     pub fn topology(mut self, map: TopologyMap) -> Self {
         self.topology = Some(map);
-        self
-    }
-
-    /// Choose how idle workers order steal victims (see [`StealPolicy`]).
-    /// Default: [`StealPolicy::Uniform`].
-    pub fn steal_policy(mut self, policy: StealPolicy) -> Self {
-        self.steal_policy = policy;
         self
     }
 
@@ -1189,28 +1142,20 @@ impl ThreadPoolBuilder {
             "topology map describes {} workers but the pool has {n}",
             topology.workers(),
         );
-        // Per-worker victim lists. Uniform keeps everyone in one phase —
-        // including under a multi-socket map, so the policy knob alone
-        // decides sweep order and the topology alone decides how steals
-        // are *classified* (local vs. remote).
+        // Per-worker victim lists: the same map orders the sweep and
+        // classifies each steal as local or remote.
         let victims: VictimTable = (0..n)
             .map(|w| {
-                let others = (0..n).filter(|&v| v != w);
-                match self.steal_policy {
-                    StealPolicy::Uniform => (others.collect(), Box::from([])),
-                    StealPolicy::SocketFirst => {
-                        let (local, remote): (Vec<usize>, Vec<usize>) =
-                            others.partition(|&v| topology.same_socket(w, v));
-                        (local.into(), remote.into())
-                    }
-                }
+                let (local, remote): (Vec<usize>, Vec<usize>) =
+                    (0..n).filter(|&v| v != w).partition(|&v| topology.same_socket(w, v));
+                (local.into(), remote.into())
             })
             .collect();
         let now = Instant::now();
         let registry = Arc::new(Registry {
             stealers,
-            mailboxes: (0..n).map(|_| Lane::new_fifo()).collect(),
-            injected: InjectLanes::new(self.inject_lanes.unwrap_or(n)),
+            mailboxes: (0..n).map(|_| Lane::new()).collect(),
+            injected: InjectLanes::new(n),
             sleep: Arc::new(Sleep::with_base(self.backstop_interval)),
             terminate: AtomicBool::new(false),
             counters: CounterBank::new(n),
@@ -1232,7 +1177,6 @@ impl ThreadPoolBuilder {
             stall_threshold: self.stall_threshold,
             stall_handler,
             topology,
-            steal_policy: self.steal_policy,
             victims,
             n,
         });
@@ -1299,23 +1243,6 @@ impl ThreadPool {
         self.registry.num_workers()
     }
 
-    /// Number of sharded external-injection lanes (see
-    /// [`ThreadPoolBuilder::inject_lanes`]).
-    pub fn num_inject_lanes(&self) -> usize {
-        self.registry.injected.num_lanes()
-    }
-
-    /// Whether this pool's injection lanes route by [`QosClass`]: true
-    /// with more than one lane, false for `inject_lanes(1)` pools, where
-    /// priority sub-lanes degrade to the old strict-FIFO single queue
-    /// (the injection bench's baseline mode). Class tags on
-    /// [`install_class`](Self::install_class) /
-    /// [`spawn_detached_class`](Self::spawn_detached_class) are accepted
-    /// but ignored in FIFO mode.
-    pub fn qos_enabled(&self) -> bool {
-        self.registry.injected.qos_enabled()
-    }
-
     /// Consult the pool's fault injector at `site` on behalf of an
     /// *external* (non-worker) thread — the tenant layer's admission path.
     /// Never traced (trace sinks index per-worker rings), and an injected
@@ -1374,11 +1301,6 @@ impl ThreadPool {
         Arc::clone(&self.registry.topology)
     }
 
-    /// How this pool's idle workers order steal victims.
-    pub fn steal_policy(&self) -> StealPolicy {
-        self.registry.steal_policy
-    }
-
     /// Per-worker breakdown of the counters behind [`stats`](Self::stats),
     /// indexed by worker id.
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
@@ -1421,7 +1343,7 @@ impl ThreadPool {
     /// [`spawn_detached`](Self::spawn_detached) with an explicit QoS
     /// class for the injection lanes. The class only matters when the
     /// calling thread is external to the pool (worker-local spawns go to
-    /// the worker's own deque) and the pool runs QoS lanes.
+    /// the worker's own deque).
     pub fn spawn_detached_class(&self, class: QosClass, f: impl FnOnce() + Send + 'static) {
         let job = HeapJob::new(f);
         unsafe {
@@ -1448,7 +1370,7 @@ impl ThreadPool {
 
     /// [`install`](Self::install) with an explicit QoS class: `Latency`
     /// work drains ahead of `Batch` work at the DRR weights when both are
-    /// backlogged. On single-lane (FIFO) pools the class is ignored.
+    /// backlogged.
     pub fn install_class<R, F>(&self, class: QosClass, op: F) -> R
     where
         R: Send,
@@ -1847,18 +1769,6 @@ mod tests {
     }
 
     #[test]
-    fn inject_lanes_default_to_worker_count_and_accept_override() {
-        let pool = ThreadPool::new(3);
-        assert_eq!(pool.num_inject_lanes(), 3);
-        let pool = ThreadPoolBuilder::new().num_workers(3).inject_lanes(1).build();
-        assert_eq!(pool.num_inject_lanes(), 1);
-        assert_eq!(pool.install(|| 7), 7);
-        let pool = ThreadPoolBuilder::new().num_workers(2).inject_lanes(8).build();
-        assert_eq!(pool.num_inject_lanes(), 8);
-        assert_eq!(pool.install(|| 8), 8);
-    }
-
-    #[test]
     fn backstop_interval_option_applies() {
         let pool = ThreadPoolBuilder::new()
             .num_workers(2)
@@ -1976,10 +1886,9 @@ mod tests {
     #[test]
     fn default_pool_is_flat_uniform() {
         let pool = ThreadPool::new(3);
-        assert_eq!(pool.steal_policy(), StealPolicy::Uniform);
         assert!(pool.topology().is_flat());
         assert_eq!(pool.topology().workers(), 3);
-        // Uniform keeps everyone in one phase.
+        // The flat map keeps everyone in one phase.
         let (local, remote) = &pool.registry.victims[1];
         assert_eq!(&local[..], &[0, 2]);
         assert!(remote.is_empty());
@@ -1990,9 +1899,7 @@ mod tests {
         let pool = ThreadPoolBuilder::new()
             .num_workers(4)
             .topology(TopologyMap::from_sockets(vec![0, 0, 1, 1]))
-            .steal_policy(StealPolicy::SocketFirst)
             .build();
-        assert_eq!(pool.steal_policy(), StealPolicy::SocketFirst);
         assert_eq!(pool.topology().sockets(), 2);
         let (local, remote) = &pool.registry.victims[0];
         assert_eq!(&local[..], &[1]);
@@ -2030,8 +1937,7 @@ mod tests {
 
     #[test]
     fn socket_first_on_flat_map_never_steals_remotely() {
-        let pool =
-            ThreadPoolBuilder::new().num_workers(4).steal_policy(StealPolicy::SocketFirst).build();
+        let pool = ThreadPoolBuilder::new().num_workers(4).build();
         for _ in 0..64 {
             pool.install(|| {
                 crate::join(|| std::hint::black_box(1), || std::hint::black_box(2));

@@ -23,12 +23,9 @@
 //!   log2-bucketed histogram.
 //!
 //! Priority between classes lives *below* this crate, in the runtime's
-//! injection lanes: QoS pools drain latency-class jobs ahead of batch
-//! work with weighted deficit-round-robin
-//! ([`DRR_WEIGHTS`](parloop_runtime::DRR_WEIGHTS)). On single-lane pools
-//! (`inject_lanes(1)`, the bench-baseline mode) the sub-lanes degrade to
-//! one strict-FIFO queue and the class tag is ignored — admission and
-//! deadlines still apply.
+//! injection lanes: every pool, a 1-worker one included, drains
+//! latency-class jobs ahead of batch work with weighted
+//! deficit-round-robin ([`DRR_WEIGHTS`](parloop_runtime::DRR_WEIGHTS)).
 //!
 //! ```
 //! use parloop_tenant::{Tenant, QosClass};

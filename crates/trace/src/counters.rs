@@ -44,15 +44,14 @@ pub struct WorkerStats {
     pub steals: u64,
     /// The subset of [`steals`](Self::steals) whose victim lived on a
     /// different socket (the second phase of a socket-first sweep). Always
-    /// `0` under a uniform steal policy or a flat topology map.
+    /// `0` under a flat topology map.
     pub remote_steals: u64,
     /// Steal sweeps by this worker that found nothing.
     pub failed_steal_sweeps: u64,
     /// Externally-injected jobs this worker drained from the sharded
     /// injection lanes (its own lane or another's during a sweep).
     pub lane_jobs: u64,
-    /// Lane jobs drained from the latency-class priority sub-lane (QoS
-    /// pools only; always `0` when the pool runs class-blind FIFO lanes).
+    /// Lane jobs drained from the latency-class priority sub-lane.
     pub latency_jobs: u64,
     /// Lane jobs drained from the batch-class sub-lane (see
     /// [`latency_jobs`](Self::latency_jobs)).

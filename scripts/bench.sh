@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # Perf-trajectory harness: run the lazy-splitter, multi-tenant traffic,
 # resilience, locality and adaptive-grain benchmarks in full mode and
-# emit the stable top-level BENCH_parloop.json (flat {name, value, unit}
-# entries — ns/iter for the micro kernel under lazy splitting, deque
-# pushes and the fixed cost per loop, the tenant/* QoS latency series, the
-# resilience/* dip-and-recovery series, and the adaptive/* controller
-# series) so results are comparable across commits.
+# merge their series into the stable top-level BENCH_parloop.json (flat
+# {name, value, unit} entries — ns/iter for the micro kernel under lazy
+# splitting, deque pushes and the fixed cost per loop, the tenant/* QoS
+# latency series, the resilience/* dip-and-recovery series, the
+# locality/* series and the adaptive/* controller series) so results are
+# comparable across commits. Each bin replaces its own entries by name
+# and keeps every other entry, including record-only series whose
+# engines are gone.
 #
 #   --smoke   reduced sizes + relaxed wall-clock bars (CI boxes)
 set -euo pipefail
@@ -69,6 +72,8 @@ for e in results:
     assert isinstance(e.get("value"), (int, float)), f"bad value in {e}"
     assert isinstance(e.get("unit"), str) and e["unit"], f"bad unit in {e}"
 names = [e["name"] for e in results]
+dups = sorted({n for n in names if names.count(n) > 1})
+assert not dups, f"duplicate series names: {dups}"
 # Every declared series prefix must be present — report ALL missing ones
 # at once (a partial merge should name every hole, not just the first).
 prefixes = ["split/lazy/", "floor/", "tenant/", "resilience/", "locality/", "adaptive/"]

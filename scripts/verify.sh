@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a change must pass before it lands.
 # Runs fully offline — the workspace has no external dependencies.
+# Every test target runs under one fixed time limit, so a hang fails fast
+# with the target named instead of wedging CI.
 #
-#   --quick   skip the chaos stress sweep (fast pre-commit loop)
+#   --quick   skip the chaos stress sweep, the bench gates and the asm
+#             check (fast pre-commit loop)
 #   --asm     only run the leaf-vectorization disassembly check
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -71,18 +74,57 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
 
-echo "== cargo test -q =="
-cargo test -q --offline --workspace
+# Per-target time limit in seconds. The slowest target (debug
+# `sim_figures`) passes in well under a minute on a 2-vCPU host.
+TEST_LIMIT=300
+
+# Run one test target under the limit: `run_limited NAME CMD...`.
+# `timeout` signals its whole process group, so a hung test process under
+# `cargo test` dies with it.
+run_limited() {
+  local name="$1"
+  shift
+  local rc=0
+  timeout --kill-after=10 "$TEST_LIMIT" "$@" || rc=$?
+  if [ "$rc" -eq 124 ] || [ "$rc" -eq 137 ]; then
+    echo "verify.sh: test target '$name' did not finish within ${TEST_LIMIT}s (hang?)" >&2
+    exit 1
+  elif [ "$rc" -ne 0 ]; then
+    echo "verify.sh: test target '$name' failed (exit $rc)" >&2
+    exit "$rc"
+  fi
+}
+
+# The same targets `cargo test --workspace` runs: every `tests/*.rs`
+# target, each crate's lib and bin unit tests, then the doc tests. Each
+# test binary runs from its package root, as under `cargo test`. The
+# first build prints compile errors readably; the second, already up to
+# date, lists the test binaries.
+echo "== cargo test -q (each target limited to ${TEST_LIMIT}s) =="
+cargo test -q --offline --workspace --no-run
+tests=$(cargo test -q --offline --workspace --no-run --message-format=json \
+  | sed -n 's/.*"manifest_path":"\([^"]*\)".*"profile":{[^}]*"test":true}.*"executable":"\([^"]*\)".*/\1 \2/p' \
+  | sort -k2)
+[ -n "$tests" ] || { echo "verify.sh: found no test targets" >&2; exit 1; }
+while read -r manifest exe; do
+  name=$(basename "$exe" | sed 's/-[0-9a-f]*$//')
+  echo "-- $name"
+  (cd "$(dirname "$manifest")" && run_limited "$name" "$exe" -q </dev/null)
+done <<<"$tests"
+echo "-- doc tests"
+run_limited "doc tests" cargo test -q --offline --workspace --doc
 
 if [ "$QUICK" -eq 0 ]; then
   # Chaos stress: a reduced seed sweep of the fault-injection layer on top
   # of the default run already included in the workspace tests above.
   echo "== chaos stress (CHAOS_SEEDS=16) =="
-  CHAOS_SEEDS=16 cargo test -q --offline --test chaos_layer
+  CHAOS_SEEDS=16 run_limited "chaos_layer (CHAOS_SEEDS=16)" \
+    cargo test -q --offline --test chaos_layer
 
-  # Injection-path acceptance: sharded lanes vs single-lane baseline and
-  # the idle wake-rate bar, sized for CI (--smoke). The binary exits
-  # non-zero when a bar is missed and writes results/inject_latency.json.
+  # Injection-path acceptance: the idle wake-rate bar, sized for CI
+  # (--smoke); install latency and jobs/s are reported only. The binary
+  # exits non-zero when the bar is missed and writes
+  # results/inject_latency.json.
   echo "== inject_bench --smoke =="
   ./target/release/inject_bench --smoke
   test -s results/inject_latency.json \
@@ -100,10 +142,10 @@ if [ "$QUICK" -eq 0 ]; then
     || { echo "verify.sh: results/lazy_split.json missing or empty" >&2; exit 1; }
 
   # Multi-tenant acceptance: fairness-ratio sanity and zero lost jobs
-  # under concurrent tenants (exactly-once conservation — the p99 QoS
-  # speedup bar is full-mode only; smoke sizes are too shallow for a
-  # stable ratio). Exits non-zero when a bar is missed and writes
-  # results/traffic.json.
+  # under concurrent tenants (exactly-once conservation — the p99 bar of
+  # QoS against a class-blind run is full-mode only; smoke sizes are too
+  # shallow for a stable ratio). Exits non-zero when a bar is missed and
+  # writes results/traffic.json.
   echo "== traffic_bench --smoke =="
   ./target/release/traffic_bench --smoke
   test -s results/traffic.json \
@@ -122,7 +164,8 @@ if [ "$QUICK" -eq 0 ]; then
   # Sim locality gate: one 128-virtual-core socket-first sweep on the
   # skewed workload — hybrid_sf must keep at least as many consecutive
   # iterations on-socket (and hit L3 at least as often) as the uniform
-  # hybrid, and the flat-map real pool must show zero remote steals.
+  # hybrid, and a default (flat-map) real pool must show zero remote
+  # steals.
   # Exits non-zero when a bar is missed and writes results/locality.json.
   echo "== locality_bench --smoke (sim gate) =="
   ./target/release/locality_bench --smoke

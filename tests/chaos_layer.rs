@@ -14,7 +14,7 @@
 //!   return `Err`, and preserve exactly-once for everything that ran.
 //! * **Watchdog** — a stalled pool produces a diagnostic, not a hang.
 //! * **Locality** — the topology-aware configuration (multi-socket map,
-//!   `SocketFirst` stealing, NUMA earmarks) keeps every guarantee under
+//!   socket-first stealing, NUMA earmarks) keeps every guarantee under
 //!   the same adversary, steal sweeps never probe quarantined or
 //!   respawning slots, and a flat map never counts a remote steal.
 //!
@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use parloop::chaos::{FaultAction, FaultInjector, PlannedInjector, Site};
 use parloop::core::{same_socket_fraction, same_worker_fraction, AffinityProbe};
-use parloop::runtime::{Latch, StealPolicy, TopologyMap, WorkerToken};
+use parloop::runtime::{Latch, TopologyMap, WorkerToken};
 use parloop::trace::metrics::max_claim_failure_run;
 use parloop::trace::{init_clock, RingTraceSink};
 use parloop::{
@@ -550,7 +550,7 @@ fn quarantined_worker_heals_and_pool_drops_cleanly() {
 }
 
 /// Theorem 3 for the locality-aware configuration: a two-socket map with
-/// `SocketFirst` stealing and NUMA-earmarked claim anchors, driven by the
+/// socket-first stealing and NUMA-earmarked claim anchors, driven by the
 /// full-rate injector *plus* a guaranteed one-shot worker kill per seed
 /// (so the respawn path runs mid-sweep on every seed, not just when the
 /// seeded `WorkerExit` rate happens to fire). Consecutive loops are
@@ -576,7 +576,6 @@ fn socket_first_chaos_sweep_keeps_exactly_once_and_affinity() {
         let pool = ThreadPoolBuilder::new()
             .num_workers(p)
             .topology(TopologyMap::from_sockets(sockets.clone()))
-            .steal_policy(StealPolicy::SocketFirst)
             .fault_injector(Arc::clone(&injector) as _)
             .build();
         let probe = AffinityProbe::new(0..n);
@@ -643,7 +642,6 @@ fn steal_sweep_skips_quarantined_victims() {
         ThreadPoolBuilder::new()
             .num_workers(3)
             .topology(TopologyMap::from_sockets(vec![0, 0, 1]))
-            .steal_policy(StealPolicy::SocketFirst)
             .stall_threshold(Duration::from_millis(30))
             .on_stall(|_| {}) // expected stall; keep stderr quiet
             .trace_sink(Arc::<RingTraceSink>::clone(&sink))
@@ -738,8 +736,8 @@ fn steal_sweep_skips_quarantined_victims() {
     assert_eq!(sum.load(Ordering::Relaxed), 4950);
 }
 
-/// On the default flat (single-socket) map, `SocketFirst` degenerates to
-/// the uniform sweep even under chaos: every victim is local, so the
+/// On the default flat (single-socket) map, the socket-first sweep is one
+/// uniform pass even under chaos: every victim is local, so the
 /// remote-steal counter stays zero across a seeded fault sweep while the
 /// injector forces extra steal traffic — and exactly-once holds.
 #[test]
@@ -749,13 +747,8 @@ fn flat_map_socket_first_never_counts_remote_steals() {
     for seed in 0..seed_count().min(8) {
         let injector = Arc::new(PlannedInjector::from_seed(seed));
         init_clock();
-        let pool = ThreadPoolBuilder::new()
-            .num_workers(p)
-            .steal_policy(StealPolicy::SocketFirst)
-            .fault_injector(injector)
-            .build();
+        let pool = ThreadPoolBuilder::new().num_workers(p).fault_injector(injector).build();
         assert!(pool.topology().is_flat(), "default topology must be flat");
-        assert_eq!(pool.steal_policy(), StealPolicy::SocketFirst);
         for _ in 0..3 {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             let cancel = CancelToken::new();

@@ -9,8 +9,9 @@
 //! * **Per-submitter FIFO** — jobs posted by one thread run in post order
 //!   (each submitter sticks to its home lane; lanes are FIFO).
 //! * **Multi-submitter stress** — many concurrent submitter threads, no
-//!   job lost or run twice, on both the sharded and the single-lane
-//!   (old-behavior) configurations.
+//!   job lost or run twice.
+//! * **Class counters** — every pool runs QoS lanes, and lane jobs are
+//!   counted by the class that served them.
 //! * **Backstop liveness** — with chaos dropping every post-publish wake
 //!   at `Site::InjectLane`, jobs still run: the timeout backstop finds
 //!   them, and the backstop counters prove it was the backstop.
@@ -18,7 +19,7 @@
 //!   at least 10x below the old fixed-interval polling rate, while a late
 //!   `install` is still served promptly.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -85,7 +86,7 @@ fn fence_audit_lane_demotions_never_lose_a_wake() {
 fn jobs_from_one_submitter_run_in_post_order() {
     // One worker, one lane: execution order must equal post order, the
     // per-lane FIFO contract (cross-submitter order is unspecified).
-    let pool = ThreadPoolBuilder::new().num_workers(1).inject_lanes(1).build();
+    let pool = ThreadPoolBuilder::new().num_workers(1).build();
     let order = Arc::new(Mutex::new(Vec::new()));
     for i in 0..100usize {
         let order = Arc::clone(&order);
@@ -137,61 +138,8 @@ fn multi_submitter_stress_loses_and_duplicates_nothing() {
 }
 
 #[test]
-fn single_lane_baseline_keeps_the_same_guarantees() {
-    // `inject_lanes(1)` is the old single-global-queue configuration (and
-    // the injection benchmark's baseline); it must stay correct.
-    let pool = ThreadPoolBuilder::new().num_workers(4).inject_lanes(1).build();
-    stress(&pool, 8, 500);
-}
-
-#[test]
-fn single_lane_pool_degrades_qos_to_strict_fifo() {
-    // Regression for the QoS sub-lanes: with `inject_lanes(1)` the
-    // priority sub-lanes must collapse to the old single strict-FIFO
-    // queue — class tags are ignored, post order is execution order, and
-    // the per-class counters never tick (the pool is class-blind).
-    let pool = ThreadPoolBuilder::new().num_workers(1).inject_lanes(1).build();
-    assert!(!pool.qos_enabled());
-
-    // Hold the worker so a mixed-class backlog builds up behind it.
-    let gate = Arc::new(AtomicBool::new(false));
-    let started = Arc::new(AtomicBool::new(false));
-    {
-        let gate = Arc::clone(&gate);
-        let started = Arc::clone(&started);
-        pool.spawn_detached(move || {
-            started.store(true, Ordering::Release);
-            while !gate.load(Ordering::Acquire) {
-                std::thread::yield_now();
-            }
-        });
-    }
-    while !started.load(Ordering::Acquire) {
-        std::thread::yield_now();
-    }
-
-    let order = Arc::new(Mutex::new(Vec::new()));
-    for i in 0..20usize {
-        let order = Arc::clone(&order);
-        // Alternate classes; a QoS pool would reorder this sequence.
-        let class = if i % 2 == 0 { QosClass::Batch } else { QosClass::Latency };
-        pool.spawn_detached_class(class, move || order.lock().unwrap().push(i));
-    }
-    gate.store(true, Ordering::Release);
-    pool.install(|| {}); // same lane: completion barrier for the backlog
-    assert_eq!(*order.lock().unwrap(), (0..20).collect::<Vec<_>>());
-
-    // Class-blind lanes report no class, so neither counter moves.
-    for w in pool.worker_stats() {
-        assert_eq!(w.latency_jobs, 0, "FIFO pool counted latency jobs");
-        assert_eq!(w.batch_jobs, 0, "FIFO pool counted batch jobs");
-    }
-}
-
-#[test]
 fn qos_pool_counts_jobs_by_class() {
-    let pool = ThreadPoolBuilder::new().num_workers(2).inject_lanes(2).build();
-    assert!(pool.qos_enabled());
+    let pool = ThreadPoolBuilder::new().num_workers(2).build();
     let done = Arc::new(AtomicUsize::new(0));
     for i in 0..12 {
         let done = Arc::clone(&done);
