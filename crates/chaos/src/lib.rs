@@ -87,8 +87,8 @@ pub enum Site {
     /// fatally, exercising the self-healing respawn path. Consulted only
     /// by worker threads, never by submitters.
     WorkerExit,
-    /// The adaptive grain controller about to ingest one loop's feedback
-    /// signals (`parloop-core`'s `adapt` layer). Consulted through the
+    /// The adaptive grain controller about to ingest one loop's wall time
+    /// (`parloop-core`'s `adapt` layer). Consulted through the
     /// pool's external-decision path (the recording thread may be a
     /// non-worker submitter), so like [`Site::InjectLane`] and
     /// [`Site::Admission`] a `Panic` is demoted to `Fail` — a perturbed

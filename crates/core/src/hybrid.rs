@@ -57,7 +57,7 @@
 //!   deterministic skip tests run on one worker where coherence alone
 //!   orders the store before the next claim's load.
 //!
-//! Batching the latch decrements ([`LatchBatch`]) turns `k` executed
+//! Batching the latch decrements (`LatchBatch`) turns `k` executed
 //! partitions per walk into one RMW; the flush sits in a `Drop` impl so an
 //! injected panic unwinding a walk still resolves everything it executed
 //! (a stranded count would hang the initiator).
@@ -100,8 +100,6 @@ struct HybridState<F> {
     poisoned: AtomicBool,
     /// Claimed partitions whose body was skipped (poisoned or cancelled).
     skipped: AtomicUsize,
-    /// Assist joins across this loop's partitions' inner lazy loops.
-    assists: AtomicUsize,
     /// Cooperative cancellation; `None` when the loop has no token (the
     /// common path pays one `Option` check per claim).
     cancel: Option<CancelToken>,
@@ -147,7 +145,6 @@ impl<F> HybridState<F> {
             adoptions: self.adoptions.load(Ordering::Relaxed),
             failed_claims: self.failed_claims.load(Ordering::Relaxed),
             skipped_partitions: self.skipped.load(Ordering::Relaxed),
-            assist_joins: self.assists.load(Ordering::Relaxed),
         }
     }
 }
@@ -216,7 +213,7 @@ where
     if r_parts == 1 && cancel.is_none() && !token.chaos_enabled() {
         let report = LoopReport { partitions: 1, ..LoopReport::default() };
         return match catch_unwind(AssertUnwindSafe(|| lazy_for_chunks(range, grain, body))) {
-            Ok(assist_joins) => Ok(LoopReport { assist_joins, ..report }),
+            Ok(()) => Ok(report),
             Err(payload) => Err(LoopError::Panicked { report, payload }),
         };
     }
@@ -242,7 +239,6 @@ where
         panic: Mutex::new(None),
         poisoned: AtomicBool::new(false),
         skipped: AtomicUsize::new(0),
-        assists: AtomicUsize::new(0),
         cancel: cancel.cloned(),
         topology: token.topology(),
     });
@@ -473,7 +469,7 @@ where
     // `latch.set()`, hence before `hybrid_for` returns.
     let body = unsafe { state.body.get() };
     let chaos = token.chaos_enabled();
-    match catch_unwind(AssertUnwindSafe(|| {
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
         // Chaos site: faults *inside* the partition body, caught by the
         // same net as a user-code panic.
         if chaos {
@@ -485,13 +481,7 @@ where
         }
         lazy_for_chunks(range, state.grain, body)
     })) {
-        Ok(assists) => {
-            if assists > 0 {
-                // Relaxed: observability counter (module docs).
-                state.assists.fetch_add(assists, Ordering::Relaxed);
-            }
-        }
-        Err(payload) => state.record_panic(payload),
+        state.record_panic(payload);
     }
 }
 
@@ -708,7 +698,6 @@ mod tests {
                 panic: Mutex::new(None),
                 poisoned: AtomicBool::new(false),
                 skipped: AtomicUsize::new(0),
-                assists: AtomicUsize::new(0),
                 cancel: None,
                 topology: token.topology(),
             });

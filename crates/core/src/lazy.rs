@@ -145,12 +145,6 @@ struct LoopCoordinator<F> {
     finished: AtomicBool,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     poisoned: AtomicBool,
-    /// Assistants that actually joined *this* loop (registered while the
-    /// cursor still had work). Per-loop — unlike the pool-global
-    /// `assist_joins` counter — so nested loops attribute each join to the
-    /// loop whose handle was adopted, never the enclosing one. Read once
-    /// by the owner after the latch resolves.
-    assists: AtomicUsize,
 }
 
 impl<F> LoopCoordinator<F> {
@@ -178,27 +172,19 @@ impl<F> LoopCoordinator<F> {
 /// `u32::MAX` iterations runs as consecutive lazy loops over segments of
 /// at most `u32::MAX` iterations each.
 ///
-/// Returns how many assistants joined *this* loop. The count is per-loop
-/// (each join is charged to the loop whose handle was adopted, even under
-/// nesting), which is what the adaptive grain controller feeds on — the
-/// pool-global `assist_joins` total cannot distinguish an inner loop's
-/// contention from its enclosing loop's.
-///
 /// On a **one-worker pool** the entire coordinator is bypassed: no thief
 /// can ever exist, so the loop runs as a plain chunked call — zero
 /// allocations, zero atomics, zero latch waits, and the `AssistClaim`
 /// chaos site is never consulted (there is no claim loop to inject into).
 /// Panics propagate unchanged (there is no sibling participant to poison).
-/// The bypass paths (off-pool, single chunk, one-worker pool) return 0 by
-/// construction: no assist handle is ever published there.
-pub fn lazy_for_chunks<F>(range: Range<usize>, grain: usize, body: &F) -> usize
+pub fn lazy_for_chunks<F>(range: Range<usize>, grain: usize, body: &F)
 where
     F: Fn(Range<usize>) + Sync,
 {
     let grain = grain.max(1);
     let n = range.len();
     if n == 0 {
-        return 0;
+        return;
     }
     let Some(token) = WorkerToken::current() else {
         let mut lo = range.start;
@@ -207,27 +193,25 @@ where
             body(lo..hi);
             lo = hi;
         }
-        return 0;
+        return;
     };
     let tracing = token.tracing_enabled();
     if n <= grain {
         run_chunk(&token, tracing, range, body);
-        return 0;
+        return;
     }
     // Single-worker bypass: the coordinator exists only to let thieves
     // join, and a P = 1 pool has none. See `run_uncontended`.
     if token.num_workers() == 1 {
         run_uncontended(&token, tracing, range, grain, body);
-        return 0;
+        return;
     }
-    let mut assists = 0;
     let mut lo = range.start;
     while lo < range.end {
         let hi = lo + (range.end - lo).min(u32::MAX as usize);
-        assists += coordinated_loop(&token, lo..hi, grain, body);
+        coordinated_loop(&token, lo..hi, grain, body);
         lo = hi;
     }
-    assists
 }
 
 /// The single-worker fast path: a plain loop over grain-sized chunks.
@@ -253,9 +237,8 @@ fn run_uncontended<F>(
 }
 
 /// The shared-cursor coordinator path (P > 1) over a range of at most
-/// `u32::MAX` iterations. Returns this loop's assist-join count (see
-/// [`lazy_for_chunks`]).
-fn coordinated_loop<F>(token: &WorkerToken, range: Range<usize>, grain: usize, body: &F) -> usize
+/// `u32::MAX` iterations.
+fn coordinated_loop<F>(token: &WorkerToken, range: Range<usize>, grain: usize, body: &F)
 where
     F: Fn(Range<usize>) + Sync,
 {
@@ -277,7 +260,6 @@ where
         finished: AtomicBool::new(false),
         panic: Mutex::new(None),
         poisoned: AtomicBool::new(false),
-        assists: AtomicUsize::new(0),
     });
 
     // The single stealable entry point into this loop.
@@ -289,9 +271,6 @@ where
     if let Some(payload) = maybe_panic {
         resume_unwind(payload);
     }
-    // The latch resolved, so every joined assistant already bumped the
-    // counter before its first claim — the load is race-free.
-    state.assists.load(Ordering::Relaxed)
 }
 
 /// Push one assist handle onto the current worker's deque.
@@ -330,7 +309,6 @@ where
         exit_participant(&state);
         return;
     }
-    state.assists.fetch_add(1, Ordering::Relaxed);
     token.note_assist_join();
     token.trace(TraceEvent::AssistJoin);
     // Keep exactly one handle available for further thieves (fan-out is

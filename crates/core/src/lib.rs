@@ -46,9 +46,7 @@ mod sharing;
 mod static_part;
 mod util;
 
-pub use adapt::{
-    controller_report, AdaptiveSite, Adjustment, LoopSignals, LoopStart, Phase, SiteSnapshot,
-};
+pub use adapt::{controller_report, AdaptiveSite, LoopStart, Phase, SiteSnapshot};
 pub use affinity::{
     same_socket_fraction, same_worker_fraction, AffinityProbe, ConsecutiveAffinity, UNRECORDED,
 };

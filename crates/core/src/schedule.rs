@@ -20,7 +20,7 @@ use parloop_runtime::{
     current_worker_index, CancelToken, FaultAction, Site, ThreadPool, TraceEvent, WorkerToken,
 };
 
-use crate::adapt::{AdaptiveSite, LoopSignals};
+use crate::adapt::AdaptiveSite;
 use crate::affinity::AffinityProbe;
 use crate::hybrid::hybrid_for;
 use crate::lazy::lazy_for_chunks;
@@ -203,16 +203,16 @@ impl std::str::FromStr for Schedule {
     }
 }
 
-/// How a loop's grain (and, for the hybrid scheme, its oversubscription
-/// factor `R`) is chosen.
+/// How a loop's grain is chosen.
 #[derive(Debug, Clone, Copy, Default)]
 pub enum GrainPolicy<'a> {
     /// The schedule's own grain: an explicit pin if the [`Schedule`]
     /// carries one, else the static Cilk rule ([`default_grain`]).
     #[default]
     Static,
-    /// Feedback-driven: the [`AdaptiveSite`] supplies the grain/R before
-    /// the loop and ingests its signals afterwards (see [`crate::adapt`]).
+    /// Feedback-driven: the [`AdaptiveSite`] supplies the grain before
+    /// the loop and ingests its wall time afterwards (see
+    /// [`crate::adapt`]).
     Adaptive(&'a AdaptiveSite),
 }
 
@@ -234,11 +234,6 @@ pub struct LoopReport {
     /// scheme: 1 if the token skipped any chunk). Skipped partitions still
     /// resolve the completion latch, but their iterations never ran.
     pub skipped_partitions: usize,
-    /// Assistants that joined this loop's lazy splitters (the partitions'
-    /// inner loops under hybrid, the loop itself under vanilla). Per-loop
-    /// — nested loops each count only their own assists — which is the
-    /// contention signal the adaptive grain controller consumes.
-    pub assist_joins: usize,
 }
 
 /// Why [`Loop::run`] did not complete normally. Carries the report either
@@ -318,7 +313,7 @@ impl std::error::Error for LoopError {}
 pub struct Loop<'a> {
     /// The scheduling scheme.
     pub schedule: Schedule,
-    /// How the grain (and the hybrid `R`) is chosen.
+    /// How the grain is chosen.
     pub grain: GrainPolicy<'a>,
     /// Cooperative cancellation. Once the token fires, no new chunk body
     /// (hybrid: partition body) starts; bodies that already started are
@@ -341,9 +336,8 @@ impl<'a> Loop<'a> {
     /// means the cancel token skipped at least one chunk (hybrid: one
     /// partition) body — a token that fires after the last body started
     /// still yields `Ok`. Under [`GrainPolicy::Adaptive`] the site's
-    /// operating point overrides the schedule's grain (and the hybrid
-    /// `oversub`), and a measured loop that completes feeds its wall time
-    /// and contention counters back through [`AdaptiveSite::record`].
+    /// grain overrides the schedule's, and a measured loop that completes
+    /// feeds its wall time back through [`AdaptiveSite::record`].
     pub fn run<F>(
         self,
         pool: &ThreadPool,
@@ -408,7 +402,6 @@ where
             body(chunk);
         }
     };
-    let mut assist_joins = 0;
     let ran = catch_unwind(AssertUnwindSafe(|| match sched {
         Schedule::Static => static_for(pool, range, &gated),
         Schedule::StaticCyclic { chunk } => static_cyclic_for(pool, range, chunk, &gated),
@@ -421,17 +414,13 @@ where
         }
         Schedule::DynamicStealing { grain } => {
             let grain = grain_or_default(grain);
-            assist_joins = pool.install(|| lazy_for_chunks(range, grain, &gated));
+            pool.install(|| lazy_for_chunks(range, grain, &gated));
         }
         Schedule::Hybrid { .. } => unreachable!("dispatched above"),
     }));
     let skipped = skipped.load(Ordering::Relaxed);
-    let report = LoopReport {
-        partitions: 1,
-        skipped_partitions: skipped as usize,
-        assist_joins,
-        ..LoopReport::default()
-    };
+    let report =
+        LoopReport { partitions: 1, skipped_partitions: skipped as usize, ..LoopReport::default() };
     match ran {
         Err(payload) => Err(LoopError::Panicked { report, payload }),
         Ok(()) if skipped => Err(LoopError::Cancelled(report)),
@@ -440,7 +429,7 @@ where
 }
 
 /// The adaptive execution path: snapshot the site, run the loop under its
-/// operating point, feed the signals back.
+/// grain, feed the wall time back.
 ///
 /// The feedback is gated by the `Site::GrainAdjust` chaos site (an
 /// injected `Fail` drops the sample, a `Delay` stalls the recording
@@ -462,15 +451,8 @@ where
     if n == 0 {
         return dispatch(pool, range, sched, cancel, body);
     }
-    let p = pool.num_workers();
-    let start = site.begin(n, p);
-    // The shared-cursor and static schemes take the grain as their chunk
-    // knob; they have no assist/claim machinery to observe, so only wall
-    // time drives their controller.
-    let sched = match sched.with_grain(start.grain) {
-        Schedule::Hybrid { grain, .. } => Schedule::Hybrid { grain, oversub: start.oversub },
-        other => other,
-    };
+    let start = site.begin(n, pool.num_workers());
+    let sched = sched.with_grain(start.grain);
     // Timestamps only on measured loops: in the settled steady state 15
     // of 16 loops skip both `Instant::now` calls entirely.
     let t0 = start.measure.then(Instant::now);
@@ -487,20 +469,11 @@ where
         FaultAction::Delay(spins) => chaos_spin(spins),
         FaultAction::None => {}
     }
-    let sig = LoopSignals {
-        n,
-        workers: p,
-        wall_ns,
-        assist_joins: report.assist_joins,
-        failed_claims: report.failed_claims,
-        r_parts: report.partitions,
-    };
-    if let Some(adj) = site.record(&start, &sig) {
+    if let Some(grain) = site.record(&start, wall_ns) {
         pool.note_grain_adjustment();
         pool.trace_external(TraceEvent::GrainAdjusted {
             site: site.id(),
-            grain: u32::try_from(adj.grain).unwrap_or(u32::MAX),
-            r: u32::try_from(adj.oversub).unwrap_or(u32::MAX),
+            grain: u32::try_from(grain).unwrap_or(u32::MAX),
         });
     }
     Ok(report)

@@ -7,7 +7,7 @@
 //!
 //! Design notes:
 //!
-//! * Elements must be [`Copy`]. The runtime only stores [`JobRef`]-like
+//! * Elements must be [`Copy`]. The runtime only stores `JobRef`-like
 //!   two-word handles, and `Copy` sidesteps the classic "steal read races
 //!   with a pop that drops the value" hazard: a racing read of a slot whose
 //!   CAS subsequently fails is harmless for plain-old-data.

@@ -68,8 +68,8 @@ impl WorkerState {
     }
 }
 
-/// A snapshot of the pool's health, from [`ThreadPool::health`]
-/// (`crate::ThreadPool::health`).
+/// A snapshot of the pool's health, from
+/// [`ThreadPool::health`](crate::ThreadPool::health).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolHealth {
     /// Workers whose main loop caught a panic that escaped every job

@@ -16,14 +16,14 @@
 //!   used to emulate OpenMP-style parallel regions where *every* worker of
 //!   the team executes a per-thread body (needed for the `omp_static`,
 //!   `omp_dynamic` and `omp_guided` baselines);
-//! * raw deque access ([`ThreadPool::spawn_local`]) — used by
+//! * raw deque access ([`WorkerToken::spawn_local`]) — used by
 //!   `parloop-core` to implement the paper's `DoHybridLoop` steal protocol,
 //!   where the hybrid-loop *frame* is a stealable job that re-instantiates
 //!   itself under the thief's worker ID.
 //!
 //! # Worker identity
 //!
-//! Workers have dense ids `0..P` ([`ThreadPool::current_worker_index`]).
+//! Workers have dense ids `0..P` ([`current_worker_index`]).
 //! The hybrid claiming heuristic is keyed on these ids, exactly as the
 //! paper keys partition claiming on Cilk worker ids.
 //!

@@ -107,7 +107,7 @@ pub struct PoolStats {
     pub failed_steal_sweeps: u64,
     /// Jobs injected from external threads.
     pub injected: u64,
-    /// Accepted adaptive grain/R adjustments across every registered
+    /// Accepted adaptive grain adjustments across every registered
     /// `AdaptiveSite` driving loops on this pool (the `controller_report`
     /// aggregate; per-site breakdowns live on the sites themselves).
     pub grain_adjustments: u64,
@@ -1286,7 +1286,7 @@ impl ThreadPool {
         }
     }
 
-    /// Count one accepted adaptive grain/R adjustment against this pool
+    /// Count one accepted adaptive grain adjustment against this pool
     /// (feeds [`PoolStats::grain_adjustments`]). Called by the adaptive
     /// controller's recording thread, which may be an external submitter —
     /// pool-global, no worker slot involved.

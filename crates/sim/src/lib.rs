@@ -14,7 +14,7 @@
 //!   so loop affinity turns into cache hits and NUMA locality exactly as
 //!   the paper argues;
 //! * scheduling overheads (steals, shared-cursor grabs, claims, barriers)
-//!   come from an explicit [`CostModel`](costs::CostModel).
+//!   come from an explicit [`CostModel`].
 //!
 //! The figure harnesses in `parloop-bench` sweep worker counts and schemes
 //! over the [microbenchmark](micro_model) and [NAS kernel](nas_model)

@@ -172,7 +172,7 @@ impl CounterBank {
         self.injected.load(Ordering::Relaxed)
     }
 
-    /// Count one accepted adaptive grain/R adjustment. Pool-global like
+    /// Count one accepted adaptive grain adjustment. Pool-global like
     /// [`note_injected`](Self::note_injected): the recording thread may
     /// be an external submitter, so there is no worker slot to charge.
     #[inline]
@@ -180,7 +180,7 @@ impl CounterBank {
         self.grain_adjustments.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Accepted adaptive grain/R adjustments (pool-global).
+    /// Accepted adaptive grain adjustments (pool-global).
     pub fn grain_adjustments(&self) -> u64 {
         self.grain_adjustments.load(Ordering::Relaxed)
     }

@@ -77,10 +77,9 @@ fn classify(event: &TraceEvent) -> Option<Record> {
         TraceEvent::BreakerOpen { tenant } => {
             Record::Instant("breaker_open", format!(r#"{{"tenant":{tenant}}}"#))
         }
-        TraceEvent::GrainAdjusted { site, grain, r } => Record::Instant(
-            "grain_adjusted",
-            format!(r#"{{"site":{site},"grain":{grain},"r":{r}}}"#),
-        ),
+        TraceEvent::GrainAdjusted { site, grain } => {
+            Record::Instant("grain_adjusted", format!(r#"{{"site":{site},"grain":{grain}}}"#))
+        }
         // Push/pop are too fine for a timeline view; CSV keeps them.
         TraceEvent::JobPushed | TraceEvent::JobPopped => return None,
     })
@@ -216,11 +215,10 @@ pub fn csv(snap: &TraceSnapshot) -> String {
                 action = a.to_string();
             }
             // Sparse-column reuse (like `victim` doubling as a worker id):
-            // `index` carries the new grain, `partition` the new R factor.
-            TraceEvent::GrainAdjusted { site: s, grain: g, r } => {
+            // `index` carries the new grain.
+            TraceEvent::GrainAdjusted { site: s, grain: g } => {
                 site = s.to_string();
                 index = g.to_string();
-                partition = r.to_string();
             }
             _ => {}
         }

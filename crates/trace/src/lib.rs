@@ -195,17 +195,14 @@ pub enum TraceEvent {
         /// The tenant whose breaker opened.
         tenant: u32,
     },
-    /// The adaptive controller changed a loop site's operating point
-    /// after ingesting that loop's feedback signals. One event per
-    /// *accepted* adjustment (unchanged settings are not re-announced).
+    /// The adaptive controller changed a loop site's grain after
+    /// ingesting that loop's wall time. One event per *accepted*
+    /// adjustment (unchanged settings are not re-announced).
     GrainAdjusted {
         /// The adaptive site's registration id (`AdaptiveSite::id`).
         site: u32,
         /// The new grain (iterations per chunk) the site will use next.
         grain: u32,
-        /// The new per-worker partition oversubscription factor feeding
-        /// the hybrid scheme's `R = next_pow2(P * r)`.
-        r: u32,
     },
 }
 
@@ -284,9 +281,7 @@ impl TraceEvent {
             }
             TraceEvent::BreakerOpen { tenant } => (26, tenant as u64),
             TraceEvent::StolenRemote { victim } => (27, victim as u64),
-            TraceEvent::GrainAdjusted { site, grain, r } => {
-                (28 | (grain as u64) << 32, site as u64 | (r as u64) << 32)
-            }
+            TraceEvent::GrainAdjusted { site, grain } => (28 | (grain as u64) << 32, site as u64),
         }
     }
 
@@ -325,11 +320,7 @@ impl TraceEvent {
             25 => TraceEvent::TenantRetry { tenant: b as u32, attempt: (a >> 32) as u32 },
             26 => TraceEvent::BreakerOpen { tenant: b as u32 },
             27 => TraceEvent::StolenRemote { victim: b as u32 },
-            28 => TraceEvent::GrainAdjusted {
-                site: b as u32,
-                grain: (a >> 32) as u32,
-                r: (b >> 32) as u32,
-            },
+            28 => TraceEvent::GrainAdjusted { site: b as u32, grain: (a >> 32) as u32 },
             _ => return None,
         })
     }
@@ -425,8 +416,8 @@ mod tests {
             TraceEvent::BreakerOpen { tenant: 9 },
             TraceEvent::StolenRemote { victim: 0 },
             TraceEvent::StolenRemote { victim: u32::MAX },
-            TraceEvent::GrainAdjusted { site: 3, grain: 256, r: 4 },
-            TraceEvent::GrainAdjusted { site: u32::MAX, grain: u32::MAX, r: u32::MAX },
+            TraceEvent::GrainAdjusted { site: 3, grain: 256 },
+            TraceEvent::GrainAdjusted { site: u32::MAX, grain: u32::MAX },
         ];
         for ev in events {
             let (a, b) = ev.pack();

@@ -75,7 +75,7 @@ pub struct EventCounts {
     pub tenant_retries: u64,
     /// Tenant circuit breakers tripped open.
     pub breaker_opens: u64,
-    /// Adaptive grain/R adjustments accepted by site controllers.
+    /// Adaptive grain adjustments accepted by site controllers.
     pub grain_adjustments: u64,
 }
 

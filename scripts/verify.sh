@@ -74,6 +74,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
 
+# Dangling intra-doc links (e.g. to a deleted public item) fail here
+# instead of rotting in the rendered docs.
+echo "== cargo doc -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 # Per-target time limit in seconds. The slowest target (debug
 # `sim_figures`) passes in well under a minute on a 2-vCPU host.
 TEST_LIMIT=300

@@ -9,20 +9,17 @@
 //!   every iteration of every loop runs exactly once — and the site must
 //!   still converge to `Settled` (eventually; dropped samples only slow
 //!   the climb).
-//! * **Nested attribution** — assists recorded while an inner loop runs
-//!   inside an outer loop's body are charged to the *inner* loop's
-//!   count; outer + Σinner equals the pool-global counter exactly.
 //! * **Static equivalence** — `GrainPolicy::Static` through `Loop::run`
 //!   is indistinguishable from plain `par_for_chunks`.
 //! * **End-to-end plumbing** — accepted adjustments show up in
 //!   `PoolStats::grain_adjustments` and as `TraceEvent::GrainAdjusted`
 //!   records carrying the site's id.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parloop::chaos::{PlannedInjector, Site, RATE_DENOM};
-use parloop::core::{lazy_for_chunks, AdaptiveSite, GrainPolicy, LoopSignals};
+use parloop::core::{AdaptiveSite, GrainPolicy};
 use parloop::trace::init_clock;
 use parloop::{
     par_for_chunks, Loop, RingTraceSink, Schedule, ThreadPool, ThreadPoolBuilder, TraceEvent,
@@ -68,16 +65,8 @@ fn same_signal_stream_yields_identical_adjustment_sequence() {
             let h = splitmix64(seed ^ k);
             // Per-chunk overhead plus bounded lumpy noise.
             let chunks = (n / start.grain.max(1)) as u64;
-            let sig = LoopSignals {
-                n,
-                workers: 4,
-                wall_ns: 40 * n as u64 + 2_000 * chunks + h % 512,
-                assist_joins: h.is_multiple_of(3) as usize,
-                failed_claims: (h % 7) as usize,
-                r_parts: 4,
-            };
-            if let Some(adj) = site.record(&start, &sig) {
-                trail.push((adj.grain, adj.oversub));
+            if let Some(grain) = site.record(&start, 40 * n as u64 + 2_000 * chunks + h % 512) {
+                trail.push(grain);
             }
         }
         (trail, site.snapshot().grain, site.adjustments())
@@ -127,40 +116,6 @@ fn grain_adjust_chaos_sweep_preserves_exactly_once_and_converges() {
     }
 }
 
-/// Nested-loop accounting: an outer counted loop whose body runs inner
-/// counted loops. Inner assists land on the inner loop's own count;
-/// outer + Σinner reconciles exactly with the pool-global counter, so
-/// nothing is double-charged to the enclosing loop.
-#[test]
-fn nested_loop_assists_attribute_to_their_own_loop() {
-    let pool = ThreadPool::new(2);
-    let before = pool.stats().assist_joins;
-    let executed = AtomicUsize::new(0);
-    let inner_total = AtomicUsize::new(0);
-    let outer_items = 8;
-    let inner_n = 512;
-    let outer_assists = pool.install(|| {
-        lazy_for_chunks(0..outer_items, 1, &|outer_chunk| {
-            for _o in outer_chunk {
-                let inner = lazy_for_chunks(0..inner_n, 16, &|chunk| {
-                    for i in chunk {
-                        executed.fetch_add(1, Ordering::Relaxed);
-                        std::hint::black_box(splitmix64(i as u64));
-                    }
-                });
-                inner_total.fetch_add(inner, Ordering::Relaxed);
-            }
-        })
-    });
-    assert_eq!(executed.load(Ordering::Relaxed), outer_items * inner_n);
-    let delta = pool.stats().assist_joins - before;
-    assert_eq!(
-        outer_assists as u64 + inner_total.load(Ordering::Relaxed) as u64,
-        delta,
-        "per-loop assist counts must partition the pool-global counter"
-    );
-}
-
 /// `GrainPolicy::Static` through `Loop::run` must be plain
 /// `par_for_chunks`: same coverage, exactly once, for both engine
 /// schedules — and it is the `Default` policy.
@@ -182,7 +137,7 @@ fn grain_policy_static_matches_plain_policy_path() {
 
 /// End-to-end observability: accepted adjustments are counted in
 /// `PoolStats::grain_adjustments` and emitted as `GrainAdjusted` trace
-/// events tagged with the site's id and its new operating point.
+/// events tagged with the site's id and its new grain.
 #[test]
 fn adaptive_adjustments_reach_pool_stats_and_trace() {
     init_clock();
@@ -202,18 +157,17 @@ fn adaptive_adjustments_reach_pool_stats_and_trace() {
     assert!(site.adjustments() > 0, "48 warmup loops must adjust at least once");
     assert_eq!(pool.stats().grain_adjustments, site.adjustments());
     let snap = sink.drain();
-    let adjusted: Vec<(u32, u32, u32)> = snap
+    let adjusted: Vec<(u32, u32)> = snap
         .events
         .iter()
         .filter_map(|e| match e.event {
-            TraceEvent::GrainAdjusted { site, grain, r } => Some((site, grain, r)),
+            TraceEvent::GrainAdjusted { site, grain } => Some((site, grain)),
             _ => None,
         })
         .collect();
     assert_eq!(adjusted.len() as u64, site.adjustments());
-    for (s, grain, r) in adjusted {
+    for (s, grain) in adjusted {
         assert_eq!(s, site.id());
         assert!(grain.is_power_of_two(), "grain {grain} must be a power of two");
-        assert!(r >= 1);
     }
 }

@@ -35,6 +35,9 @@ use parloop::{
     TraceEvent,
 };
 
+mod common;
+use common::threads_named_settled;
+
 fn seed_count() -> u64 {
     std::env::var("CHAOS_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(64)
 }
@@ -327,19 +330,6 @@ fn chaos_runs_actually_inject_faults() {
     assert!(claim_faults > 0, "claim site never injected at ~25% rate across 10 runs");
 }
 
-/// Live threads of this process whose name starts with `prefix`
-/// (`/proc/self/task/*/comm`); other tests' pools use other prefixes, so
-/// concurrent tests don't pollute the count.
-fn threads_named(prefix: &str) -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("linux procfs")
-        .filter(|entry| {
-            let comm = entry.as_ref().unwrap().path().join("comm");
-            std::fs::read_to_string(comm).is_ok_and(|name| name.starts_with(prefix))
-        })
-        .count()
-}
-
 /// Self-healing under worker death, across a seed sweep: a one-shot
 /// `Kill` at the `WorkerExit` site takes a worker down mid-service. The
 /// pool must preserve exactly-once for every loop, respawn the dead slot
@@ -402,7 +392,7 @@ fn worker_exit_kill_sweep_recovers_exactly_once() {
             "seed {seed}: no slot recorded a respawn epoch: {health:?}"
         );
         assert_eq!(
-            threads_named(&prefix),
+            threads_named_settled(&prefix, p),
             p,
             "seed {seed}: thread census off after respawn (dead thread unreaped or doubled)"
         );
@@ -419,7 +409,7 @@ fn worker_exit_kill_sweep_recovers_exactly_once() {
             .unwrap_or_else(|e| panic!("seed {seed}: post-recovery loop failed: {e:?}"));
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "seed {seed}");
         drop(pool);
-        assert_eq!(threads_named(&prefix), 0, "seed {seed}: drop leaked worker threads");
+        assert_eq!(threads_named_settled(&prefix, 0), 0, "seed {seed}: drop leaked worker threads");
     }
 }
 

@@ -1,11 +1,44 @@
-//! Dependency-free randomized-case generator shared by the property-test
-//! suites (a small stand-in for the former proptest harness).
+//! Helpers shared by the integration suites: a dependency-free
+//! randomized-case generator for the property tests (a small stand-in for
+//! the former proptest harness) and an OS thread census.
 //!
 //! Each property runs a fixed number of cases; every case gets its own
 //! deterministic xorshift64* stream derived from a per-test seed and the
 //! case index, so failures reproduce exactly and runs never flake.
 
 #![allow(dead_code)]
+
+use std::time::{Duration, Instant};
+
+/// Live threads of this process whose name starts with `prefix`
+/// (`/proc/self/task/*/comm`). Each suite's pools use their own prefix,
+/// so concurrent tests don't pollute the count.
+pub fn threads_named(prefix: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("linux procfs")
+        .filter(|entry| {
+            let comm = entry.as_ref().unwrap().path().join("comm");
+            std::fs::read_to_string(comm).is_ok_and(|name| name.starts_with(prefix))
+        })
+        .count()
+}
+
+/// [`threads_named`] polled until it reports `expected` or a 10 s
+/// deadline passes; returns the last count. On Linux a join returns once
+/// the thread's tid is cleared, before the kernel drops its
+/// `/proc/self/task` entry, so a census taken right after a join can
+/// still list a thread that has exited. A leaked thread stays listed past
+/// the deadline, so the caller's leak check keeps its meaning.
+pub fn threads_named_settled(prefix: &str, expected: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let count = threads_named(prefix);
+        if count == expected || Instant::now() >= deadline {
+            return count;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
 
 /// xorshift64* PRNG — tiny, fast, and good enough for test-case shapes.
 pub struct XorShift64 {

@@ -8,6 +8,9 @@ use parloop::{global_pool, init_global, teardown_global, GlobalError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+mod common;
+use common::{threads_named, threads_named_settled};
+
 #[test]
 fn many_short_lived_pools() {
     for round in 0..30 {
@@ -136,26 +139,17 @@ fn results_flow_out_of_install() {
 
 static GLOBAL_REGISTRY_LOCK: Mutex<()> = Mutex::new(());
 
-/// Live OS threads of this process whose name carries the global pool's
-/// `parloop-global` prefix (`/proc/<pid>/task/<tid>/comm`; other pools
-/// use different prefixes, so concurrent tests don't pollute the count).
-fn global_worker_threads() -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("linux procfs")
-        .filter(|entry| {
-            let comm = entry.as_ref().unwrap().path().join("comm");
-            std::fs::read_to_string(comm).is_ok_and(|name| name.starts_with("parloop-global"))
-        })
-        .count()
-}
-
 /// Start from no global pool, whatever earlier tests did.
 fn reset_global() {
     match teardown_global() {
         Ok(_) => {}
         Err(e) => panic!("stale global-pool reference leaked by an earlier test: {e}"),
     }
-    assert_eq!(global_worker_threads(), 0, "torn-down global pool left threads alive");
+    assert_eq!(
+        threads_named_settled("parloop-global", 0),
+        0,
+        "torn-down global pool left threads alive"
+    );
 }
 
 #[test]
@@ -171,7 +165,7 @@ fn global_pool_initializes_once_under_a_first_use_race() {
     });
     let first = Arc::as_ptr(&pools[0]);
     assert!(pools.iter().all(|p| Arc::as_ptr(p) == first), "racing first uses built two pools");
-    assert!(global_worker_threads() >= 1);
+    assert!(threads_named("parloop-global") >= 1);
 
     // The pool works like any explicit pool.
     let count = AtomicUsize::new(0);
@@ -182,7 +176,11 @@ fn global_pool_initializes_once_under_a_first_use_race() {
 
     drop(pools);
     assert_eq!(teardown_global(), Ok(true));
-    assert_eq!(global_worker_threads(), 0, "teardown_global leaked worker threads");
+    assert_eq!(
+        threads_named_settled("parloop-global", 0),
+        0,
+        "teardown_global leaked worker threads"
+    );
 }
 
 #[test]
@@ -220,7 +218,7 @@ fn teardown_is_refused_while_handles_live_and_joins_when_they_drop() {
     assert!(parloop::tenant::global_pool_if_initialized().is_none());
 
     let handle = global_pool();
-    assert!(global_worker_threads() >= 1);
+    assert!(threads_named("parloop-global") >= 1);
 
     // A live handle blocks teardown and the pool keeps running.
     assert_eq!(teardown_global(), Err(GlobalError::Busy));
@@ -228,7 +226,11 @@ fn teardown_is_refused_while_handles_live_and_joins_when_they_drop() {
 
     drop(handle);
     assert_eq!(teardown_global(), Ok(true));
-    assert_eq!(global_worker_threads(), 0, "teardown_global leaked worker threads");
+    assert_eq!(
+        threads_named_settled("parloop-global", 0),
+        0,
+        "teardown_global leaked worker threads"
+    );
     assert!(parloop::tenant::global_pool_if_initialized().is_none());
 }
 
@@ -275,7 +277,7 @@ fn teardown_global_during_respawn_joins_everything() {
         drop(pool);
         assert_eq!(teardown_global(), Ok(true), "seed {seed}");
         assert_eq!(
-            global_worker_threads(),
+            threads_named_settled("parloop-global", 0),
             0,
             "seed {seed}: teardown under respawn churn leaked worker threads"
         );

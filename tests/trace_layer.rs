@@ -5,6 +5,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parloop::trace::metrics::{claim_failure_histogram, event_counts, max_claim_failure_run};
 use parloop::trace::{export, init_clock};
@@ -193,9 +194,21 @@ fn per_worker_stats_sum_to_pool_stats() {
     par_for(&pool, 0..8192, Schedule::hybrid().with_grain(32), |i| {
         std::hint::black_box(i);
     });
-    let per = pool.worker_stats();
+    // Idle workers keep counting steal sweeps until they park, so both
+    // sums must come from one quiescent moment: retry until no worker
+    // counter moved across the `stats()` read. Counters are monotone, so
+    // an unchanged bracket pins every total read inside it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let (per, totals) = loop {
+        let before = pool.worker_stats();
+        let totals = pool.stats();
+        let per = pool.worker_stats();
+        if per == before || Instant::now() >= deadline {
+            break (per, totals);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
     assert_eq!(per.len(), 3);
-    let totals = pool.stats();
     assert_eq!(per.iter().map(|w| w.jobs_executed).sum::<u64>(), totals.jobs_executed);
     assert_eq!(per.iter().map(|w| w.steals).sum::<u64>(), totals.steals);
     assert_eq!(per.iter().map(|w| w.failed_steal_sweeps).sum::<u64>(), totals.failed_steal_sweeps);
