@@ -37,6 +37,17 @@
 //! chunk never spins forever. The release/acquire pair on `ack` makes the
 //! owner's last plain cursor store visible to the assistant's first CAS.
 //!
+//! The owner can also *wait* inside a chunk: a nested loop's latch, a
+//! `join` whose other half was stolen. That wait runs jobs, and one of
+//! them can be this loop's own assist handle, popped from the owner's
+//! deque or stolen back from an assistant that re-published it. Its
+//! registrant would spin on an `ack` that only the waiting frame below
+//! it can store: a deadlock. So the owner runs its exclusive phase inside
+//! `WorkerToken::exclusive_owner`, and any wait on that worker first
+//! stores `shared`, then `ack`, for every loop it owns in that phase. An
+//! `ack` spin therefore only ever waits on an owner running a chunk body,
+//! never on a blocked one.
+//!
 //! ## Exactly-once and completion
 //!
 //! A chunk executes iff its claim advanced the cursor (a release store in
@@ -316,8 +327,10 @@ where
     publish_handle(&token, &state);
     // Handshake: announce, then wait for the owner to leave its
     // single-writer fast path. The owner checks `shared` once per chunk
-    // and sets `ack` on observing it — or unconditionally on exit — so
-    // this spin is bounded by one chunk body.
+    // and sets `ack` on observing it — or unconditionally on exit — and a
+    // wait inside its chunk body sets `ack` before running any job, so
+    // this spin is bounded by one chunk body that is not waiting. It is
+    // the only wait inside a job that does not go through `wait_until`.
     state.shared.store(true, Ordering::Release);
     let mut spins = 0u32;
     while !state.ack.load(Ordering::Acquire) {
@@ -371,16 +384,15 @@ fn exit_participant<F>(state: &LoopCoordinator<F>) {
 /// the packed word's only writer, so each chunk costs one plain load and
 /// one release store. On observing `shared` the owner acknowledges and
 /// joins the CAS claim loop; on exit it acknowledges unconditionally so a
-/// late registrant never spins forever.
+/// late registrant never spins forever. A wait inside a chunk body stores
+/// `shared` and `ack` for it first (`WorkerToken::exclusive_owner`).
 fn owner_loop<F>(token: &WorkerToken, state: &Arc<LoopCoordinator<F>>, tracing: bool, chaos: bool)
 where
     F: Fn(Range<usize>) + Sync,
 {
-    loop {
+    let shared = token.exclusive_owner(&state.shared, &state.ack, || loop {
         if state.shared.load(Ordering::Acquire) {
-            state.ack.store(true, Ordering::Release);
-            claim_loop(token, state, tracing, chaos, false);
-            return;
+            return true;
         }
         // Ordering: Relaxed suffices — `poisoned` is a promptness hint,
         // not the correctness mechanism. The authoritative stop is
@@ -390,11 +402,11 @@ where
         // mutex, whose lock provides the happens-before edge.
         if state.poisoned.load(Ordering::Relaxed) {
             state.drain();
-            break;
+            return false;
         }
         let (cur, end) = unpack(state.range.load(Ordering::Relaxed));
         if cur >= end {
-            break;
+            return false;
         }
         let next = (cur + state.grain as u64).min(end);
         state.range.store(pack(next, end), Ordering::Release);
@@ -402,8 +414,11 @@ where
         // SAFETY: see `LoopCoordinator::body` — the owner still blocks on
         // the latch, so the borrow is live.
         run_chunk(token, tracing, chunk, unsafe { state.body.get() });
-    }
+    });
     state.ack.store(true, Ordering::Release);
+    if shared {
+        claim_loop(token, state, tracing, chaos, false);
+    }
 }
 
 /// The shared claim loop: CAS grain-sized chunks off the packed cursor

@@ -3,8 +3,28 @@
 //! A latch is how a waiting task learns that work it forked has finished.
 //! Latches that may be awaited by *pool workers* carry a handle to the
 //! pool's sleep machinery so that `set` can wake a parked waiter; the
-//! [`LockLatch`] variant is for external (non-worker) threads and blocks on
-//! a private mutex/condvar instead.
+//! [`LockLatch`] variant is for external (non-worker) threads: it spins
+//! under the runtime's idle policy (`SPIN_BUDGET`, 20 µs, in `sleep.rs`)
+//! and then blocks on a private mutex/condvar.
+//!
+//! # The setter touches the latch last
+//!
+//! `join`'s [`SpinLatch`], the [`CountLatch`]es of `scope` and
+//! `broadcast_all`, and `install`'s [`LockLatch`] live on the waiter's
+//! stack. The moment the waiter can observe the latch set, it may return
+//! and free it, so no setter may touch the latch after the operation that
+//! releases the waiter:
+//!
+//! * [`SpinLatch`] and [`CountLatch`] copy their `Sleep` pointer into a
+//!   local *before* the releasing store or decrement and wake through the
+//!   copy. The registry owns the `Sleep` and outlives every job that can
+//!   set one of its latches. (A setter outside the pool must hold the
+//!   latch alive across `set`, as a shared `Arc` does, and the latch's own
+//!   `Arc<Sleep>` with it.)
+//! * [`LockLatch`]'s setter stores the flag while holding the latch's
+//!   mutex, and its unlock is its last access. The waiter takes that mutex
+//!   once before it returns, even when it saw the flag while spinning, so
+//!   it cannot free the latch under the setter.
 //!
 //! # Memory-ordering proof (fence audit)
 //!
@@ -27,6 +47,10 @@
 //!   this when it resolves its own latch). [`CountLatch::set_many`] is
 //!   the batched form with the identical edge: one `fetch_sub(n)` stands
 //!   for `n` logical completions the caller accumulated locally.
+//! * **[`LockLatch`]** — `set`'s `Release` store of `done` pairs with the
+//!   spinning waiter's `Acquire` load; the mutex orders the rest (the
+//!   `blocked` handshake, and the waiter's final lock after the setter's
+//!   unlock).
 //! * `increment`'s `AcqRel` keeps the counter's modification order a
 //!   plain counter; callers must not revive a finished latch (debug
 //!   asserted).
@@ -34,7 +58,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::sleep::Sleep;
+use crate::sleep::{IdleSpin, Sleep};
 
 /// Something that can be signalled complete.
 pub trait Latch {
@@ -46,6 +70,24 @@ pub trait Latch {
 pub trait Probe {
     /// True once the latch is fully set.
     fn probe(&self) -> bool;
+}
+
+/// The `Sleep` a setter wakes, copied as a plain pointer (not an `Arc`
+/// clone) *before* the store or decrement that releases the waiter: the
+/// waiter may return and free the latch once that operation lands.
+#[inline]
+fn sleep_ptr(sleep: &Option<Arc<Sleep>>) -> Option<*const Sleep> {
+    sleep.as_ref().map(Arc::as_ptr)
+}
+
+/// Wake the pool's sleepers through a pointer taken by [`sleep_ptr`].
+#[inline]
+fn wake(sleep: Option<*const Sleep>) {
+    if let Some(s) = sleep {
+        // SAFETY: the registry owns the `Sleep` and outlives every job that
+        // can set one of its latches (module docs).
+        unsafe { (*s).notify_all() };
+    }
 }
 
 /// A one-shot boolean latch awaited by spinning/stealing workers.
@@ -69,10 +111,9 @@ impl SpinLatch {
 impl Latch for SpinLatch {
     #[inline]
     fn set(&self) {
+        let sleep = sleep_ptr(&self.sleep);
         self.done.store(true, Ordering::Release);
-        if let Some(s) = &self.sleep {
-            s.notify_all();
-        }
+        wake(sleep);
     }
 }
 
@@ -121,16 +162,16 @@ impl CountLatch {
     /// identical to `set`'s (module docs).
     ///
     /// [`set`]: Latch::set
+    #[inline]
     pub fn set_many(&self, n: usize) {
         if n == 0 {
             return;
         }
+        let sleep = sleep_ptr(&self.sleep);
         let prev = self.count.fetch_sub(n, Ordering::AcqRel);
-        debug_assert!(prev >= n, "CountLatch underflow (set_many)");
+        debug_assert!(prev >= n, "CountLatch underflow");
         if prev == n {
-            if let Some(s) = &self.sleep {
-                s.notify_all();
-            }
+            wake(sleep);
         }
     }
 }
@@ -138,13 +179,7 @@ impl CountLatch {
 impl Latch for CountLatch {
     #[inline]
     fn set(&self) {
-        let prev = self.count.fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "CountLatch underflow");
-        if prev == 1 {
-            if let Some(s) = &self.sleep {
-                s.notify_all();
-            }
-        }
+        self.set_many(1);
     }
 }
 
@@ -156,21 +191,37 @@ impl Probe for CountLatch {
 }
 
 /// A blocking latch for external threads (`ThreadPool::install` callers).
+///
+/// The waiter spins on `done` for the idle policy's budget, then blocks on
+/// the condvar; the setter signals the condvar only if it has blocked.
 pub struct LockLatch {
-    done: Mutex<bool>,
+    done: AtomicBool,
+    /// Whether the waiter has blocked on `cv`. The setter stores `done`
+    /// while holding this mutex, so its unlock is its last access.
+    blocked: Mutex<bool>,
     cv: Condvar,
 }
 
 impl LockLatch {
     pub fn new() -> Self {
-        LockLatch { done: Mutex::new(false), cv: Condvar::new() }
+        LockLatch { done: AtomicBool::new(false), blocked: Mutex::new(false), cv: Condvar::new() }
     }
 
     /// Block the calling thread until `set` is called.
     pub fn wait(&self) {
-        let mut done = self.done.lock().unwrap();
-        while !*done {
-            done = self.cv.wait(done).unwrap();
+        let mut idle = IdleSpin::new();
+        while !self.done.load(Ordering::Acquire) {
+            if !idle.spin() {
+                break;
+            }
+        }
+        // Take the mutex even when the spin saw `done`: the setter stores
+        // it under this mutex, so acquiring the mutex waits out the
+        // setter's unlock, and the caller may free the latch on return.
+        let mut blocked = self.blocked.lock().unwrap();
+        while !self.done.load(Ordering::Acquire) {
+            *blocked = true;
+            blocked = self.cv.wait(blocked).unwrap();
         }
     }
 }
@@ -183,15 +234,21 @@ impl Default for LockLatch {
 
 impl Latch for LockLatch {
     fn set(&self) {
-        let mut done = self.done.lock().unwrap();
-        *done = true;
-        self.cv.notify_all();
+        let blocked = self.blocked.lock().unwrap();
+        self.done.store(true, Ordering::Release);
+        if *blocked {
+            self.cv.notify_all();
+        }
+        // The guard's unlock, here, is the setter's last access to `self`.
     }
 }
 
 impl Probe for LockLatch {
+    /// Through the mutex, like [`wait`](LockLatch::wait): once this
+    /// returns `true`, the setter no longer touches the latch.
     fn probe(&self) -> bool {
-        *self.done.lock().unwrap()
+        let _blocked = self.blocked.lock().unwrap();
+        self.done.load(Ordering::Acquire)
     }
 }
 
@@ -232,15 +289,23 @@ mod tests {
 
     #[test]
     fn lock_latch_cross_thread() {
-        let l = std::sync::Arc::new(LockLatch::new());
-        let l2 = std::sync::Arc::clone(&l);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            l2.set();
-        });
-        l.wait();
-        assert!(l.probe());
-        h.join().unwrap();
+        use std::time::Duration;
+        // A set that lands inside the waiter's spin window, then one that
+        // lands after the waiter has blocked on the condvar.
+        for delay in [Duration::ZERO, Duration::from_millis(5)] {
+            let l = Arc::new(LockLatch::new());
+            let go = Arc::new(std::sync::Barrier::new(2));
+            let (l2, go2) = (Arc::clone(&l), Arc::clone(&go));
+            let h = std::thread::spawn(move || {
+                go2.wait();
+                std::thread::sleep(delay);
+                l2.set();
+            });
+            go.wait();
+            l.wait();
+            assert!(l.probe());
+            h.join().unwrap();
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! cross-lane order, exactly as concurrent injectors already had no
 //! useful order under the old single global queue.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -35,7 +35,7 @@ use crate::inject::{InjectLanes, Lane, QosClass};
 use crate::job::{HeapJob, JobRef, StackJob};
 use crate::latch::{CountLatch, Latch, LockLatch, Probe, SpinLatch};
 use crate::rng::XorShift64Star;
-use crate::sleep::{Sleep, SleepOutcome};
+use crate::sleep::{IdleSpin, Sleep, SleepOutcome};
 use crate::unwind;
 use crate::util::CachePadded;
 
@@ -484,6 +484,17 @@ pub(crate) struct WorkerThread {
     /// finding work. Stretches the next backstop timeout exponentially
     /// (bounded); reset by any real wake or any work found.
     fruitless: Cell<u32>,
+    /// Loops this worker owns in their exclusive phase, innermost last
+    /// ([`WorkerToken::exclusive_owner`]).
+    exclusive: RefCell<Vec<ExclusiveLoop>>,
+}
+
+/// The handshake flags of a loop whose owner claims chunks with plain
+/// stores until an assistant asks to share it
+/// ([`WorkerToken::exclusive_owner`]).
+struct ExclusiveLoop {
+    shared: *const AtomicBool,
+    ack: *const AtomicBool,
 }
 
 impl WorkerThread {
@@ -734,7 +745,8 @@ impl WorkerThread {
     }
 
     /// Execute jobs until `latch` completes, preferring own work, then
-    /// mailbox/injected/stolen work; parks when the whole pool looks idle.
+    /// mailbox/injected/stolen work; parks once the idle policy's spin
+    /// budget is spent ([`IdleSpin`]).
     ///
     /// While parked with the latch unresolved, a watchdog tracks the
     /// pool-wide job counter: if *no* job executes anywhere for the pool's
@@ -744,32 +756,44 @@ impl WorkerThread {
     pub(crate) fn wait_until<L: Probe>(&self, latch: &L) {
         let depth = self.wait_depth.get();
         self.wait_depth.set(depth + 1);
-        let mut idle: u32 = 0;
+        let mut idle = IdleSpin::new();
         // Watchdog state: time and pool-wide job count at the start of the
         // current no-progress window.
         let mut stall: Option<(Instant, u64)> = None;
         while !latch.probe() {
             self.registry.heartbeat(self.index);
+            self.share_exclusive_loops();
             if let Some(job) = self.find_work() {
                 unsafe { job.execute() };
-                idle = 0;
+                idle.reset();
                 stall = None;
-                continue;
-            }
-            idle += 1;
-            if idle < 4 {
-                std::hint::spin_loop();
-            } else {
-                // On oversubscribed hosts, yielding quickly is essential.
-                std::thread::yield_now();
-                if idle >= 16 {
-                    let reg = &self.registry;
-                    self.park(|| latch.probe() || reg.has_visible_work(self.index));
-                    self.check_stall(&mut stall);
-                }
+            } else if !idle.spin() {
+                let reg = &self.registry;
+                self.park(|| latch.probe() || reg.has_visible_work(self.index));
+                self.check_stall(&mut stall);
             }
         }
         self.wait_depth.set(depth);
+    }
+
+    /// Hand every loop this worker owns in its exclusive phase over to
+    /// shared claiming: store `shared`, then `ack`. Called before a wait
+    /// runs any job (`wait_until`, and `join`'s pop of a job other than its
+    /// own second half), so no assistant of those loops — this worker
+    /// included, through a handle its wait pops or steals back — spins on
+    /// an `ack` that only the blocked frame below could store. The owner
+    /// sees `shared` at its next chunk boundary and claims by CAS from
+    /// then on; `ack`'s Release publishes its last plain cursor store.
+    pub(crate) fn share_exclusive_loops(&self) {
+        let mut loops = self.exclusive.borrow_mut();
+        for l in loops.drain(..) {
+            // SAFETY: an entry lives only inside its `exclusive_owner`
+            // call, whose caller keeps both flags alive across it.
+            unsafe {
+                (*l.shared).store(true, Ordering::Release);
+                (*l.ack).store(true, Ordering::Release);
+            }
+        }
     }
 
     /// One watchdog tick: reset the window if the pool executed any job
@@ -907,9 +931,11 @@ impl WorkerThread {
         exit
     }
 
-    /// The body of the worker loop: find work, execute, park when idle.
+    /// The body of the worker loop: find work, execute, park once the
+    /// idle policy's spin budget is spent.
     fn run_loop(&self) -> LoopExit {
         let reg = Arc::clone(&self.registry);
+        let mut idle = IdleSpin::new();
         loop {
             // Self-heal *before* the terminate check, so a pool dropped
             // with a quarantined worker still exits through the healed
@@ -945,8 +971,8 @@ impl WorkerThread {
             }
             if let Some(job) = self.find_work() {
                 unsafe { job.execute() };
-            } else {
-                std::thread::yield_now();
+                idle.reset();
+            } else if !idle.spin() {
                 self.park(|| {
                     reg.terminate.load(Ordering::Acquire) || reg.has_visible_work(self.index)
                 });
@@ -998,6 +1024,7 @@ fn worker_entry(
         rng: XorShift64Star::new(seed),
         wait_depth: Cell::new(0),
         fruitless: Cell::new(0),
+        exclusive: RefCell::new(Vec::new()),
     };
     WORKER.with(|c| c.set(&wt as *const WorkerThread));
     let exit = wt.main_loop();
@@ -1552,6 +1579,39 @@ impl WorkerToken {
     /// Work-first wait: execute available jobs until `latch` completes.
     pub fn wait_until<L: Probe>(&self, latch: &L) {
         self.worker().wait_until(latch)
+    }
+
+    /// Run `f` as the owner of a loop in its *exclusive phase*: the owner
+    /// claims chunks with plain stores, and an assistant that registers
+    /// stores `shared`, then spins until the owner stores `ack` at a chunk
+    /// boundary. If this worker waits before `f` returns — `wait_until`,
+    /// or a `join` whose second half was stolen — it first stores
+    /// `shared`, then `ack`, so the owner must re-check `shared` after
+    /// every chunk and claim by CAS once it is set. Without this, the
+    /// wait could run the loop's own assist handle, and that assistant
+    /// would spin forever on an `ack` only the waiting frame can store.
+    pub fn exclusive_owner<R>(
+        &self,
+        shared: &AtomicBool,
+        ack: &AtomicBool,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        /// Drops this call's entry (or finds it already handed over),
+        /// also when `f` unwinds.
+        struct Pop<'a>(&'a RefCell<Vec<ExclusiveLoop>>, usize);
+        impl Drop for Pop<'_> {
+            fn drop(&mut self) {
+                self.0.borrow_mut().truncate(self.1);
+            }
+        }
+        let loops = &self.worker().exclusive;
+        let depth = {
+            let mut v = loops.borrow_mut();
+            v.push(ExclusiveLoop { shared, ack });
+            v.len() - 1
+        };
+        let _pop = Pop(loops, depth);
+        f()
     }
 
     /// Record a scheduler event on behalf of this worker. One untaken

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::job::HeapJob;
-use crate::latch::{CountLatch, Latch, LockLatch, Probe};
+use crate::latch::{CountLatch, Latch};
 use crate::registry::{Registry, SendPtr, WorkerThread};
 use crate::unwind;
 
@@ -123,13 +123,6 @@ impl<'scope> Scope<'scope> {
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
     }
-}
-
-/// Block an *external* thread until `latch` opens (used in tests).
-#[allow(dead_code)]
-pub(crate) fn lock_wait(latch: &LockLatch) {
-    latch.wait();
-    debug_assert!(latch.probe());
 }
 
 #[cfg(test)]

@@ -1,8 +1,28 @@
-//! Worker sleep/wake machinery: an event-counter protocol with targeted
-//! wakes and an exponentially backed-off timeout backstop.
+//! Worker sleep/wake machinery: the idle policy, an event-counter protocol
+//! with targeted wakes, and an exponentially backed-off timeout backstop.
 //!
-//! Idle workers spin briefly, then block on a condvar. The protocol keeps
-//! the common (busy) path cheap and makes lost wakeups impossible:
+//! **Idle policy.** A thread with nothing to run keeps polling, with a
+//! `yield_now` between polls, until [`SPIN_BUDGET`] (20 µs) has passed
+//! since its first empty poll; only then does it block. [`IdleSpin`] is
+//! the one place this is decided, for all three waits: an idle worker
+//! (`run_loop`), a worker waiting on a latch (`wait_until`), and an
+//! external `install` caller ([`LockLatch::wait`](crate::LockLatch::wait)).
+//! The budget restarts when the thread finds work or comes back from
+//! blocking, so every block follows a full budget of empty polls. A worker
+//! woken for a job that a still-spinning worker took first therefore
+//! spins again instead of blocking at once; otherwise the loser of that
+//! race would take one OS wake per job.
+//!
+//! The budget is about one OS block-and-wake on a 2-vCPU host, the
+//! break-even point of competitive spinning (Karlin, Li, Manasse &
+//! Owicki, SOSP 1991): work that arrives within it costs no futex
+//! sleep/wake pair, and a longer idle spell wastes at most as much CPU as
+//! one wake costs. A spinning worker is not announced as a sleeper, so a
+//! waker that publishes work while every idle worker still spins skips
+//! the sleep lock and the notify.
+//!
+//! Blocked workers sleep on a condvar. The protocol keeps the common
+//! (busy) path cheap and makes lost wakeups impossible:
 //!
 //! * **Sleepers** announce themselves (`sleepers += 1`), read the events
 //!   epoch, and then — *under the sleep lock* — re-check for work and for
@@ -64,7 +84,43 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long an idle thread keeps polling before it blocks (module docs).
+pub(crate) const SPIN_BUDGET: Duration = Duration::from_micros(20);
+
+/// The idle policy: poll, yielding between polls, for [`SPIN_BUDGET`]
+/// after the first empty poll; then block.
+pub(crate) struct IdleSpin {
+    /// When the current idle spell began: the first empty poll since the
+    /// thread last found work or blocked.
+    since: Option<Instant>,
+}
+
+impl IdleSpin {
+    pub(crate) fn new() -> Self {
+        IdleSpin { since: None }
+    }
+
+    /// The last poll found work: the next empty poll starts a new budget.
+    pub(crate) fn reset(&mut self) {
+        self.since = None;
+    }
+
+    /// The last poll found nothing. While the budget lasts, yield and
+    /// return `true` (poll again); once it is spent, return `false`
+    /// (block), and start a new budget for the polls after the block.
+    pub(crate) fn spin(&mut self) -> bool {
+        let now = Instant::now();
+        if now.duration_since(*self.since.get_or_insert(now)) < SPIN_BUDGET {
+            std::thread::yield_now();
+            true
+        } else {
+            self.since = None;
+            false
+        }
+    }
+}
 
 /// Default base interval of the timeout backstop (the first, un-backed-off
 /// sleep bound). [`ThreadPoolBuilder`](crate::ThreadPoolBuilder) can
@@ -242,6 +298,23 @@ mod tests {
         let outcome = s.sleep(|| flag.load(Ordering::Acquire), MAX_BACKOFF_SHIFT);
         assert_eq!(outcome, SleepOutcome::NotBlocked);
         assert!(start.elapsed() < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn idle_spin_blocks_only_after_the_budget() {
+        let mut idle = IdleSpin::new();
+        let start = Instant::now();
+        let mut polls = 0;
+        while idle.spin() {
+            polls += 1;
+        }
+        assert!(start.elapsed() >= SPIN_BUDGET);
+        assert!(polls >= 1, "the first empty poll must not block");
+        assert!(idle.spin(), "the polls after a block get a new budget");
+        // Spend that budget too; only finding work restarts it early.
+        std::thread::sleep(SPIN_BUDGET * 2);
+        idle.reset();
+        assert!(idle.spin(), "finding work restarts the budget");
     }
 
     #[test]

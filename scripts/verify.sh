@@ -4,8 +4,8 @@
 # Every test target runs under one fixed time limit, so a hang fails fast
 # with the target named instead of wedging CI.
 #
-#   --quick   skip the chaos stress sweep, the bench gates and the asm
-#             check (fast pre-commit loop)
+#   --quick   skip loopbench's tests, the chaos stress sweep, the bench
+#             gates and the asm check (fast pre-commit loop)
 #   --asm     only run the leaf-vectorization disassembly check
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -74,6 +74,12 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release --offline --workspace
 
+# loopbench (the BENCHMARK.json benchmark) is a workspace of its own, so
+# the workspace build above never compiles it, yet it calls the runtime's
+# public latch and pool API.
+echo "== loopbench build --release =="
+cargo build --release --offline --manifest-path loopbench/Cargo.toml
+
 # Dangling intra-doc links (e.g. to a deleted public item) fail here
 # instead of rotting in the rendered docs.
 echo "== cargo doc -D warnings =="
@@ -120,6 +126,11 @@ echo "-- doc tests"
 run_limited "doc tests" cargo test -q --offline --workspace --doc
 
 if [ "$QUICK" -eq 0 ]; then
+  # loopbench's CLI tests: short runs of every workload, each checking
+  # that every declared metric prints with its unit.
+  echo "== loopbench tests =="
+  run_limited "loopbench tests" cargo test -q --offline --manifest-path loopbench/Cargo.toml
+
   # Chaos stress: a reduced seed sweep of the fault-injection layer on top
   # of the default run already included in the workspace tests above.
   echo "== chaos stress (CHAOS_SEEDS=16) =="
@@ -193,6 +204,7 @@ if [ "$QUICK" -eq 0 ]; then
   # to packed SIMD in release (also runnable alone via `verify.sh --asm`).
   asm_check
 else
+  echo "== loopbench tests skipped (--quick) =="
   echo "== chaos stress skipped (--quick) =="
   echo "== inject_bench skipped (--quick) =="
   echo "== split_bench skipped (--quick) =="

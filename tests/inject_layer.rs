@@ -18,6 +18,9 @@
 //! * **Idle wake-rate backoff** — an idle pool's backstop wake rate drops
 //!   at least 10x below the old fixed-interval polling rate, while a late
 //!   `install` is still served promptly.
+//! * **Spin before blocking** — back-to-back installs reach workers that
+//!   are still inside the idle policy's 20 µs spin budget, so most of them
+//!   cost no OS wake.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -25,8 +28,9 @@ use std::time::{Duration, Instant};
 
 use parloop::{FaultAction, FaultInjector, QosClass, Site, ThreadPool, ThreadPoolBuilder};
 
-/// Let every worker reach its parked state: they spin/yield for a few
-/// iterations before blocking, so a short idle interval suffices.
+/// Let every worker reach its parked state: an idle worker polls for the
+/// runtime's spin budget (`SPIN_BUDGET`, 20 µs) before blocking, so a
+/// short idle interval suffices.
 fn let_pool_park() {
     std::thread::sleep(Duration::from_millis(50));
 }
@@ -68,10 +72,18 @@ fn fence_audit_lane_demotions_never_lose_a_wake() {
         ThreadPoolBuilder::new().num_workers(2).backstop_interval(Duration::from_secs(10)).build();
     pool.install(|| {});
     for round in 0..200 {
-        // Vary the pre-inject idle time so the injection lands at every
-        // stage of the park sequence: mid-spin, announcing, under the
-        // sleep lock, and fully blocked.
-        std::thread::sleep(Duration::from_micros(50 * (round % 20)));
+        // Vary the pre-inject idle time over the 20 µs spin budget in 1 µs
+        // steps (0–40 µs), then past it (100–900 µs), so the injection
+        // lands at every stage of the idle sequence: mid-spin, at the
+        // spin-to-announce edge, under the sleep lock, and fully blocked.
+        // A busy-wait: a sleep this short overshoots by the OS timer slack
+        // (~50 µs on Linux).
+        let phase = round % 50;
+        let idle = Duration::from_micros(if phase <= 40 { phase } else { 100 * (phase - 40) });
+        let t = Instant::now();
+        while t.elapsed() < idle {
+            std::hint::spin_loop();
+        }
         let start = Instant::now();
         assert_eq!(pool.install(move || round + 1), round + 1);
         assert!(
@@ -80,6 +92,26 @@ fn fence_audit_lane_demotions_never_lose_a_wake() {
             start.elapsed()
         );
     }
+}
+
+#[test]
+fn back_to_back_installs_mostly_skip_the_os_wake() {
+    // Each install's job finishes, and the caller issues the next one,
+    // well within the workers' spin budget, so a spinning worker takes it
+    // without being notified. Workers that blocked after one failed sweep
+    // would take a notified wake for nearly every install; the bound sits
+    // halfway.
+    let pool = ThreadPoolBuilder::new().num_workers(2).build();
+    let notified = || -> u64 { pool.worker_stats().iter().map(|w| w.notified_wakes).sum() };
+    for _ in 0..100 {
+        pool.install(|| {});
+    }
+    let before = notified();
+    for i in 0..2000u64 {
+        assert_eq!(pool.install(move || i + 1), i + 1);
+    }
+    let wakes = notified() - before;
+    assert!(wakes < 1000, "{wakes} notified wakes for 2000 back-to-back installs");
 }
 
 #[test]

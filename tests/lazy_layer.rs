@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use common::run_cases;
 use parloop::chaos::{PlannedInjector, Site, RATE_DENOM};
 use parloop::core::lazy_for_chunks;
+use parloop::runtime::{Latch, WorkerToken};
 use parloop::{par_for_chunks, Schedule, ThreadPool, ThreadPoolBuilder};
 
 fn seed_count() -> u64 {
@@ -89,6 +90,48 @@ fn nested_lazy_loops_cover_exactly_once() {
         });
     });
     assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+}
+
+/// An owner that waits inside its own exclusive-phase chunk must not
+/// deadlock on its own assist handle. The other worker adopts the loop's
+/// handle, re-publishes it and spins on `ack`; the owner's first chunk
+/// then waits on a latch that only the loop's last chunk sets, and that
+/// wait steals the re-published handle back. Unless the wait first hands
+/// the loop over to shared claiming (stores `shared` and `ack`), the
+/// owner spins on an `ack` that only its own blocked chunk could store.
+/// The pool runs on a helper thread, so a deadlock fails the test instead
+/// of hanging it.
+#[test]
+fn owner_waiting_in_its_chunk_survives_stealing_its_own_handle() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let pool = ThreadPool::new(2);
+        let n = 4;
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        pool.install(|| {
+            let worker = || WorkerToken::current().expect("runs on a pool worker");
+            let last_chunk_ran = worker().count_latch(1);
+            lazy_for_chunks(0..n, 1, &|chunk| {
+                if chunk.start == 0 {
+                    // The owner's first chunk: the other worker has adopted
+                    // the handle and can claim nothing until `ack`.
+                    while pool.stats().assist_joins < 1 {
+                        std::thread::yield_now();
+                    }
+                    worker().wait_until(&last_chunk_ran);
+                }
+                if chunk.end == n {
+                    last_chunk_ran.set();
+                }
+                for i in chunk {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        });
+        let _ = tx.send(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    });
+    let outcome = rx.recv_timeout(Duration::from_secs(10));
+    assert_eq!(outcome, Ok(true), "the loop deadlocked or missed an iteration");
 }
 
 /// The lazy engine under the hybrid scheduler with oversubscribed
