@@ -16,12 +16,16 @@
 //!   the time is pure splitting overhead (best-of-reps; multi-worker
 //!   timing on a time-shared host measures the OS scheduler, not the
 //!   splitter). `--smoke` shrinks `n`.
-//! * **per-loop floor (`floor/lazy/*`)** — ns per near-empty loop (64
-//!   iterations, grain 16: the body is negligible, so the timing *is* the
-//!   per-loop fixed cost) at P = 1/2/4. Timed *inside* one `install`, so
-//!   the injection round-trip is excluded and only the loop machinery is
-//!   measured. Report-only: on an oversubscribed host the P > 1 floors
-//!   time the OS scheduler.
+//! * **per-loop floors (`floor/lazy/*`, `floor/hybrid/*`)** — ns per
+//!   near-empty loop (64 iterations, grain 16: the body is negligible, so
+//!   the timing *is* the per-loop fixed cost) at P = 1/2/4, for
+//!   `lazy_for_chunks` and for `par_for_chunks` under `Schedule::hybrid()`.
+//!   Timed *inside* one `install`, so the injection round-trip is excluded
+//!   and only the loop machinery is measured. Each floor also reports its
+//!   deque pushes per loop: a loop publishes only when a peer is idle at
+//!   one of its chunk boundaries, so pushes per loop tell how often the
+//!   floor paid for a publish. Report-only: on an oversubscribed host the
+//!   P > 1 floors time the OS scheduler.
 //!
 //! Usage: `cargo run --release -p parloop-bench --bin split_bench
 //! [--smoke] [--bench-json PATH]`
@@ -34,7 +38,7 @@
 use std::ops::Range;
 
 use parloop_bench::{bench_json_arg, merge_bench_json, time_best_ns, Table};
-use parloop_core::lazy_for_chunks;
+use parloop_core::{lazy_for_chunks, par_for_chunks, Schedule};
 use parloop_runtime::ThreadPool;
 
 /// `PoolStats` deltas from running `loops` identical lazy loops.
@@ -84,13 +88,16 @@ fn measure_time(pool: &ThreadPool, n: usize, grain: usize, reps: usize) -> TimeR
     TimeRow { grain, ns_per_iter: ns / n as f64 }
 }
 
-/// Per-loop fixed cost at one worker count: ns per near-empty loop.
+/// Per-loop fixed cost of one engine at one worker count: ns per
+/// near-empty loop, and the deque pushes per loop behind it.
 struct FloorRow {
+    engine: &'static str,
     workers: usize,
     ns: f64,
+    pushes_per_loop: f64,
 }
 
-fn measure_floor(workers: usize, reps: usize) -> FloorRow {
+fn measure_floor(engine: &'static str, workers: usize, reps: usize) -> FloorRow {
     // 64 iterations at grain 16: four chunks of trivial work, so the
     // timing is dominated by the per-loop machinery, not the body.
     let n = 64usize;
@@ -102,14 +109,22 @@ fn measure_floor(workers: usize, reps: usize) -> FloorRow {
     let body = |chunk: Range<usize>| {
         std::hint::black_box(chunk.len());
     };
+    let one_loop = || match engine {
+        "lazy" => lazy_for_chunks(0..n, grain, &body),
+        _ => par_for_chunks(&pool, 0..n, Schedule::hybrid().with_grain(grain), body),
+    };
+    let before = pool.stats().jobs_pushed;
     let ns = pool.install(|| {
         time_best_ns(reps, || {
             for _ in 0..LOOPS {
-                lazy_for_chunks(0..n, grain, &body);
+                one_loop();
             }
         })
     });
-    FloorRow { workers, ns: ns / LOOPS as f64 }
+    // `time_best_ns` runs one warmup rep before the `reps` timed ones.
+    let loops = ((reps.max(1) + 1) * LOOPS) as f64;
+    let pushes_per_loop = (pool.stats().jobs_pushed - before) as f64 / loops;
+    FloorRow { engine, workers, ns: ns / LOOPS as f64, pushes_per_loop }
 }
 
 fn main() {
@@ -160,10 +175,18 @@ fn main() {
 
     // Per-loop fixed cost at P = 1/2/4 (the paper's Fig. 1 latency-floor
     // measurement, which `split/lazy/*` ns/iter amortizes away).
-    let floors: Vec<FloorRow> = [1usize, 2, 4].iter().map(|&p| measure_floor(p, reps)).collect();
-    let mut t = Table::new(vec!["workers", "ns/loop"]);
+    let floors: Vec<FloorRow> = ["lazy", "hybrid"]
+        .iter()
+        .flat_map(|&engine| [1usize, 2, 4].map(|p| measure_floor(engine, p, reps)))
+        .collect();
+    let mut t = Table::new(vec!["engine", "workers", "ns/loop", "pushes/loop"]);
     for f in &floors {
-        t.row(vec![f.workers.to_string(), format!("{:.1}", f.ns)]);
+        t.row(vec![
+            f.engine.to_string(),
+            f.workers.to_string(),
+            format!("{:.1}", f.ns),
+            format!("{:.3}", f.pushes_per_loop),
+        ]);
     }
     println!();
     t.print();
@@ -176,7 +199,7 @@ fn main() {
 
     if let Some(path) = &bench_json {
         merge_bench_json(path, &bench_entries(&samples, &rows, &floors));
-        println!("merged split/lazy/* and floor/lazy/* series into {path}");
+        println!("merged split/lazy/*, floor/lazy/* and floor/hybrid/* series into {path}");
     }
 
     // Acceptance bars: the push bounds are counting identities —
@@ -203,9 +226,9 @@ fn main() {
     println!("ok: lazy splitting bounds pushes by steals+1 per loop");
 }
 
-/// The `split/lazy/*` and `floor/lazy/*` series for the flat cross-commit
-/// file: one `{name, value, unit}` entry per measured quantity, names
-/// stable across commits.
+/// The `split/lazy/*`, `floor/lazy/*` and `floor/hybrid/*` series for the
+/// flat cross-commit file: one `{name, value, unit}` entry per measured
+/// quantity, names stable across commits.
 fn bench_entries(
     samples: &[PushSample],
     rows: &[TimeRow],
@@ -227,7 +250,11 @@ fn bench_entries(
         ));
     }
     for f in floors {
-        entries.push((format!("floor/lazy/p{}", f.workers), format!("{:.1}", f.ns), "ns_per_loop"));
+        entries.push((
+            format!("floor/{}/p{}", f.engine, f.workers),
+            format!("{:.1}", f.ns),
+            "ns_per_loop",
+        ));
     }
     entries
 }
@@ -272,9 +299,11 @@ fn render_json(
     s.push_str("  \"floor_ns_per_loop\": [\n");
     for (k, f) in floors.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"workers\": {}, \"lazy\": {:.1}}}{}\n",
+            "    {{\"engine\": \"{}\", \"workers\": {}, \"ns\": {:.1}, \"pushes_per_loop\": {:.3}}}{}\n",
+            f.engine,
             f.workers,
             f.ns,
+            f.pushes_per_loop,
             if k + 1 < floors.len() { "," } else { "" }
         ));
     }

@@ -417,8 +417,8 @@ impl PlannedInjector {
     }
 
     /// Decide calls at one specific site so far. Lets tests assert that a
-    /// site was *never consulted* (e.g. `Site::AssistClaim` on the
-    /// single-worker bypass), which `queries_total` cannot distinguish.
+    /// site was *never consulted* (e.g. `Site::AssistClaim` on a
+    /// 1-worker pool), which `queries_total` cannot distinguish.
     pub fn queries_at(&self, site: Site) -> u64 {
         self.queries[site.index()].0.load(Ordering::Relaxed)
     }

@@ -33,6 +33,27 @@
 //! is boxed to cross `spawn_local`), i.e. once per protocol steal instead
 //! of once per iteration.
 //!
+//! # Publishing only when a peer is idle
+//!
+//! A frame no thief can take buys nothing, so the table, latch and frame
+//! of step 1 are built only when some other worker of the pool is idle
+//! ([`WorkerToken::peer_idle`]). Until then the initiator runs grain-sized
+//! chunks of the range itself — no allocation, read-modify-write or push,
+//! one `Relaxed` load of the idle count per chunk. At the first chunk
+//! boundary with an idle peer, the *remainder* runs through steps 1–3
+//! with `R` partitions of its own, so Theorem 3 and Lemma 4 hold on it
+//! exactly as on a whole loop. A loop issued while a worker is idle — any
+//! loop issued from outside to a resting pool — publishes its frame
+//! before its first iteration, as the paper's `DoHybridLoop` does; only
+//! loops issued by busy workers change. A loop with a cancel token, or on
+//! a pool with fault injection, takes steps 1–3 from its first iteration:
+//! the cancel drain needs the table, and the `FramePublish`, `Claim` and
+//! `PartitionBody` sites stay exercised.
+//!
+//! A loop that completes uncontended reports its `R` partitions with no
+//! adoptions or failed claims. If a body panics there, every partition
+//! none of whose iterations reached the body counts as skipped.
+//!
 //! # Completion-path ordering (fence audit)
 //!
 //! The only synchronization the initiator's return depends on is the
@@ -74,7 +95,7 @@ use parloop_runtime::{
 };
 
 use crate::claim::{locality_earmark, partitions_oversubscribed, ClaimTable, ClaimWalker};
-use crate::lazy::lazy_for_chunks;
+use crate::lazy::{lazy_for_chunks, run_uncontended};
 use crate::range::block_bounds;
 use crate::schedule::{LoopError, LoopReport};
 use crate::util::SendPtr;
@@ -178,7 +199,10 @@ impl Drop for LatchBatch<'_> {
 
 /// Execute `body` over chunks of `range` with the hybrid scheme and
 /// `R = next_pow2(P · oversub)` partitions (the paper's general-`R`
-/// setting, Theorem 5). Must be called on a pool worker (`token`).
+/// setting, Theorem 5). Must be called on a pool worker (`token`). Without
+/// a cancel token or fault injection, the loop runs uncontended until a
+/// peer is idle and then hands its remainder to the hybrid scheme (module
+/// docs).
 ///
 /// Panics are returned rather than resumed, and the loop observes
 /// `cancel` cooperatively. Exactly-once (Theorem 3) is preserved for the
@@ -200,23 +224,35 @@ pub(crate) fn hybrid_for<F>(
 where
     F: Fn(Range<usize>) + Sync,
 {
-    let n = range.len();
     let p = token.num_workers();
     let r_parts = partitions_oversubscribed(p, oversub);
-
-    // Single-partition bypass: with R = 1 (which implies P = 1) the whole
-    // loop is one partition earmarked for the initiator, and no thief
-    // exists to adopt a frame — the claim table, latch, and frame publish
-    // buy nothing. Skipped when chaos is enabled (so the FramePublish /
-    // Claim / PartitionBody sites stay exercised on one-worker pools) or
-    // a cancel token is present (the cancel drain path needs the table).
-    if r_parts == 1 && cancel.is_none() && !token.chaos_enabled() {
-        let report = LoopReport { partitions: 1, ..LoopReport::default() };
-        return match catch_unwind(AssertUnwindSafe(|| lazy_for_chunks(range, grain, body))) {
-            Ok(()) => Ok(report),
-            Err(payload) => Err(LoopError::Panicked { report, payload }),
-        };
+    let mut lo = range.start;
+    if cancel.is_none() && !token.chaos_enabled() {
+        let tracing = token.tracing_enabled();
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_uncontended(&token, tracing, &mut lo, range.end, grain.max(1), body)
+        }));
+        if let Err(payload) = run {
+            // `lo` is the end of the chunk that panicked: partitions that
+            // start at or past it never reached the body.
+            let n = range.len();
+            let skipped = (0..r_parts)
+                .filter(|&part| range.start + block_bounds(n, r_parts, part).start >= lo)
+                .count();
+            let report = LoopReport {
+                partitions: r_parts,
+                skipped_partitions: skipped,
+                ..LoopReport::default()
+            };
+            return Err(LoopError::Panicked { report, payload });
+        }
+        if lo == range.end {
+            return Ok(LoopReport { partitions: r_parts, ..LoopReport::default() });
+        }
     }
+    // A peer is idle (or the loop needs the table): publish the remainder.
+    let range = lo..range.end;
+    let n = range.len();
 
     let state = Arc::new(HybridState {
         table: ClaimTable::new(r_parts),

@@ -8,104 +8,99 @@
 //! `~n/g` deque round-trips even when zero steals occur. The paper's
 //! Corollary 6 only needs chunks to be *stealable*, not pre-split; this
 //! module splits only when a thief actually arrives (the work-assisting
-//! idea):
+//! idea), and publishes the loop at all only when a thief exists.
+//!
+//! ## Publish only when a peer is idle
+//!
+//! A loop starts **uncontended**: the issuing worker runs grain-sized
+//! chunks itself, with no allocation, no read-modify-write and no deque
+//! push, and reads the pool's idle count once per chunk
+//! ([`WorkerToken::peer_idle`], one `Relaxed` load). While no other worker
+//! is idle, nobody could take a published piece of the loop anyway. At the
+//! first chunk boundary where a peer is idle, the rest of the range is
+//! **promoted** to a coordinated loop (below), which that peer can steal
+//! into. A loop issued while a peer is idle is promoted before its first
+//! chunk; a loop on a one-worker pool never is. Chunk trace brackets fire
+//! on both paths, and a body panic propagates to the caller on both.
+//!
+//! The price is a promotion delay: a worker that goes idle waits for the
+//! chunk the owner is running to return before it can join. If that chunk
+//! blocks in a nested wait, the remainder stays unpublished until the
+//! chunk returns.
+//!
+//! **Body contract.** A chunk body must not wait for a later chunk of its
+//! own loop. Uncontended, the later chunk runs only after this one
+//! returns, so such a body deadlocks — as it does off-pool, under serial
+//! elision.
+//!
+//! ## The coordinated loop
 //!
 //! * The remaining range lives in **one packed atomic**
 //!   (`u64 = end << 32 | cursor`, loop-relative 32-bit iteration indices).
 //!   Claiming a chunk advances `cursor` by at most `grain`, clamped to
 //!   `end`, so claims are monotone and never overshoot.
-//! * The **owner** peels grain-sized chunks with a single atomic op each.
-//!   While no assistant is registered (`shared` unset) the owner is the
-//!   packed word's only writer: a plain load plus one release store per
-//!   chunk — no CAS, no fence beyond the store.
+//! * Every participant — the owner and each assistant — claims
+//!   grain-sized chunks by CAS on the packed word. A coordinated loop
+//!   exists only when a taker is present, so the owner has no
+//!   single-writer phase to protect and claims by CAS from its first
+//!   chunk.
 //! * Exactly **one** stealable **assist handle** job sits in a deque. A
-//!   thief that executes it *registers* (bumps `working`, sets `shared`,
-//!   waits for the owner's `ack`), re-publishes the handle on its own
-//!   deque so further thieves can join, and then claims chunks from the
-//!   same cursor via CAS. Deque pushes per loop are therefore
+//!   thief that executes it *registers* (bumps `working`), re-publishes
+//!   the handle on its own deque so further thieves can join, and claims
+//!   chunks from the same cursor. Deque pushes per loop are therefore
 //!   `O(assists + 1)`, not `O(n/grain)`.
 //!
-//! ## The exclusive→shared transition
-//!
-//! The owner's plain-store fast path is only sound while it is the single
-//! writer. A registering assistant therefore never touches the cursor
-//! until the owner has *acknowledged* the transition: the assistant sets
-//! `shared` (release) and spins on `ack`; the owner checks `shared` once
-//! per chunk and, on observing it, sets `ack` (release) and switches
-//! permanently to CAS claiming. The owner also sets `ack` unconditionally
-//! when it exits, so an assistant that registers after the owner's last
-//! chunk never spins forever. The release/acquire pair on `ack` makes the
-//! owner's last plain cursor store visible to the assistant's first CAS.
-//!
-//! The owner can also *wait* inside a chunk: a nested loop's latch, a
-//! `join` whose other half was stolen. That wait runs jobs, and one of
-//! them can be this loop's own assist handle, popped from the owner's
-//! deque or stolen back from an assistant that re-published it. Its
-//! registrant would spin on an `ack` that only the waiting frame below
-//! it can store: a deadlock. So the owner runs its exclusive phase inside
-//! `WorkerToken::exclusive_owner`, and any wait on that worker first
-//! stores `shared`, then `ack`, for every loop it owns in that phase. An
-//! `ack` spin therefore only ever waits on an owner running a chunk body,
-//! never on a blocked one.
+//! No participant spins on another: the owner's one wait, on the loop's
+//! latch, runs other jobs while it waits. The owner can also wait *inside* a
+//! chunk — a nested loop's latch, a `join` whose other half was stolen —
+//! and that wait may run this loop's own assist handle, popped from the
+//! owner's deque or stolen back from an assistant that re-published it.
+//! The handle just claims what is left of the cursor and returns, so the
+//! self-adoption cycle of an owner-acknowledged handshake cannot form.
 //!
 //! ## Exactly-once and completion
 //!
-//! A chunk executes iff its claim advanced the cursor (a release store in
-//! the exclusive phase, a successful CAS afterwards); the cursor is
+//! A chunk executes iff its CAS advanced the cursor; the cursor is
 //! monotone, so no index can be claimed twice, and participants stop at
-//! `cursor == end`, so none is dropped. Completion uses a `working`
-//! participant count (the owner starts at 1, every registering assistant
-//! adds 1 *before* its first claim): whoever decrements it to zero sets
-//! the loop's one-count latch (guarded so late no-op adoptions of a stale
-//! handle cannot set it twice). The owner blocks on the latch — with zero
-//! steals it decremented last itself and the wait is a single probe — and
+//! `cursor == end`, so none is dropped. The uncontended run and the
+//! promoted remainder split the range at one chunk boundary, and only the
+//! owner runs the former. Completion uses a `working` participant count
+//! (the owner starts at 1, every registering assistant adds 1 *before*
+//! its first claim): whoever decrements it to zero sets the loop's
+//! one-count latch (guarded so late no-op adoptions of a stale handle
+//! cannot set it twice). The owner blocks on the latch — with zero steals
+//! it decremented last itself and the wait is a single probe — and
 //! re-raises the first captured panic. Panics poison the loop: the
 //! panicking participant drains the cursor to `end`, so sibling
 //! participants run dry promptly, the latch still resolves, and the body
 //! pointer is never dereferenced after the owner returns.
 //!
 //! Chaos site [`Site::AssistClaim`] forces CAS losses (the participant
-//! re-reads and retries exactly as if another assistant had won the race;
-//! consecutive forced losses are capped at one so rate-1 plans still make
-//! progress), delays, and one-shot panics inside the claim loop.
-//!
-//! ## The single-worker bypass
-//!
-//! Every piece above exists to coordinate with *thieves*, and a P = 1
-//! pool cannot have any: the assist handle is only reachable by stealing,
-//! and this worker — the only one — is busy running the loop. So with one
-//! worker the loop skips the coordinator allocation, the latch, the
-//! handshake and the claim machinery entirely and runs as a plain chunked
-//! call ([`lazy_for_chunks`] dispatches to `run_uncontended`). Observable
-//! behaviour is unchanged: chunk trace brackets still fire, panics still
-//! propagate to the caller, and `Site::AssistClaim` is — as on the
-//! coordinator path with zero assists — never consulted. The branch pays
-//! for itself: at P = 1 the coordinator costs 69.0 ns per near-empty loop
-//! against 10.9 for the bypass (`floor/lazy_coord/p1` vs `floor/lazy/p1`
-//! in `BENCH_parloop.json`).
+//! re-reads and retries exactly as if another participant had won the
+//! race; consecutive forced losses are capped at one so rate-1 plans
+//! still make progress), delays, and one-shot panics inside the claim
+//! loop. It is consulted by every participant of a coordinated loop and
+//! never in the uncontended run.
 //!
 //! ## Memory-ordering audit (per-site happens-before arguments)
 //!
-//! * `shared`/`ack` handshake: the assistant's `shared` release store is
-//!   paired with the owner's acquire load; the owner's `ack` release store
-//!   is paired with the assistant's acquire spin. The second pair is the
-//!   load-bearing one: the owner's *last plain cursor store* precedes its
-//!   `ack` store in program order, so the release/acquire edge on `ack`
-//!   makes that store visible before the assistant's first CAS. Neither
-//!   flag needs SeqCst — each direction of the handshake is a one-way
-//!   message, not a Dekker-style mutual exclusion.
-//! * Cursor claims: the exclusive-phase plain load may be Relaxed (the
-//!   owner is the only writer until it acknowledges `shared`); the release
-//!   store / AcqRel CAS publish each claim so a later claimant's acquire
-//!   load sees every prior advance.
+//! * The idle-count read is `Relaxed`: it only decides *whether* to
+//!   publish. A stale read delays a promotion by one chunk or promotes a
+//!   loop nobody assists; exactly-once rests on the cursor CAS either way
+//!   (argument in `parloop_runtime`'s registry docs).
+//! * Cursor claims: the AcqRel CAS publishes each claim, so a later
+//!   claimant's acquire load sees every prior advance. The coordinator is
+//!   initialized before its handle is pushed, and the deque's push/steal
+//!   release/acquire pair makes the initial cursor word visible to an
+//!   assistant's first load.
 //! * `working`/`finished`/latch: `exit_participant`'s AcqRel `fetch_sub`
 //!   is the completion edge — the Release half publishes this
 //!   participant's chunk writes, and the final decrementer's Acquire half
 //!   (plus the latch-probe acquire in the owner) pulls in all of them
 //!   before `lazy_for_chunks` returns.
 //! * `poisoned` is read Relaxed: it is a promptness hint only (see the
-//!   comments at the two load sites); correctness rests on the drained
-//!   cursor and the panic mutex.
+//!   comment at its load site); correctness rests on the drained cursor
+//!   and the panic mutex.
 
 use std::any::Any;
 use std::ops::Range;
@@ -128,11 +123,10 @@ fn unpack(packed: u64) -> (u64, u64) {
     (packed & 0xFFFF_FFFF, packed >> 32)
 }
 
-/// Shared per-loop state: the packed cursor, the exclusive→shared
-/// handshake, and the completion/panic protocol. `F` is the chunk body
-/// type; `body` is a lifetime-erased pointer to the caller's borrow,
-/// dereferenced only for chunks claimed while the owner still blocks on
-/// `latch`.
+/// Shared per-loop state: the packed cursor and the completion/panic
+/// protocol. `F` is the chunk body type; `body` is a lifetime-erased
+/// pointer to the caller's borrow, dereferenced only for chunks claimed
+/// while the owner still blocks on `latch`.
 struct LoopCoordinator<F> {
     /// Remaining range, packed as `end << 32 | cursor` (loop-relative).
     range: AtomicU64,
@@ -140,12 +134,6 @@ struct LoopCoordinator<F> {
     /// Absolute index of loop-relative iteration 0.
     offset: usize,
     body: SendPtr<F>,
-    /// An assistant has registered; set (release) before spinning on
-    /// `ack`. Once true the owner abandons its plain-store fast path.
-    shared: AtomicBool,
-    /// The owner acknowledged `shared` (or exited): all cursor writes go
-    /// through CAS from here on. Assistants claim only after observing it.
-    ack: AtomicBool,
     /// Participants currently claiming or executing (owner counts from
     /// construction; assistants add themselves *before* their first claim).
     working: AtomicUsize,
@@ -179,15 +167,21 @@ impl<F> LoopCoordinator<F> {
 /// Execute `body(chunk)` over `range` with lazy steal-driven splitting;
 /// chunks have at most `grain` iterations. Must run on a pool worker for
 /// actual parallelism; off-pool it degrades to a sequential chunked call
-/// (serial elision). The packed cursor is 32-bit, so a range longer than
-/// `u32::MAX` iterations runs as consecutive lazy loops over segments of
-/// at most `u32::MAX` iterations each.
+/// (serial elision).
 ///
-/// On a **one-worker pool** the entire coordinator is bypassed: no thief
-/// can ever exist, so the loop runs as a plain chunked call — zero
-/// allocations, zero atomics, zero latch waits, and the `AssistClaim`
-/// chaos site is never consulted (there is no claim loop to inject into).
-/// Panics propagate unchanged (there is no sibling participant to poison).
+/// The loop runs uncontended — chunk after chunk on this worker, with no
+/// allocation, read-modify-write or deque push — while no other worker of
+/// the pool is idle, and publishes the rest of the range for assistants
+/// at the first chunk boundary where one is (module docs). A one-worker
+/// pool therefore never publishes, and the `AssistClaim` chaos site is
+/// consulted only once a loop has been published.
+///
+/// A chunk body must not wait for a later chunk of its own loop: run
+/// uncontended, or off-pool, that body deadlocks.
+///
+/// The packed cursor is 32-bit, so a published remainder longer than
+/// `u32::MAX` iterations runs as consecutive coordinated loops over
+/// segments of at most `u32::MAX` iterations each.
 pub fn lazy_for_chunks<F>(range: Range<usize>, grain: usize, body: &F)
 where
     F: Fn(Range<usize>) + Sync,
@@ -211,13 +205,8 @@ where
         run_chunk(&token, tracing, range, body);
         return;
     }
-    // Single-worker bypass: the coordinator exists only to let thieves
-    // join, and a P = 1 pool has none. See `run_uncontended`.
-    if token.num_workers() == 1 {
-        run_uncontended(&token, tracing, range, grain, body);
-        return;
-    }
     let mut lo = range.start;
+    run_uncontended(&token, tracing, &mut lo, range.end, grain, body);
     while lo < range.end {
         let hi = lo + (range.end - lo).min(u32::MAX as usize);
         coordinated_loop(&token, lo..hi, grain, body);
@@ -225,30 +214,33 @@ where
     }
 }
 
-/// The single-worker fast path: a plain loop over grain-sized chunks.
-/// Keeps the `ChunkStart`/`ChunkEnd` trace bracket (observability is
-/// unchanged) but allocates nothing and performs no atomic operation —
-/// the per-loop fixed cost is the chunked call itself.
+/// The uncontended run: execute grain-sized chunks from `*lo` up to `end`
+/// on this worker while no peer is idle, reading the idle count once per
+/// chunk. `*lo` advances past each chunk before its body runs, so on
+/// return it is where the unpublished remainder starts (`end` once the
+/// loop ran to completion), and after a body panic it is the end of the
+/// chunk that panicked. Keeps the `ChunkStart`/`ChunkEnd` trace bracket
+/// but allocates nothing and performs no read-modify-write.
 #[inline]
-fn run_uncontended<F>(
+pub(crate) fn run_uncontended<F>(
     token: &WorkerToken,
     tracing: bool,
-    range: Range<usize>,
+    lo: &mut usize,
+    end: usize,
     grain: usize,
     body: &F,
 ) where
     F: Fn(Range<usize>) + Sync,
 {
-    let mut lo = range.start;
-    while lo < range.end {
-        let hi = (lo + grain).min(range.end);
-        run_chunk(token, tracing, lo..hi, body);
-        lo = hi;
+    while *lo < end && !token.peer_idle() {
+        let start = *lo;
+        *lo = (start + grain).min(end);
+        run_chunk(token, tracing, start..*lo, body);
     }
 }
 
-/// The shared-cursor coordinator path (P > 1) over a range of at most
-/// `u32::MAX` iterations.
+/// A published loop over a range of at most `u32::MAX` iterations: push
+/// the assist handle, claim alongside any assistants, wait for them.
 fn coordinated_loop<F>(token: &WorkerToken, range: Range<usize>, grain: usize, body: &F)
 where
     F: Fn(Range<usize>) + Sync,
@@ -264,8 +256,6 @@ where
         // the return; handles that run later observe the exhausted cursor
         // and never touch it.
         body: SendPtr::new(body),
-        shared: AtomicBool::new(false),
-        ack: AtomicBool::new(false),
         working: AtomicUsize::new(1),
         latch: token.count_latch(1),
         finished: AtomicBool::new(false),
@@ -275,7 +265,7 @@ where
 
     // The single stealable entry point into this loop.
     publish_handle(token, &state);
-    participate(token, &state, true);
+    participate(token, &state, false);
     token.wait_until(&state.latch);
 
     let maybe_panic = state.panic.lock().unwrap().take();
@@ -325,48 +315,21 @@ where
     // Keep exactly one handle available for further thieves (fan-out is
     // O(active assistants), not O(n/grain)).
     publish_handle(&token, &state);
-    // Handshake: announce, then wait for the owner to leave its
-    // single-writer fast path. The owner checks `shared` once per chunk
-    // and sets `ack` on observing it — or unconditionally on exit — and a
-    // wait inside its chunk body sets `ack` before running any job, so
-    // this spin is bounded by one chunk body that is not waiting. It is
-    // the only wait inside a job that does not go through `wait_until`.
-    state.shared.store(true, Ordering::Release);
-    let mut spins = 0u32;
-    while !state.ack.load(Ordering::Acquire) {
-        spins = spins.wrapping_add(1);
-        if spins.is_multiple_of(64) {
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
-    }
-    participate(&token, &state, false);
+    participate(&token, &state, true);
 }
 
 /// Run one participant (owner or assistant) to cursor exhaustion, then
 /// run the completion protocol. Panics are captured into the loop state —
 /// assistants must not unwind into the scheduler; the owner re-raises
 /// after the latch resolves.
-fn participate<F>(token: &WorkerToken, state: &Arc<LoopCoordinator<F>>, owner: bool)
+fn participate<F>(token: &WorkerToken, state: &Arc<LoopCoordinator<F>>, assistant: bool)
 where
     F: Fn(Range<usize>) + Sync,
 {
-    let tracing = token.tracing_enabled();
-    let chaos = token.chaos_enabled();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if owner {
-            owner_loop(token, state, tracing, chaos);
-        } else {
-            claim_loop(token, state, tracing, chaos, true);
-        }
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| claim_loop(token, state, assistant)));
     if let Err(payload) = result {
         state.record_panic(payload);
         state.drain();
-        // A panicking owner may still be in its exclusive phase; release
-        // any assistant spinning on the handshake.
-        state.ack.store(true, Ordering::Release);
     }
     exit_participant(state);
 }
@@ -380,67 +343,26 @@ fn exit_participant<F>(state: &LoopCoordinator<F>) {
     }
 }
 
-/// The owner's fast path: while no assistant is registered the owner is
-/// the packed word's only writer, so each chunk costs one plain load and
-/// one release store. On observing `shared` the owner acknowledges and
-/// joins the CAS claim loop; on exit it acknowledges unconditionally so a
-/// late registrant never spins forever. A wait inside a chunk body stores
-/// `shared` and `ack` for it first (`WorkerToken::exclusive_owner`).
-fn owner_loop<F>(token: &WorkerToken, state: &Arc<LoopCoordinator<F>>, tracing: bool, chaos: bool)
+/// The claim loop: CAS grain-sized chunks off the packed cursor until it
+/// is exhausted (or the loop is poisoned). Run by the owner and by every
+/// assistant.
+fn claim_loop<F>(token: &WorkerToken, state: &Arc<LoopCoordinator<F>>, assistant: bool)
 where
     F: Fn(Range<usize>) + Sync,
 {
-    let shared = token.exclusive_owner(&state.shared, &state.ack, || loop {
-        if state.shared.load(Ordering::Acquire) {
-            return true;
-        }
+    let tracing = token.tracing_enabled();
+    let chaos = token.chaos_enabled();
+    // Chaos: a forced `Fail` models losing the CAS race; the next attempt
+    // bypasses the gate so rate-1 plans degrade to every-other-attempt
+    // losses instead of livelock.
+    let mut gate_bypassed = false;
+    loop {
         // Ordering: Relaxed suffices — `poisoned` is a promptness hint,
         // not the correctness mechanism. The authoritative stop is
         // `drain()`'s cursor store (the panicking participant jumps the
         // cursor to `end`), which this loop observes through the packed
         // word itself; the panic payload is read under `state.panic`'s
         // mutex, whose lock provides the happens-before edge.
-        if state.poisoned.load(Ordering::Relaxed) {
-            state.drain();
-            return false;
-        }
-        let (cur, end) = unpack(state.range.load(Ordering::Relaxed));
-        if cur >= end {
-            return false;
-        }
-        let next = (cur + state.grain as u64).min(end);
-        state.range.store(pack(next, end), Ordering::Release);
-        let chunk = (state.offset + cur as usize)..(state.offset + next as usize);
-        // SAFETY: see `LoopCoordinator::body` — the owner still blocks on
-        // the latch, so the borrow is live.
-        run_chunk(token, tracing, chunk, unsafe { state.body.get() });
-    });
-    state.ack.store(true, Ordering::Release);
-    if shared {
-        claim_loop(token, state, tracing, chaos, false);
-    }
-}
-
-/// The shared claim loop: CAS grain-sized chunks off the packed cursor
-/// until it is exhausted (or the loop is poisoned). Used by every
-/// assistant and by the owner after the exclusive→shared transition.
-fn claim_loop<F>(
-    token: &WorkerToken,
-    state: &Arc<LoopCoordinator<F>>,
-    tracing: bool,
-    chaos: bool,
-    assistant: bool,
-) where
-    F: Fn(Range<usize>) + Sync,
-{
-    // Chaos: a forced `Fail` models losing the CAS race; the next attempt
-    // bypasses the gate so rate-1 plans degrade to every-other-attempt
-    // losses instead of livelock.
-    let mut gate_bypassed = false;
-    loop {
-        // Relaxed: same promptness-hint argument as in `owner_loop` — the
-        // drained cursor, not this flag, is what guarantees no further
-        // chunk is claimed after a panic.
         if state.poisoned.load(Ordering::Relaxed) {
             state.drain();
             return;

@@ -338,6 +338,11 @@ impl<'a> Loop<'a> {
     /// still yields `Ok`. Under [`GrainPolicy::Adaptive`] the site's
     /// grain overrides the schedule's, and a measured loop that completes
     /// feeds its wall time back through [`AdaptiveSite::record`].
+    ///
+    /// A chunk body must not wait for a later chunk of its own loop. The
+    /// work-stealing schemes run a loop on its issuing worker, chunk after
+    /// chunk, until another worker is idle, so such a body can deadlock —
+    /// as it does on a 1-worker pool or off-pool.
     pub fn run<F>(
         self,
         pool: &ThreadPool,

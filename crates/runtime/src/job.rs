@@ -38,12 +38,6 @@ impl JobRef {
     pub(crate) unsafe fn execute(self) {
         (self.execute_fn)(self.pointer)
     }
-
-    /// Whether `self` and `other` refer to the same job.
-    #[inline]
-    pub(crate) fn same_job(&self, other: &JobRef) -> bool {
-        self.pointer == other.pointer
-    }
 }
 
 /// Implemented by concrete job kinds; `execute` consumes the job.

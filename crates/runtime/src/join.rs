@@ -100,12 +100,6 @@ where
         // first, so the common un-stolen case inlines `b` after draining
         // those, and the stolen case keeps us busy stealing.
         if let Some(job) = wt.pop() {
-            // Running `b` inline is a plain call. Any other job means `b`
-            // was stolen and this is a wait: hand exclusive loops over
-            // first, as `wait_until` does.
-            if !job.same_job(&job_b.as_job_ref()) {
-                wt.share_exclusive_loops();
-            }
             // This pop bypasses `find_work`, so count the execution here
             // (the pop itself is traced inside `WorkerThread::pop`).
             wt.note_job_executed();

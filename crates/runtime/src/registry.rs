@@ -16,8 +16,32 @@
 //! sticks to its home lane); jobs posted by different submitters have no
 //! cross-lane order, exactly as concurrent injectors already had no
 //! useful order under the old single global queue.
+//!
+//! # The idle count
+//!
+//! The registry counts the workers whose last look for work, in the
+//! worker loop or in `wait_until`, came up empty. Parked workers count: a
+//! pool whose idle workers have all blocked must still see work
+//! published, and the push's `notify_one` wakes them. A worker adds
+//! itself at the first empty `find_work` of an idle spell and removes
+//! itself when it takes a job, when its `wait_until` latch resolves, and
+//! when its worker loop exits or unwinds (so a chaos kill and respawn
+//! cannot leave the count stale). A worker running a job is never
+//! counted, so [`WorkerToken::peer_idle`] — the one read — asks whether
+//! some *other* worker could take a job published now. The loop layers
+//! use it to publish a loop's parallelism only when that is so.
+//!
+//! The updates and the read are `Relaxed`: the count publishes no data.
+//! The jobs themselves travel through the deques, whose Chase–Lev
+//! orderings are unchanged. A stale read can only (a) miss a peer that
+//! just went idle, which delays a loop's publish by one chunk, or (b) see
+//! a peer that just took other work, which publishes a job nobody takes
+//! until its owner pops it back. Both were already possible before the
+//! count existed — a published job could always go unstolen, and a thief
+//! could always arrive one chunk late — and neither touches exactly-once,
+//! which rests on the loops' own claims.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -189,6 +213,9 @@ pub(crate) struct Registry {
     /// originals.
     thread_prefix: String,
     stack_size: Option<usize>,
+    /// Workers whose last look for work came up empty (module docs, "The
+    /// idle count"). Cache-padded: every idle-spell boundary writes it.
+    idle: CachePadded<AtomicUsize>,
     /// Stall reports emitted by the `wait_until` watchdog.
     watchdog_trips: AtomicU64,
     stall_threshold: Duration,
@@ -484,17 +511,8 @@ pub(crate) struct WorkerThread {
     /// finding work. Stretches the next backstop timeout exponentially
     /// (bounded); reset by any real wake or any work found.
     fruitless: Cell<u32>,
-    /// Loops this worker owns in their exclusive phase, innermost last
-    /// ([`WorkerToken::exclusive_owner`]).
-    exclusive: RefCell<Vec<ExclusiveLoop>>,
-}
-
-/// The handshake flags of a loop whose owner claims chunks with plain
-/// stores until an assistant asks to share it
-/// ([`WorkerToken::exclusive_owner`]).
-struct ExclusiveLoop {
-    shared: *const AtomicBool,
-    ack: *const AtomicBool,
+    /// Whether this worker is in the registry's idle count.
+    counted_idle: Cell<bool>,
 }
 
 impl WorkerThread {
@@ -687,6 +705,8 @@ impl WorkerThread {
         Some(job)
     }
 
+    /// One look for work. An empty look enters the idle count, a job
+    /// leaves it (module docs, "The idle count").
     fn find_work(&self) -> Option<JobRef> {
         let job = self
             .pop()
@@ -694,10 +714,20 @@ impl WorkerThread {
             .or_else(|| self.take_injected())
             .or_else(|| self.steal());
         if job.is_some() {
+            self.leave_idle();
             self.note_job_executed();
             self.fruitless.set(0);
+        } else if !self.counted_idle.replace(true) {
+            self.registry.idle.fetch_add(1, Ordering::Relaxed);
         }
         job
+    }
+
+    /// Leave the idle count if this worker is in it.
+    fn leave_idle(&self) {
+        if self.counted_idle.replace(false) {
+            self.registry.idle.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 
     /// Park on the pool's sleep machinery, bracketed with trace events.
@@ -762,7 +792,6 @@ impl WorkerThread {
         let mut stall: Option<(Instant, u64)> = None;
         while !latch.probe() {
             self.registry.heartbeat(self.index);
-            self.share_exclusive_loops();
             if let Some(job) = self.find_work() {
                 unsafe { job.execute() };
                 idle.reset();
@@ -773,27 +802,8 @@ impl WorkerThread {
                 self.check_stall(&mut stall);
             }
         }
+        self.leave_idle();
         self.wait_depth.set(depth);
-    }
-
-    /// Hand every loop this worker owns in its exclusive phase over to
-    /// shared claiming: store `shared`, then `ack`. Called before a wait
-    /// runs any job (`wait_until`, and `join`'s pop of a job other than its
-    /// own second half), so no assistant of those loops — this worker
-    /// included, through a handle its wait pops or steals back — spins on
-    /// an `ack` that only the blocked frame below could store. The owner
-    /// sees `shared` at its next chunk boundary and claims by CAS from
-    /// then on; `ack`'s Release publishes its last plain cursor store.
-    pub(crate) fn share_exclusive_loops(&self) {
-        let mut loops = self.exclusive.borrow_mut();
-        for l in loops.drain(..) {
-            // SAFETY: an entry lives only inside its `exclusive_owner`
-            // call, whose caller keeps both flags alive across it.
-            unsafe {
-                (*l.shared).store(true, Ordering::Release);
-                (*l.ack).store(true, Ordering::Release);
-            }
-        }
     }
 
     /// One watchdog tick: reset the window if the pool executed any job
@@ -904,7 +914,12 @@ impl WorkerThread {
         // degraded and re-enters service instead of taking the process (or
         // the pool's shutdown join) down with it.
         let exit = loop {
-            match unwind::halt_unwinding(|| self.run_loop()) {
+            let run = unwind::halt_unwinding(|| self.run_loop());
+            // An exit (terminate or chaos kill) or an escaped panic may end
+            // the loop mid idle spell: leave the count, or a respawn would
+            // be counted twice.
+            self.leave_idle();
+            match run {
                 Ok(exit) => break exit,
                 Err(_) => {
                     self.wait_depth.set(0);
@@ -1024,7 +1039,7 @@ fn worker_entry(
         rng: XorShift64Star::new(seed),
         wait_depth: Cell::new(0),
         fruitless: Cell::new(0),
-        exclusive: RefCell::new(Vec::new()),
+        counted_idle: Cell::new(false),
     };
     WORKER.with(|c| c.set(&wt as *const WorkerThread));
     let exit = wt.main_loop();
@@ -1200,6 +1215,7 @@ impl ThreadPoolBuilder {
             respawns_in_flight: AtomicUsize::new(0),
             thread_prefix: self.thread_name_prefix.clone(),
             stack_size: self.stack_size,
+            idle: CachePadded::new(AtomicUsize::new(0)),
             watchdog_trips: AtomicU64::new(0),
             stall_threshold: self.stall_threshold,
             stall_handler,
@@ -1581,37 +1597,16 @@ impl WorkerToken {
         self.worker().wait_until(latch)
     }
 
-    /// Run `f` as the owner of a loop in its *exclusive phase*: the owner
-    /// claims chunks with plain stores, and an assistant that registers
-    /// stores `shared`, then spins until the owner stores `ack` at a chunk
-    /// boundary. If this worker waits before `f` returns — `wait_until`,
-    /// or a `join` whose second half was stolen — it first stores
-    /// `shared`, then `ack`, so the owner must re-check `shared` after
-    /// every chunk and claim by CAS once it is set. Without this, the
-    /// wait could run the loop's own assist handle, and that assistant
-    /// would spin forever on an `ack` only the waiting frame can store.
-    pub fn exclusive_owner<R>(
-        &self,
-        shared: &AtomicBool,
-        ack: &AtomicBool,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        /// Drops this call's entry (or finds it already handed over),
-        /// also when `f` unwinds.
-        struct Pop<'a>(&'a RefCell<Vec<ExclusiveLoop>>, usize);
-        impl Drop for Pop<'_> {
-            fn drop(&mut self) {
-                self.0.borrow_mut().truncate(self.1);
-            }
-        }
-        let loops = &self.worker().exclusive;
-        let depth = {
-            let mut v = loops.borrow_mut();
-            v.push(ExclusiveLoop { shared, ack });
-            v.len() - 1
-        };
-        let _pop = Pop(loops, depth);
-        f()
+    /// Whether another worker of this pool is idle: its last look for
+    /// work came up empty, and it has taken no job since (parked workers
+    /// included). The calling worker runs a job, so it is never the one
+    /// counted. One `Relaxed` load; a stale answer delays a publish by one
+    /// chunk or publishes a job nobody takes, never anything worse (module
+    /// docs, "The idle count"). The loop layers publish a loop's
+    /// parallelism only while this holds.
+    #[inline]
+    pub fn peer_idle(&self) -> bool {
+        self.worker().registry().idle.load(Ordering::Relaxed) > 0
     }
 
     /// Record a scheduler event on behalf of this worker. One untaken
@@ -1919,6 +1914,48 @@ mod tests {
         assert!(!pool.is_degraded());
         assert_eq!(pool.install(|| 7), 7);
         pool.broadcast_all(|_| {});
+    }
+
+    /// The idle count polled until it reads `expected` or a 10 s deadline
+    /// passes; returns the last reading.
+    fn idle_settled(pool: &ThreadPool, expected: usize) -> usize {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let idle = pool.registry.idle.load(Ordering::Relaxed);
+            if idle == expected || Instant::now() >= deadline {
+                return idle;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn idle_count_settles_at_p_across_work_and_a_kill_respawn() {
+        // A quiet pool counts every worker, parked ones included, and
+        // counts each once again after running work.
+        let pool = ThreadPool::new(3);
+        assert_eq!(idle_settled(&pool, 3), 3);
+        assert_eq!(pool.install(|| 6 * 7), 42);
+        pool.broadcast_all(|_| {});
+        assert_eq!(idle_settled(&pool, 3), 3);
+
+        // A chaos kill usually ends a worker's loop in the middle of an
+        // idle spell: most visits of the exit site are idle polls. The
+        // replacement must not be counted on top of its predecessor.
+        use parloop_chaos::PlannedInjector;
+        let inj = (0..4).fold(PlannedInjector::quiet(7), |inj, k| inj.with_kill_at(16 + 32 * k));
+        let pool = ThreadPoolBuilder::new().num_workers(2).fault_injector(Arc::new(inj)).build();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            assert_eq!(pool.install(|| 21 * 2), 42);
+            let health = pool.health();
+            if health.total_respawns() >= 4 && health.quarantined_workers.is_empty() {
+                break;
+            }
+            assert!(Instant::now() < deadline, "respawn never recorded: {health:?}");
+            std::thread::yield_now();
+        }
+        assert_eq!(idle_settled(&pool, 2), 2);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Integration tests for the lazy steal-driven splitter: exactly-once
 //! coverage across adversarial loop shapes, nesting, hybrid composition,
-//! assistant panic propagation, and a seeded chaos sweep over the
-//! `AssistClaim` injection site.
+//! assistant panic propagation, publishing only when a peer is idle, and
+//! a seeded chaos sweep over the `AssistClaim` injection site.
 //!
 //! The chaos sweep honours `CHAOS_SEEDS` (default 32) like the other
 //! chaos suites, so CI can dial the stress level.
 
 mod common;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,7 +17,7 @@ use common::run_cases;
 use parloop::chaos::{PlannedInjector, Site, RATE_DENOM};
 use parloop::core::lazy_for_chunks;
 use parloop::runtime::{Latch, WorkerToken};
-use parloop::{par_for_chunks, Schedule, ThreadPool, ThreadPoolBuilder};
+use parloop::{join, par_for_chunks, Schedule, ThreadPool, ThreadPoolBuilder};
 
 fn seed_count() -> u64 {
     std::env::var("CHAOS_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(32)
@@ -92,15 +93,25 @@ fn nested_lazy_loops_cover_exactly_once() {
     assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
 }
 
-/// An owner that waits inside its own exclusive-phase chunk must not
-/// deadlock on its own assist handle. The other worker adopts the loop's
-/// handle, re-publishes it and spins on `ack`; the owner's first chunk
-/// then waits on a latch that only the loop's last chunk sets, and that
-/// wait steals the re-published handle back. Unless the wait first hands
-/// the loop over to shared claiming (stores `shared` and `ack`), the
-/// owner spins on an `ack` that only its own blocked chunk could store.
-/// The pool runs on a helper thread, so a deadlock fails the test instead
-/// of hanging it.
+/// Wait, within `deadline`, until another worker of the current pool is
+/// idle: a loop issued afterwards publishes its assist handle before its
+/// first chunk.
+fn wait_for_idle_peer(deadline: Instant) {
+    let token = WorkerToken::current().expect("runs on a pool worker");
+    while !token.peer_idle() {
+        assert!(Instant::now() < deadline, "no peer went idle within the deadline");
+        std::thread::yield_now();
+    }
+}
+
+/// Regression test: an owner waiting inside its chunk, while an assistant
+/// holds the loop's assist handle, completes. The loop is issued with the
+/// other worker idle, so it publishes its handle at once; that worker
+/// adopts it and re-publishes it. The owner's first chunk then waits on a
+/// latch that only the loop's last chunk sets, and that wait can steal
+/// the re-published handle back and run it on the owner's own stack. The
+/// pool runs on a helper thread, so a deadlock fails the test instead of
+/// hanging it.
 #[test]
 fn owner_waiting_in_its_chunk_survives_stealing_its_own_handle() {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -111,10 +122,11 @@ fn owner_waiting_in_its_chunk_survives_stealing_its_own_handle() {
         pool.install(|| {
             let worker = || WorkerToken::current().expect("runs on a pool worker");
             let last_chunk_ran = worker().count_latch(1);
+            wait_for_idle_peer(Instant::now() + Duration::from_secs(10));
             lazy_for_chunks(0..n, 1, &|chunk| {
                 if chunk.start == 0 {
                     // The owner's first chunk: the other worker has adopted
-                    // the handle and can claim nothing until `ack`.
+                    // the handle and holds it while it claims.
                     while pool.stats().assist_joins < 1 {
                         std::thread::yield_now();
                     }
@@ -132,6 +144,130 @@ fn owner_waiting_in_its_chunk_survives_stealing_its_own_handle() {
     });
     let outcome = rx.recv_timeout(Duration::from_secs(10));
     assert_eq!(outcome, Ok(true), "the loop deadlocked or missed an iteration");
+}
+
+/// Runs `owner` on one worker of a 2-worker pool while the other worker
+/// is held busy in a `join` branch that spins until it is released:
+/// through the flag `owner` is handed, or once `owner` returns. `owner`
+/// starts only after a second flag shows the busy branch running, so the
+/// other worker has left the idle count.
+fn with_busy_peer(pool: &ThreadPool, owner: impl FnOnce(&AtomicBool) + Send) {
+    /// Releases the busy branch even if `owner` panics, so `join` can
+    /// return and the failure surfaces instead of hanging.
+    struct Release<'a>(&'a AtomicBool);
+    impl Drop for Release<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+    let running = AtomicBool::new(false);
+    let release = AtomicBool::new(false);
+    assert_eq!(pool.num_workers(), 2);
+    pool.install(|| {
+        join(
+            || {
+                let _release = Release(&release);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !running.load(Ordering::Acquire) {
+                    assert!(Instant::now() < deadline, "the busy branch was never stolen");
+                    std::thread::yield_now();
+                }
+                owner(&release);
+            },
+            || {
+                running.store(true, Ordering::Release);
+                while !release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            },
+        );
+    });
+}
+
+fn all_once(hits: &[AtomicUsize]) -> bool {
+    hits.iter().all(|h| h.load(Ordering::Relaxed) == 1)
+}
+
+/// With the only other worker busy, a lazy loop and a hybrid loop issued
+/// on the owner publish nothing: no assist handle, no adopter frame, no
+/// inner-loop handle. Each still covers its range exactly once.
+#[test]
+fn loops_with_a_busy_peer_push_no_job() {
+    let pool = ThreadPool::new(2);
+    let n = 4096;
+    with_busy_peer(&pool, |_| {
+        let pushed = pool.stats().jobs_pushed;
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        lazy_for_chunks(0..n, 16, &|chunk| {
+            for i in chunk {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert!(all_once(&hits), "lazy loop not exactly-once");
+        assert_eq!(pool.stats().jobs_pushed, pushed, "the lazy loop published a job");
+
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        par_for_chunks(&pool, 0..n, Schedule::hybrid().with_grain(16), |chunk| {
+            for i in chunk {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert!(all_once(&hits), "hybrid loop not exactly-once");
+        assert_eq!(pool.stats().jobs_pushed, pushed, "the hybrid loop published a job");
+    });
+}
+
+/// A long loop that releases its busy peer from inside a chunk publishes
+/// its remainder at a later chunk boundary, and the released worker runs
+/// a later chunk. The interleaving is forced: the releasing chunk returns
+/// only once the peer is counted idle, and the first owner chunk that
+/// sees the publish in `jobs_pushed` waits until a chunk has run on the
+/// released worker. `run` issues the loop: lazy or hybrid.
+fn released_peer_joins(run: impl Fn(&ThreadPool, usize, &(dyn Fn(Range<usize>) + Sync)) + Sync) {
+    let pool = ThreadPool::new(2);
+    let n = 256;
+    let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+    let ran_on_peer = AtomicBool::new(false);
+    with_busy_peer(&pool, |release| {
+        let owner = WorkerToken::current().unwrap().index();
+        let pushed = pool.stats().jobs_pushed;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        run(&pool, n, &|chunk| {
+            let token = WorkerToken::current().unwrap();
+            if token.index() != owner {
+                ran_on_peer.store(true, Ordering::Release);
+            } else if chunk.start == 8 {
+                assert_eq!(pool.stats().jobs_pushed, pushed, "published before the release");
+                release.store(true, Ordering::Release);
+                while !token.peer_idle() {
+                    assert!(Instant::now() < deadline, "the released peer never went idle");
+                    std::thread::yield_now();
+                }
+            } else if pool.stats().jobs_pushed > pushed {
+                while !ran_on_peer.load(Ordering::Acquire) {
+                    assert!(Instant::now() < deadline, "no chunk ran on the released peer");
+                    std::thread::yield_now();
+                }
+            }
+            for i in chunk {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    });
+    assert!(ran_on_peer.load(Ordering::Acquire), "the released peer ran no chunk");
+    assert!(all_once(&hits), "not exactly-once across the publish");
+}
+
+#[test]
+fn released_peer_joins_a_lazy_loop_at_a_chunk_boundary() {
+    released_peer_joins(|_, n, body| lazy_for_chunks(0..n, 1, &|c| body(c)));
+}
+
+#[test]
+fn released_peer_joins_a_hybrid_loop_at_a_chunk_boundary() {
+    released_peer_joins(|pool, n, body| {
+        par_for_chunks(pool, 0..n, Schedule::hybrid().with_grain(1), body);
+    });
 }
 
 /// The lazy engine under the hybrid scheduler with oversubscribed
@@ -159,15 +295,13 @@ fn lazy_under_hybrid_with_oversub() {
 
 /// A panic raised inside an *assistant's* chunk propagates to the loop's
 /// owner and leaves the pool reusable. The assistant is made deterministic:
-/// the owner's first chunk blocks until another worker has adopted the
-/// assist handle (visible through the always-on `assist_joins` counter),
-/// and the body panics on any chunk that executes on a non-owner worker.
+/// the loop is issued once the other worker is idle, so it publishes its
+/// assist handle at once; the owner's first chunk blocks until that
+/// worker has adopted the handle (visible through the always-on
+/// `assist_joins` counter), and the body panics on any chunk that
+/// executes on a non-owner worker.
 #[test]
 fn panic_in_assistant_propagates_and_pool_is_reusable() {
-    use std::sync::atomic::AtomicBool;
-
-    use parloop::runtime::WorkerToken;
-
     let pool = ThreadPool::new(2);
     let joins_before = pool.stats().assist_joins;
     // Set by the assistant just before it panics; owner chunks stall until
@@ -176,6 +310,7 @@ fn panic_in_assistant_propagates_and_pool_is_reusable() {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         pool.install(|| {
             let owner = WorkerToken::current().unwrap().index();
+            wait_for_idle_peer(Instant::now() + Duration::from_secs(10));
             lazy_for_chunks(0..4096, 16, &|chunk| {
                 let me = WorkerToken::current().unwrap().index();
                 if me != owner {
@@ -184,17 +319,16 @@ fn panic_in_assistant_propagates_and_pool_is_reusable() {
                 }
                 let deadline = Instant::now() + Duration::from_secs(10);
                 if chunk.start == 0 {
-                    // Hold the owner's exclusive phase open until a thief
-                    // adopts the assist handle (it then spins for the
-                    // owner's ack, granted right after this chunk).
+                    // Hold the owner's first chunk until a thief adopts
+                    // the assist handle.
                     while pool.stats().assist_joins == joins_before {
                         assert!(Instant::now() < deadline, "no assistant joined within 10s");
                         std::thread::yield_now();
                     }
                 } else {
-                    // Shared phase: the acked assistant claims from the
-                    // same cursor, so stalling here guarantees it wins a
-                    // chunk (and panics) before the owner drains the loop.
+                    // The assistant claims from the same cursor, so
+                    // stalling here guarantees it wins a chunk (and
+                    // panics) before the owner drains the loop.
                     while !assistant_fired.load(Ordering::Acquire) {
                         assert!(Instant::now() < deadline, "assistant never claimed a chunk");
                         std::thread::yield_now();
@@ -219,9 +353,9 @@ fn panic_in_assistant_propagates_and_pool_is_reusable() {
     assert_eq!(sum.load(Ordering::Relaxed), 4950);
 }
 
-/// The single-worker bypass: a P = 1 lazy loop runs the plain grain loop
-/// (no coordinator, no assist publish), covers everything exactly once,
-/// and pushes nothing onto the deque.
+/// A P = 1 lazy loop never has an idle peer, so it runs uncontended to
+/// the end (no coordinator, no assist publish), covers everything exactly
+/// once, and pushes nothing onto the deque.
 #[test]
 fn single_worker_bypass_exactly_once_and_pushes_nothing() {
     let pool = ThreadPool::new(1);
@@ -231,14 +365,14 @@ fn single_worker_bypass_exactly_once_and_pushes_nothing() {
         assert_eq!(
             pool.stats().jobs_pushed,
             before,
-            "n={n} grain={grain}: the P=1 bypass must not touch the deque"
+            "n={n} grain={grain}: a P=1 loop must not touch the deque"
         );
     }
 }
 
-/// A panic in a bypassed (P = 1) loop body propagates to the caller and
-/// leaves the pool reusable — the bypass must not trade the coordinator's
-/// panic protocol away.
+/// A panic in an uncontended (P = 1) loop body propagates to the caller
+/// and leaves the pool reusable — the uncontended run must not trade the
+/// coordinator's panic protocol away.
 #[test]
 fn single_worker_bypass_propagates_panics_and_pool_survives() {
     let pool = ThreadPool::new(1);
@@ -248,13 +382,13 @@ fn single_worker_bypass_propagates_panics_and_pool_survives() {
             lazy_for_chunks(0..256, 16, &|chunk| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 if chunk.contains(&100) {
-                    panic!("bypassed chunk dies");
+                    panic!("uncontended chunk dies");
                 }
             });
         });
     }));
-    assert!(result.is_err(), "the bypass must re-throw body panics");
-    // The bypass runs chunks in order; the panic at chunk [96,112) stops
+    assert!(result.is_err(), "the uncontended run must re-throw body panics");
+    // The uncontended run goes in order; the panic at chunk [96,112) stops
     // the loop after 7 chunks, never running the rest.
     assert_eq!(ran.load(Ordering::Relaxed), 7, "chunks after the panic must not run");
     assert!(!pool.is_degraded());
@@ -270,9 +404,9 @@ fn single_worker_bypass_propagates_panics_and_pool_survives() {
 }
 
 /// Tripwire: on a 1-worker pool the `Site::AssistClaim` chaos gate must
-/// never be consulted — pre-bypass because the claim loop requires a
-/// registered assistant (impossible without thieves), post-bypass because
-/// the coordinator is skipped outright. The plan arms a full-rate,
+/// never be consulted: the only worker runs the loop, so no peer is ever
+/// idle and the loop never leaves its uncontended run for the claim
+/// loop. The plan arms a full-rate,
 /// panic-on-first-query fault at the site, so a single consultation fails
 /// the run loudly; `queries_at` then pins the stronger "never consulted".
 #[test]
@@ -318,14 +452,18 @@ fn single_worker_bypass_never_consults_assist_claim() {
 fn assist_claim_chaos_sweep_preserves_exactly_once() {
     let p = 4;
     let n = 2048;
+    let mut assist_claims = 0;
     for seed in 0..seed_count() {
         let mut injector =
             PlannedInjector::quiet(seed).with_rate(Site::AssistClaim, RATE_DENOM / 2);
         if seed % 2 == 1 {
             injector = injector.with_panic_at(Site::AssistClaim, seed % 5);
         }
-        let pool =
-            ThreadPoolBuilder::new().num_workers(p).fault_injector(Arc::new(injector)).build();
+        let injector = Arc::new(injector);
+        let pool = ThreadPoolBuilder::new()
+            .num_workers(p)
+            .fault_injector(Arc::clone(&injector) as _)
+            .build();
 
         for rep in 0..4 {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
@@ -374,7 +512,11 @@ fn assist_claim_chaos_sweep_preserves_exactly_once() {
             assert_eq!(sum.load(Ordering::Relaxed), 4950, "seed {seed}: wrong sum after chaos");
         }
         drop(pool);
+        assist_claims += injector.queries_at(Site::AssistClaim);
     }
+    // Loops publish only when a peer is idle, so the sweep must still
+    // reach the claim loop it exists to exercise.
+    assert!(assist_claims > 0, "no loop of the sweep ever consulted AssistClaim");
 }
 
 /// Full-rate forced CAS losses must not livelock: the in-loop cap on
