@@ -14,7 +14,7 @@
 use parloop_core::Schedule;
 use parloop_runtime::ThreadPool;
 
-use crate::randdp::{power_mod, randlc, A, SEED};
+use crate::randdp::{fill, seed_after, word, A, SEED};
 use crate::util::par_sum;
 
 /// EP problem size: `2^m` pairs processed in blocks of `2^nk_log`.
@@ -57,28 +57,55 @@ pub struct EpResult {
     pub accepted: u64,
 }
 
+/// NPB's published class-S sums `(sx, sy)` (NPB 3.3 `ep.f`).
+pub const CLASS_S_SUMS: (f64, f64) = (-3.24783465203474e3, -6.958407078382297e3);
+
+/// Whether `r` matches [`CLASS_S_SUMS`] to NPB's verification epsilon, a
+/// relative 1e-8 (block partials are summed in schedule order).
+pub fn verify_class_s(r: &EpResult) -> bool {
+    const EPSILON: f64 = 1e-8;
+    let (sx, sy) = CLASS_S_SUMS;
+    ((r.sx - sx) / sx).abs() <= EPSILON && ((r.sy - sy) / sy).abs() <= EPSILON
+}
+
+/// Deviates generated per batch before their pairs are tallied: 16 KiB
+/// of stack, so a batch stays in L1 between generation and tally.
+const BATCH: usize = 2048;
+
 /// Per-block tally, merged across the parallel loop.
+///
+/// NPB's `vranlc`-then-tally shape: the generator fills a batch of
+/// deviates in one tight integer loop, then the tally walks its pairs.
+/// The deviates and their order are those of one `randlc` call per
+/// deviate, so `sx`, `sy` and `q` are bit-identical to that form.
 fn block_tally(params: EpParams, block: usize) -> (f64, f64, [u64; 10]) {
-    let pairs = params.pairs_per_block();
-    // Jump the seed past the 2·pairs deviates of all preceding blocks.
-    let jump = power_mod(A, (block as u64) * 2 * pairs as u64);
-    let mut x = SEED;
-    randlc(&mut x, jump);
+    let deviates = 2 * params.pairs_per_block();
+    // Jump the seed past the deviates of all preceding blocks.
+    let mut x = word(seed_after(SEED, block as u64 * deviates as u64));
+    let a = word(A);
 
     let (mut sx, mut sy) = (0.0_f64, 0.0_f64);
     let mut q = [0u64; 10];
-    for _ in 0..pairs {
-        let u1 = 2.0 * randlc(&mut x, A) - 1.0;
-        let u2 = 2.0 * randlc(&mut x, A) - 1.0;
-        let t = u1 * u1 + u2 * u2;
-        if t <= 1.0 && t > 0.0 {
-            let f = (-2.0 * t.ln() / t).sqrt();
-            let gx = u1 * f;
-            let gy = u2 * f;
-            sx += gx;
-            sy += gy;
-            let bin = gx.abs().max(gy.abs()) as usize;
-            q[bin.min(9)] += 1;
+    let mut batch = [0.0_f64; BATCH];
+    let mut left = deviates;
+    while left > 0 {
+        // Both `deviates` and `BATCH` are even, so batches hold whole pairs.
+        let batch = &mut batch[..left.min(BATCH)];
+        left -= batch.len();
+        fill(&mut x, a, batch);
+        for pair in batch.chunks_exact(2) {
+            let u1 = 2.0 * pair[0] - 1.0;
+            let u2 = 2.0 * pair[1] - 1.0;
+            let t = u1 * u1 + u2 * u2;
+            if t <= 1.0 && t > 0.0 {
+                let f = (-2.0 * t.ln() / t).sqrt();
+                let gx = u1 * f;
+                let gy = u2 * f;
+                sx += gx;
+                sy += gy;
+                let bin = gx.abs().max(gy.abs()) as usize;
+                q[bin.min(9)] += 1;
+            }
         }
     }
     (sx, sy, q)
@@ -93,7 +120,7 @@ pub fn ep(pool: &ThreadPool, params: EpParams, sched: Schedule) -> EpResult {
     let q_ref = &q_tot;
 
     // sx and sy come from two reduction passes sharing nothing; EP's cost
-    // is dominated by deviate generation, so we fold the tally into one
+    // is the per-block generation and tally, so we fold the tally into one
     // pass and reduce sx, capturing sy and q via atomics.
     let sy_bits = AtomicU64::new(0.0_f64.to_bits());
     let sy_ref = &sy_bits;
@@ -145,6 +172,41 @@ pub fn ep_sequential(params: EpParams) -> EpResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tally with one `randlc` call per deviate, as before batching.
+    fn block_tally_per_deviate(params: EpParams, block: usize) -> (f64, f64, [u64; 10]) {
+        use crate::randdp::randlc;
+        let pairs = params.pairs_per_block();
+        let mut x = seed_after(SEED, (block * 2 * pairs) as u64);
+        let (mut sx, mut sy) = (0.0_f64, 0.0_f64);
+        let mut q = [0u64; 10];
+        for _ in 0..pairs {
+            let u1 = 2.0 * randlc(&mut x, A) - 1.0;
+            let u2 = 2.0 * randlc(&mut x, A) - 1.0;
+            let t = u1 * u1 + u2 * u2;
+            if t <= 1.0 && t > 0.0 {
+                let f = (-2.0 * t.ln() / t).sqrt();
+                let (gx, gy) = (u1 * f, u2 * f);
+                sx += gx;
+                sy += gy;
+                q[(gx.abs().max(gy.abs()) as usize).min(9)] += 1;
+            }
+        }
+        (sx, sy, q)
+    }
+
+    #[test]
+    fn batched_tally_is_bit_identical_to_one_randlc_per_deviate() {
+        // Blocks shorter than, equal to and longer than one batch.
+        for nk_log in [3, 10, 13] {
+            let params = EpParams { m: nk_log + 3, nk_log };
+            for block in 0..params.blocks() {
+                let (sx, sy, q) = block_tally(params, block);
+                let (rx, ry, rq) = block_tally_per_deviate(params, block);
+                assert_eq!((sx.to_bits(), sy.to_bits(), q), (rx.to_bits(), ry.to_bits(), rq));
+            }
+        }
+    }
 
     #[test]
     fn acceptance_rate_near_pi_over_4() {

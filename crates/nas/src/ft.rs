@@ -63,11 +63,33 @@ impl Mul for Complex {
     }
 }
 
+/// The twiddle table of an `n`-point transform: `w[k] = exp(±2πik/n)`
+/// for `k < n/2`, the sign `+` for the inverse. Each entry comes straight
+/// from `cos`/`sin`; a running product `w · wlen` would compound its
+/// rounding with every step.
+fn twiddles(n: usize, inverse: bool) -> Vec<Complex> {
+    let sign = if inverse { 1.0 } else { -1.0 };
+    (0..n / 2)
+        .map(|k| {
+            let ang = sign * 2.0 * std::f64::consts::PI * k as f64 / n as f64;
+            Complex::new(ang.cos(), ang.sin())
+        })
+        .collect()
+}
+
 /// Iterative radix-2 Cooley–Tukey FFT, in place. `inverse` flips the
 /// twiddle sign (no normalization here; callers scale once).
 pub fn fft1d(buf: &mut [Complex], inverse: bool) {
+    fft1d_with(buf, &twiddles(buf.len(), inverse));
+}
+
+/// [`fft1d`] with the [`twiddles`] table of `buf.len()` points, so a pass
+/// over many pencils of one length builds it once. The stage of length
+/// `len` uses every `(n / len)`-th entry: `exp(±2πik/len) = w[k · n/len]`.
+fn fft1d_with(buf: &mut [Complex], w: &[Complex]) {
     let n = buf.len();
     assert!(n.is_power_of_two(), "FFT length must be a power of two");
+    debug_assert_eq!(w.len(), n / 2);
     // Bit-reversal permutation.
     let mut j = 0usize;
     for i in 1..n {
@@ -81,22 +103,15 @@ pub fn fft1d(buf: &mut [Complex], inverse: bool) {
             buf.swap(i, j);
         }
     }
-    let sign = if inverse { 1.0 } else { -1.0 };
     let mut len = 2;
     while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::new(ang.cos(), ang.sin());
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex::new(1.0, 0.0);
-            for k in 0..len / 2 {
-                let u = buf[i + k];
-                let v = buf[i + k + len / 2] * w;
-                buf[i + k] = u + v;
-                buf[i + k + len / 2] = u - v;
-                w = w * wlen;
+        for block in buf.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(len / 2);
+            for ((u, v), &wk) in lo.iter_mut().zip(hi).zip(w.iter().step_by(n / len)) {
+                let (a, b) = (*u, *v * wk);
+                *u = a + b;
+                *v = a - b;
             }
-            i += len;
         }
         len <<= 1;
     }
@@ -146,55 +161,67 @@ impl CGrid {
 }
 
 /// FFT along dimension 1 (contiguous pencils), parallel over (k2, k3).
+/// Each chunk's pencils are one contiguous run of the grid, transformed
+/// in place.
 fn fft_dim1(pool: &ThreadPool, sched: Schedule, g: &mut CGrid, inverse: bool) {
     let (n1, n2, n3) = (g.p.n1, g.p.n2, g.p.n3);
+    let w = twiddles(n1, inverse);
     let s = UnsafeSlice::new(&mut g.data);
-    par_for(pool, 0..n2 * n3, sched, |p| {
-        let base = p * n1;
-        let mut pencil = vec![Complex::ZERO; n1];
-        for (k1, slot) in pencil.iter_mut().enumerate() {
-            *slot = unsafe { s.read(base + k1) };
+    par_for_chunks(pool, 0..n2 * n3, sched, |chunk| {
+        // SAFETY: pencil `p` is `p·n1..(p+1)·n1`, so the chunks the
+        // scheduler hands out (disjoint, each run once) cover disjoint,
+        // in-bounds runs of the grid.
+        let pencils = unsafe { s.slice_mut(chunk.start * n1..chunk.end * n1) };
+        for pencil in pencils.chunks_exact_mut(n1) {
+            fft1d_with(pencil, &w);
         }
-        fft1d(&mut pencil, inverse);
-        for (k1, &v) in pencil.iter().enumerate() {
-            unsafe { s.write(base + k1, v) };
+    });
+}
+
+/// FFT along a strided dimension of `grid`: pencil `p` is the `n` points
+/// `base(p) + k·stride`, for each of the `grid.len() / n` pencils. Each
+/// chunk gathers its pencils one at a time into one buffer, transforms it
+/// and scatters it back.
+fn fft_strided(
+    pool: &ThreadPool,
+    sched: Schedule,
+    grid: &mut [Complex],
+    n: usize,
+    stride: usize,
+    base: impl Fn(usize) -> usize + Sync,
+    inverse: bool,
+) {
+    let w = twiddles(n, inverse);
+    let pencils = grid.len() / n;
+    let s = UnsafeSlice::new(grid);
+    par_for_chunks(pool, 0..pencils, sched, |chunk| {
+        let mut buf = vec![Complex::ZERO; n];
+        for p in chunk {
+            let b = base(p);
+            // SAFETY: distinct pencils are disjoint, in-bounds index sets
+            // of the grid, and the scheduler runs each pencil exactly once.
+            for (k, slot) in buf.iter_mut().enumerate() {
+                *slot = unsafe { s.read(b + k * stride) };
+            }
+            fft1d_with(&mut buf, &w);
+            for (k, &v) in buf.iter().enumerate() {
+                // SAFETY: as for the gather above.
+                unsafe { s.write(b + k * stride, v) };
+            }
         }
     });
 }
 
 /// FFT along dimension 2 (stride n1), parallel over (k1, k3).
 fn fft_dim2(pool: &ThreadPool, sched: Schedule, g: &mut CGrid, inverse: bool) {
-    let (n1, n2, n3) = (g.p.n1, g.p.n2, g.p.n3);
-    let s = UnsafeSlice::new(&mut g.data);
-    par_for(pool, 0..n1 * n3, sched, |p| {
-        let (k3, k1) = (p / n1, p % n1);
-        let base = k3 * n2 * n1 + k1;
-        let mut pencil = vec![Complex::ZERO; n2];
-        for (k2, slot) in pencil.iter_mut().enumerate() {
-            *slot = unsafe { s.read(base + k2 * n1) };
-        }
-        fft1d(&mut pencil, inverse);
-        for (k2, &v) in pencil.iter().enumerate() {
-            unsafe { s.write(base + k2 * n1, v) };
-        }
-    });
+    let (n1, n2) = (g.p.n1, g.p.n2);
+    fft_strided(pool, sched, &mut g.data, n2, n1, |p| (p / n1) * n2 * n1 + p % n1, inverse);
 }
 
 /// FFT along dimension 3 (stride n1·n2), parallel over (k1, k2).
 fn fft_dim3(pool: &ThreadPool, sched: Schedule, g: &mut CGrid, inverse: bool) {
-    let (n1, n2, n3) = (g.p.n1, g.p.n2, g.p.n3);
-    let plane = n1 * n2;
-    let s = UnsafeSlice::new(&mut g.data);
-    par_for(pool, 0..plane, sched, |base| {
-        let mut pencil = vec![Complex::ZERO; n3];
-        for (k3, slot) in pencil.iter_mut().enumerate() {
-            *slot = unsafe { s.read(base + k3 * plane) };
-        }
-        fft1d(&mut pencil, inverse);
-        for (k3, &v) in pencil.iter().enumerate() {
-            unsafe { s.write(base + k3 * plane, v) };
-        }
-    });
+    let plane = g.p.n1 * g.p.n2;
+    fft_strided(pool, sched, &mut g.data, g.p.n3, plane, |p| p, inverse);
 }
 
 /// Full 3D FFT (all three dimensions).
@@ -309,6 +336,44 @@ mod tests {
         fft1d(&mut buf, false);
         for c in &buf {
             assert!((c.re - 1.0).abs() < 1e-12 && c.im.abs() < 1e-12);
+        }
+    }
+
+    /// The O(n²) DFT `X_j = Σ_k x_k · exp(∓2πi·jk/n)`, with `jk` reduced
+    /// mod `n` so each factor is as accurate as `cos`/`sin`.
+    fn naive_dft(x: &[Complex], inverse: bool) -> Vec<Complex> {
+        let n = x.len();
+        let sign = if inverse { 1.0 } else { -1.0 };
+        (0..n)
+            .map(|j| {
+                x.iter().enumerate().fold(Complex::ZERO, |acc, (k, &v)| {
+                    let ang = sign * 2.0 * std::f64::consts::PI * ((j * k) % n) as f64 / n as f64;
+                    acc + v * Complex::new(ang.cos(), ang.sin())
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fft1d_matches_naive_dft() {
+        // A wrong twiddle stride can keep the transform invertible (and
+        // pass the roundtrip and Parseval tests) while computing another
+        // transform; the DFT itself catches it.
+        let mut x = SEED;
+        let mut uniform = || 2.0 * randlc(&mut x, LCG_A) - 1.0;
+        for n in (1..=8).map(|log_n| 1usize << log_n) {
+            let input: Vec<Complex> = (0..n).map(|_| Complex::new(uniform(), uniform())).collect();
+            for inverse in [false, true] {
+                let mut got = input.clone();
+                fft1d(&mut got, inverse);
+                let want = naive_dft(&input, inverse);
+                let err = got
+                    .iter()
+                    .zip(&want)
+                    .map(|(&a, &b)| (a - b).norm_sqr().sqrt())
+                    .fold(0.0, f64::max);
+                assert!(err <= 1e-12, "n = {n}, inverse = {inverse}: max error {err:e}");
+            }
         }
     }
 

@@ -4,8 +4,9 @@
 # Every test target runs under one fixed time limit, so a hang fails fast
 # with the target named instead of wedging CI.
 #
-#   --quick   skip loopbench's tests, the chaos stress sweep, the bench
-#             gates and the asm check (fast pre-commit loop)
+#   --quick   skip loopbench's tests, the class-S NAS run, the chaos
+#             stress sweep, the bench gates and the asm check (fast
+#             pre-commit loop)
 #   --asm     only run the leaf-vectorization disassembly check
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -131,6 +132,12 @@ if [ "$QUICK" -eq 0 ]; then
   echo "== loopbench tests =="
   run_limited "loopbench tests" cargo test -q --offline --manifest-path loopbench/Cargo.toml
 
+  # NAS at class S under hybrid, omp_static, omp_guided and vanilla: the
+  # example exits non-zero when a kernel fails verification (EP against
+  # NPB's published sums). loopbench runs the kernels under hybrid only.
+  echo "== nas_runner s =="
+  run_limited "nas_runner s" cargo run -q --release --offline --example nas_runner s
+
   # Chaos stress: a reduced seed sweep of the fault-injection layer on top
   # of the default run already included in the workspace tests above.
   echo "== chaos stress (CHAOS_SEEDS=16) =="
@@ -205,6 +212,7 @@ if [ "$QUICK" -eq 0 ]; then
   asm_check
 else
   echo "== loopbench tests skipped (--quick) =="
+  echo "== nas_runner s skipped (--quick) =="
   echo "== chaos stress skipped (--quick) =="
   echo "== inject_bench skipped (--quick) =="
   echo "== split_bench skipped (--quick) =="

@@ -3,7 +3,7 @@
 //! sanity checks on kernel outputs.
 
 use parloop::core::Schedule;
-use parloop::nas::ep::{ep, ep_sequential, EpParams};
+use parloop::nas::ep::{ep, ep_sequential, verify_class_s, EpParams};
 use parloop::nas::ft::{ft, FtParams};
 use parloop::nas::is::{generate_keys, is_sort, verify, IsParams};
 use parloop::nas::mg::{mg, MgParams};
@@ -35,6 +35,11 @@ fn ep_class_s_matches_sequential_under_hybrid() {
     // Published property of EP: acceptance rate converges to pi/4.
     let total = (params.blocks() * params.pairs_per_block()) as f64;
     assert!((par.accepted as f64 / total - std::f64::consts::FRAC_PI_4).abs() < 2e-3);
+    // NPB's published class-S sums, to its relative epsilon 1e-8.
+    for (got, want) in [(par.sx, -3.24783465203474e3), (par.sy, -6.958407078382297e3)] {
+        assert!(((got - want) / want).abs() <= 1e-8, "{got} vs published {want}");
+    }
+    assert!(verify_class_s(&par));
 }
 
 #[test]
@@ -49,18 +54,13 @@ fn lcg_jump_ahead_composes() {
 
 #[test]
 fn lcg_has_full_looking_period_prefix() {
-    // No short cycles within the first 100k draws.
+    // No short cycles: the state does not return to the seed within the
+    // first 1M draws.
     let mut x = SEED;
-    let first = randlc(&mut x, A);
-    for i in 1..100_000 {
-        let v = randlc(&mut x, A);
-        if v == first && i < 99_999 {
-            // A repeat of the first *value* is possible but a repeat of
-            // state would cycle; check state instead.
-            // (state == initial would mean a tiny period)
-        }
+    for i in 1..=1_000_000 {
+        randlc(&mut x, A);
+        assert_ne!(x, SEED, "state cycled back to the seed after {i} draws");
     }
-    assert_ne!(x, SEED, "state cycled back to the seed");
 }
 
 #[test]
