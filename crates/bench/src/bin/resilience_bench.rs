@@ -51,15 +51,26 @@ fn spin_iter() {
     }
 }
 
-/// Live threads of this process named with `prefix` (`/proc/self/task`).
-fn threads_named(prefix: &str) -> usize {
-    std::fs::read_dir("/proc/self/task")
-        .expect("linux procfs")
-        .filter(|entry| {
-            let comm = entry.as_ref().unwrap().path().join("comm");
-            std::fs::read_to_string(comm).is_ok_and(|name| name.starts_with(prefix))
-        })
-        .count()
+/// Live threads of this process named with `prefix` (`/proc/self/task`),
+/// polled until the count reads `expected` or 10 s pass; returns the last
+/// count. A thread that has exited can stay listed for a moment after it
+/// is joined, while a leaked thread stays listed past the deadline, so the
+/// census keeps its meaning.
+fn threads_named_settled(prefix: &str, expected: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let count = std::fs::read_dir("/proc/self/task")
+            .expect("linux procfs")
+            .filter(|entry| {
+                let comm = entry.as_ref().unwrap().path().join("comm");
+                std::fs::read_to_string(comm).is_ok_and(|name| name.starts_with(prefix))
+            })
+            .count();
+        if count == expected || Instant::now() >= deadline {
+            return count;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 struct SweepResult {
@@ -107,7 +118,7 @@ fn kill_sweep(p: usize, n: usize, rounds: usize) -> SweepResult {
             std::thread::yield_now();
         };
         let health = pool.health();
-        let census_ok = threads_named(&prefix) == p;
+        let census_ok = threads_named_settled(&prefix, p) == p;
         if lost || !recovered || health.is_degraded() || !census_ok {
             eprintln!(
                 "seed {seed}: lost={lost} recovered={recovered} degraded={} census_ok={census_ok}",

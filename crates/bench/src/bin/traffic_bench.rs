@@ -1,31 +1,31 @@
-//! Multi-tenant traffic benchmark: QoS lanes + admission under a batch
-//! overload, exercised through `parloop-tenant` handles.
+//! QoS traffic benchmark: the pool's Latency/Batch injection lanes under
+//! a batch overload, driven through `ThreadPool::install_class`.
 //!
 //! Scenario: a fleet of batch submitter threads keeps the pool saturated
 //! with batch-class loops (several queued behind the running ones at all
-//! times) while one interactive tenant periodically installs a tiny op
-//! and measures the round trip — the queueing delay the QoS sub-lanes are
+//! times; each submitter blocks on its own loop, so it has one in flight)
+//! while one interactive sampler periodically installs a tiny op and
+//! measures the round trip — the queueing delay the QoS sub-lanes are
 //! supposed to bound. Two runs drive the same traffic, each through a
 //! fresh default pool:
 //!
-//! * **class_blind** — the interactive tenant is tagged `Batch`, so its
-//!   installs queue in the flood's sub-lane and wait behind the whole
-//!   batch backlog (the no-QoS baseline);
-//! * **qos** — the interactive tenant is tagged `Latency`:
-//!   deficit-round-robin drains its work first, so an install waits only
-//!   for a worker to finish its current job.
+//! * **class_blind** — the sampler's installs are tagged `Batch`, so they
+//!   queue in the flood's sub-lane and wait behind the whole batch
+//!   backlog (the no-QoS baseline);
+//! * **qos** — the sampler's installs are tagged `Latency`:
+//!   deficit-round-robin drains them first, so an install waits only for
+//!   a worker to finish its current job.
 //!
-//! A separate fairness phase floods two *equal-weight* batch tenants
-//! through the QoS pool and compares completed loops.
+//! A separate fairness phase floods two equal groups of batch submitters
+//! through the QoS pool and compares their completed loops.
 //!
 //! Measurements land in `results/traffic.json`; with `--bench-json PATH`
-//! the `tenant/*` series is merged into the flat cross-commit tracking
-//! file.
+//! the `qos/*` series is merged into the flat cross-commit tracking file.
 //!
 //! Acceptance (process exits 1 otherwise):
-//! * zero lost iterations — every admitted loop ran exactly once, in
-//!   both phases (enforced in smoke and full modes);
-//! * fairness ratio between the equal-weight tenants in [0.5, 2.0]
+//! * zero lost iterations — every completed loop ran each iteration
+//!   exactly once, in both phases (enforced in smoke and full modes);
+//! * fairness ratio between the equal submitter groups in [0.5, 2.0]
 //!   (enforced in both modes);
 //! * latency-class p99 install latency under overload ≥ 5x lower than
 //!   the class-blind baseline's (full mode only; `--smoke`
@@ -38,13 +38,11 @@
 //! [--smoke] [--bench-json PATH]`
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parloop_bench::{bench_json_arg, merge_bench_json, Table};
-use parloop_core::Schedule;
+use parloop_core::{par_for, Schedule};
 use parloop_runtime::{QosClass, ThreadPool};
-use parloop_tenant::Tenant;
 
 /// ~100ns of register-only spin per iteration, so batch loops cost real
 /// wall time without touching memory.
@@ -64,72 +62,69 @@ struct OverloadResult {
     p50_us: f64,
     p99_us: f64,
     batch_completed: u64,
-    batch_rejected: u64,
     lost_iterations: i64,
 }
 
+/// One batch submitter: install batch-class loops of `n` spin iterations
+/// on `pool` until `stop` is raised, counting each completed loop in
+/// `completed` and each executed iteration in `executed`.
+fn submit_batch_loops(
+    pool: &ThreadPool,
+    n: usize,
+    stop: &AtomicBool,
+    completed: &AtomicU64,
+    executed: &AtomicU64,
+) {
+    while !stop.load(Ordering::Relaxed) {
+        pool.install_class(QosClass::Batch, || {
+            par_for(pool, 0..n, Schedule::hybrid(), |_i| {
+                spin_iter();
+                executed.fetch_add(1, Ordering::Relaxed);
+            })
+        });
+        completed.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// Drive `batch_submitters` threads of batch loops through `pool` while an
-/// interactive tenant of class `interactive` samples install round trips.
+/// interactive sampler of class `interactive` times install round trips.
 /// Returns the latency percentiles and the exactly-once balance of the
 /// batch traffic.
 fn overload(
-    pool: &Arc<ThreadPool>,
-    label: &str,
+    pool: &ThreadPool,
     interactive: QosClass,
     batch_submitters: usize,
     batch_n: usize,
     samples: usize,
 ) -> OverloadResult {
-    let latency = Tenant::builder(format!("interactive-{label}"))
-        .class(interactive)
-        .weight(4)
-        .build_on(Arc::clone(pool));
-    // One slot per submitter: the flood keeps the pool saturated but is
-    // never rejected in steady state, so the backlog depth is stable.
-    let batch = Tenant::builder(format!("bulk-{label}"))
-        .class(QosClass::Batch)
-        .max_in_flight(batch_submitters)
-        .build_on(Arc::clone(pool));
-
     let stop = AtomicBool::new(false);
+    let completed = AtomicU64::new(0);
     let executed = AtomicU64::new(0);
     let mut lats_us = Vec::with_capacity(samples);
     std::thread::scope(|s| {
         for _ in 0..batch_submitters {
-            s.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    let r = batch.par_for(0..batch_n, Schedule::hybrid(), |_i| {
-                        spin_iter();
-                        executed.fetch_add(1, Ordering::Relaxed);
-                    });
-                    if r.is_err() {
-                        std::thread::yield_now();
-                    }
-                }
-            });
+            s.spawn(|| submit_batch_loops(pool, batch_n, &stop, &completed, &executed));
         }
         // Let the backlog build before sampling.
         std::thread::sleep(Duration::from_millis(50));
         for _ in 0..samples {
             std::thread::sleep(Duration::from_millis(2));
             let t0 = Instant::now();
-            latency.install(|| {}).expect("interactive tenant never exceeds its window");
+            pool.install_class(interactive, || {});
             lats_us.push(t0.elapsed().as_nanos() as f64 / 1000.0);
         }
         stop.store(true, Ordering::Relaxed);
     });
 
-    let stats = batch.stats();
     // Exactly-once balance: every iteration of every completed loop ran,
-    // and nothing ran twice. In-flight is zero once the scope joins, so
-    // installed loops are completed loops.
-    let expected = stats.installed as i64 * batch_n as i64;
+    // and nothing ran twice. Once the scope joins no loop is in flight.
+    let completed = completed.load(Ordering::Relaxed);
+    let expected = completed as i64 * batch_n as i64;
     lats_us.sort_by(|a, b| a.total_cmp(b));
     OverloadResult {
         p50_us: percentile(&lats_us, 0.50),
         p99_us: percentile(&lats_us, 0.99),
-        batch_completed: stats.installed,
-        batch_rejected: stats.rejected,
+        batch_completed: completed,
         lost_iterations: expected - executed.load(Ordering::Relaxed) as i64,
     }
 }
@@ -141,46 +136,33 @@ struct FairnessResult {
     lost_iterations: i64,
 }
 
-/// Flood two equal-weight batch tenants through `pool` for `window` and
-/// compare completed loops: the admission window is the only throttle, so
-/// equal weights must yield comparable shares.
+/// Flood two equal groups of batch submitters through `pool` for
+/// `window` and compare completed loops: nothing tells the groups apart,
+/// so they must get comparable shares.
 fn fairness(
-    pool: &Arc<ThreadPool>,
-    per_tenant_submitters: usize,
+    pool: &ThreadPool,
+    per_group_submitters: usize,
     n: usize,
     window: Duration,
 ) -> FairnessResult {
-    let mk = |name: &str| {
-        Tenant::builder(name).class(QosClass::Batch).weight(1).build_on(Arc::clone(pool))
-    };
-    let tenants = [mk("fair-a"), mk("fair-b")];
     let stop = AtomicBool::new(false);
+    let completed = [AtomicU64::new(0), AtomicU64::new(0)];
     let executed = AtomicU64::new(0);
     std::thread::scope(|s| {
-        for tenant in &tenants {
-            for _ in 0..per_tenant_submitters {
-                s.spawn(|| {
-                    while !stop.load(Ordering::Relaxed) {
-                        let r = tenant.par_for(0..n, Schedule::hybrid(), |_i| {
-                            spin_iter();
-                            executed.fetch_add(1, Ordering::Relaxed);
-                        });
-                        if r.is_err() {
-                            std::thread::yield_now();
-                        }
-                    }
-                });
+        for group in &completed {
+            for _ in 0..per_group_submitters {
+                s.spawn(|| submit_batch_loops(pool, n, &stop, group, &executed));
             }
         }
         std::thread::sleep(window);
         stop.store(true, Ordering::Relaxed);
     });
-    let (a, b) = (tenants[0].stats(), tenants[1].stats());
-    let expected = (a.installed + b.installed) as i64 * n as i64;
+    let [a, b] = completed.map(AtomicU64::into_inner);
+    let expected = (a + b) as i64 * n as i64;
     FairnessResult {
-        completed_a: a.installed,
-        completed_b: b.installed,
-        ratio: a.installed as f64 / b.installed.max(1) as f64,
+        completed_a: a,
+        completed_b: b,
+        ratio: a as f64 / b.max(1) as f64,
         lost_iterations: expected - executed.load(Ordering::Relaxed) as i64,
     }
 }
@@ -205,16 +187,10 @@ fn main() {
 
     // The no-QoS baseline: interactive installs tagged `Batch` share the
     // flood's sub-lane, on a pool of their own.
-    let blind_res = overload(
-        &Arc::new(ThreadPool::new(p)),
-        "class-blind",
-        QosClass::Batch,
-        batch_submitters,
-        batch_n,
-        samples,
-    );
-    let qos = Arc::new(ThreadPool::new(p));
-    let qos_res = overload(&qos, "qos", QosClass::Latency, batch_submitters, batch_n, samples);
+    let blind_res =
+        overload(&ThreadPool::new(p), QosClass::Batch, batch_submitters, batch_n, samples);
+    let qos = ThreadPool::new(p);
+    let qos_res = overload(&qos, QosClass::Latency, batch_submitters, batch_n, samples);
     let speedup = blind_res.p99_us / qos_res.p99_us;
 
     let mut t = Table::new(vec![
@@ -222,7 +198,6 @@ fn main() {
         "latency p50 (us)",
         "latency p99 (us)",
         "batch loops",
-        "batch rejected",
         "lost iters",
     ]);
     for (name, r) in [("class_blind", &blind_res), ("qos", &qos_res)] {
@@ -231,7 +206,6 @@ fn main() {
             format!("{:.1}", r.p50_us),
             format!("{:.1}", r.p99_us),
             r.batch_completed.to_string(),
-            r.batch_rejected.to_string(),
             r.lost_iterations.to_string(),
         ]);
     }
@@ -240,7 +214,7 @@ fn main() {
 
     let fair = fairness(&qos, fair_submitters, fair_n, fair_window);
     println!(
-        "fairness: equal-weight tenants completed {} vs {} loops (ratio {:.2}, lost {})",
+        "fairness: equal submitter groups completed {} vs {} loops (ratio {:.2}, lost {})",
         fair.completed_a, fair.completed_b, fair.ratio, fair.lost_iterations
     );
 
@@ -256,27 +230,23 @@ fn main() {
         merge_bench_json(
             path,
             &[
-                (
-                    "tenant/latency_p99_us/class_blind".into(),
-                    format!("{:.2}", blind_res.p99_us),
-                    "us",
-                ),
-                ("tenant/latency_p99_us/qos".into(), format!("{:.2}", qos_res.p99_us), "us"),
-                ("tenant/qos_p99_speedup".into(), format!("{speedup:.3}"), "ratio"),
-                ("tenant/fairness_ratio".into(), format!("{:.3}", fair.ratio), "ratio"),
-                ("tenant/lost_iterations".into(), lost.to_string(), "iterations"),
+                ("qos/latency_p99_us/class_blind".into(), format!("{:.2}", blind_res.p99_us), "us"),
+                ("qos/latency_p99_us/qos".into(), format!("{:.2}", qos_res.p99_us), "us"),
+                ("qos/qos_p99_speedup".into(), format!("{speedup:.3}"), "ratio"),
+                ("qos/fairness_ratio".into(), format!("{:.3}", fair.ratio), "ratio"),
+                ("qos/lost_iterations".into(), lost.to_string(), "iterations"),
             ],
         );
-        println!("merged tenant/* series into {path}");
+        println!("merged qos/* series into {path}");
     }
 
     // Acceptance bars.
     let mut failed = false;
-    println!("\ncheck lost iterations: {lost} (need 0: exactly-once per admitted loop)");
+    println!("\ncheck lost iterations: {lost} (need 0: exactly-once per completed loop)");
     if lost != 0 {
         failed = true;
     }
-    println!("check fairness ratio: {:.2} (need within [0.5, 2.0] for equal weights)", fair.ratio);
+    println!("check fairness ratio: {:.2} (need within [0.5, 2.0] for equal groups)", fair.ratio);
     if !(0.5..=2.0).contains(&fair.ratio) {
         failed = true;
     }
@@ -295,7 +265,7 @@ fn main() {
         eprintln!("FAILED: traffic acceptance bars not met");
         std::process::exit(1);
     }
-    println!("ok: QoS bounds latency-class queueing; equal weights share fairly; no lost jobs");
+    println!("ok: QoS bounds latency-class queueing; equal groups share fairly; no lost jobs");
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -316,8 +286,8 @@ fn render_json(
     ));
     for (name, r) in [("class_blind", class_blind), ("qos", qos)] {
         s.push_str(&format!(
-            "  \"{name}\": {{\"latency_p50_us\": {:.2}, \"latency_p99_us\": {:.2}, \"batch_loops\": {}, \"batch_rejected\": {}, \"lost_iterations\": {}}},\n",
-            r.p50_us, r.p99_us, r.batch_completed, r.batch_rejected, r.lost_iterations
+            "  \"{name}\": {{\"latency_p50_us\": {:.2}, \"latency_p99_us\": {:.2}, \"batch_loops\": {}, \"lost_iterations\": {}}},\n",
+            r.p50_us, r.p99_us, r.batch_completed, r.lost_iterations
         ));
     }
     s.push_str(&format!("  \"qos_p99_speedup\": {speedup:.3},\n"));

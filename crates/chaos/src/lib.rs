@@ -9,8 +9,8 @@
 //! * [`Site`] — the taxonomy of injection points threaded through the
 //!   runtime and the hybrid loop layer (steal sweeps, victim selection,
 //!   parking, the claim `fetch_or`, adopter-frame publication, partition
-//!   bodies, the worker main loop, external injection-lane posts, and
-//!   multi-tenant admission);
+//!   bodies, the worker main loop, external injection-lane posts, worker
+//!   exits and grain adjustments);
 //! * [`FaultAction`] — what a site is told to do: nothing, fail the
 //!   operation, stall for a bounded spin, or panic;
 //! * [`FaultInjector`] — the trait the registry owns, mirroring
@@ -70,16 +70,6 @@ pub enum Site {
     /// consecutive forced losses are bounded by the loop layer so rate-1
     /// plans still make progress).
     AssistClaim,
-    /// A tenant submission passing multi-tenant admission control
-    /// (`parloop-tenant`). Consulted on the *submitter's* thread, like
-    /// [`Site::InjectLane`] (no worker id, never traced). `Fail` forces a
-    /// rejection — the tenant layer returns `TenantError::Overloaded` even
-    /// when the tenant is under its depth limit, exactly the path a full
-    /// queue takes; `Delay` stalls the submitter inside admission so
-    /// concurrent admits race each other; `Panic` is demoted to `Fail` by
-    /// the tenant layer — unwinding into a submitter thread would take
-    /// user code down, which is not a runtime fault.
-    Admission,
     /// Top of the worker run loop, *between* jobs (never inside one, so
     /// the worker holds no claims or latch obligations when consulted).
     /// The only site that receives [`FaultAction::Kill`]: the worker
@@ -88,20 +78,20 @@ pub enum Site {
     /// by worker threads, never by submitters.
     WorkerExit,
     /// The adaptive grain controller about to ingest one loop's wall time
-    /// (`parloop-core`'s `adapt` layer). Consulted through the
-    /// pool's external-decision path (the recording thread may be a
-    /// non-worker submitter), so like [`Site::InjectLane`] and
-    /// [`Site::Admission`] a `Panic` is demoted to `Fail` — a perturbed
-    /// controller must never take user loops down. `Fail` drops the
-    /// feedback sample on the floor (the controller misses one
-    /// observation and must still converge); `Delay` stalls the recording
-    /// thread so concurrent loops race their controller updates.
+    /// (`parloop-core`'s `adapt` layer). Consulted through the pool's
+    /// external-decision path (the recording thread may be a non-worker
+    /// submitter), so like [`Site::InjectLane`] a `Panic` is demoted to
+    /// `Fail` — a perturbed controller must never take user loops down.
+    /// `Fail` drops the feedback sample on the floor (the controller
+    /// misses one observation and must still converge); `Delay` stalls
+    /// the recording thread so concurrent loops race their controller
+    /// updates.
     GrainAdjust,
 }
 
 impl Site {
     /// Every site, in code order.
-    pub const ALL: [Site; 12] = [
+    pub const ALL: [Site; 11] = [
         Site::MainLoop,
         Site::StealSweep,
         Site::StealVictim,
@@ -111,7 +101,6 @@ impl Site {
         Site::PartitionBody,
         Site::InjectLane,
         Site::AssistClaim,
-        Site::Admission,
         Site::WorkerExit,
         Site::GrainAdjust,
     ];
@@ -143,7 +132,6 @@ impl Site {
             Site::PartitionBody => "partition_body",
             Site::InjectLane => "inject_lane",
             Site::AssistClaim => "assist_claim",
-            Site::Admission => "admission",
             Site::WorkerExit => "worker_exit",
             Site::GrainAdjust => "grain_adjust",
         }
@@ -308,7 +296,6 @@ impl PlannedInjector {
                 Site::PartitionBody => RATE_DENOM / 32,
                 Site::InjectLane => RATE_DENOM / 16,
                 Site::AssistClaim => RATE_DENOM / 2,
-                Site::Admission => RATE_DENOM / 16,
                 Site::WorkerExit => RATE_DENOM / 64,
                 Site::GrainAdjust => RATE_DENOM / 16,
             };

@@ -79,20 +79,6 @@ impl QosClass {
             QosClass::Batch => 1,
         }
     }
-
-    /// Wire encoding used by trace events.
-    #[inline]
-    pub fn as_u8(self) -> u8 {
-        self.index() as u8
-    }
-
-    /// Human-readable class name (`"latency"` / `"batch"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            QosClass::Latency => "latency",
-            QosClass::Batch => "batch",
-        }
-    }
 }
 
 /// Per-round DRR credits for the two sub-lanes, indexed by

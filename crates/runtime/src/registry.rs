@@ -255,12 +255,12 @@ impl Registry {
     pub(crate) fn inject(&self, job: JobRef) {
         // Untagged external work defaults to the latency class: blocking
         // `install` calls are interactive by nature and must not queue
-        // behind a tenant's batch backlog.
+        // behind a batch backlog.
         self.inject_class(job, QosClass::Latency);
     }
 
-    /// [`inject`](Self::inject) with an explicit QoS class (the tenant
-    /// layer's path).
+    /// [`inject`](Self::inject) with an explicit QoS class
+    /// (`install_class`, `spawn_detached_class`).
     pub(crate) fn inject_class(&self, job: JobRef, class: QosClass) {
         let mut lane = self.injected.home_lane();
         let mut drop_wake = false;
@@ -1287,7 +1287,8 @@ impl ThreadPool {
     }
 
     /// Consult the pool's fault injector at `site` on behalf of an
-    /// *external* (non-worker) thread — the tenant layer's admission path.
+    /// *external* (non-worker) thread — the adaptive grain controller's
+    /// `Site::GrainAdjust` gate, whose recording thread may be a submitter.
     /// Never traced (trace sinks index per-worker rings), and an injected
     /// `Panic` is demoted to `Fail` so faults cannot unwind into user
     /// submitter threads. Returns [`FaultAction::None`] when chaos is off.
@@ -1303,10 +1304,10 @@ impl ThreadPool {
         }
     }
 
-    /// Record `event` from an *external* (non-worker) thread — e.g. the
-    /// tenant layer's retry/breaker events. Routed through the sink's
-    /// serialized external channel, never a per-worker ring. One untaken
-    /// branch when tracing is off.
+    /// Record `event` from an *external* (non-worker) thread — e.g. a
+    /// `GrainAdjusted` event recorded by a submitter. Routed through the
+    /// sink's serialized external channel, never a per-worker ring. One
+    /// untaken branch when tracing is off.
     #[inline]
     pub fn trace_external(&self, event: TraceEvent) {
         if self.registry.trace_on {

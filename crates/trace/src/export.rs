@@ -56,12 +56,6 @@ fn classify(event: &TraceEvent) -> Option<Record> {
         TraceEvent::AssistChunk { start, len } => {
             Record::Instant("assist_chunk", format!(r#"{{"start":{start},"len":{len}}}"#))
         }
-        TraceEvent::TenantInstalled { tenant, class } => {
-            Record::Instant("tenant_installed", format!(r#"{{"tenant":{tenant},"class":{class}}}"#))
-        }
-        TraceEvent::TenantDeadline { tenant } => {
-            Record::Instant("tenant_deadline", format!(r#"{{"tenant":{tenant}}}"#))
-        }
         TraceEvent::WorkerRespawned { worker, epoch } => {
             Record::Instant("worker_respawned", format!(r#"{{"worker":{worker},"epoch":{epoch}}}"#))
         }
@@ -70,12 +64,6 @@ fn classify(event: &TraceEvent) -> Option<Record> {
         }
         TraceEvent::OrphanRescued { from } => {
             Record::Instant("orphan_rescued", format!(r#"{{"from":{from}}}"#))
-        }
-        TraceEvent::TenantRetry { tenant, attempt } => {
-            Record::Instant("tenant_retry", format!(r#"{{"tenant":{tenant},"attempt":{attempt}}}"#))
-        }
-        TraceEvent::BreakerOpen { tenant } => {
-            Record::Instant("breaker_open", format!(r#"{{"tenant":{tenant}}}"#))
         }
         TraceEvent::GrainAdjusted { site, grain } => {
             Record::Instant("grain_adjusted", format!(r#"{{"site":{site},"grain":{grain}}}"#))
@@ -164,7 +152,7 @@ pub fn chrome_trace_json(snap: &TraceSnapshot) -> String {
 /// per-kind payload fields.
 pub fn csv(snap: &TraceSnapshot) -> String {
     let mut out = String::from(
-        "ts_nanos,worker,event,success,index,partition,victim,start,len,site,action,lane,tenant,class,epoch,attempt\n",
+        "ts_nanos,worker,event,success,index,partition,victim,start,len,site,action,lane,epoch\n",
     );
     for e in &snap.events {
         let (mut success, mut index, mut partition, mut victim, mut start, mut len) = (
@@ -176,8 +164,7 @@ pub fn csv(snap: &TraceSnapshot) -> String {
             String::new(),
         );
         let (mut site, mut action, mut lane) = (String::new(), String::new(), String::new());
-        let (mut tenant, mut class) = (String::new(), String::new());
-        let (mut epoch, mut attempt) = (String::new(), String::new());
+        let mut epoch = String::new();
         match e.event {
             TraceEvent::Stolen { victim: v } | TraceEvent::StolenRemote { victim: v } => {
                 victim = v.to_string()
@@ -188,17 +175,7 @@ pub fn csv(snap: &TraceSnapshot) -> String {
             }
             TraceEvent::WorkerQuarantined { worker: w } => victim = w.to_string(),
             TraceEvent::OrphanRescued { from: f } => victim = f.to_string(),
-            TraceEvent::TenantRetry { tenant: t, attempt: a } => {
-                tenant = t.to_string();
-                attempt = a.to_string();
-            }
-            TraceEvent::BreakerOpen { tenant: t } => tenant = t.to_string(),
             TraceEvent::InjectLane { lane: l } => lane = l.to_string(),
-            TraceEvent::TenantInstalled { tenant: t, class: c } => {
-                tenant = t.to_string();
-                class = c.to_string();
-            }
-            TraceEvent::TenantDeadline { tenant: t } => tenant = t.to_string(),
             TraceEvent::ClaimAttempt { success: s, index: i, partition: p } => {
                 success = (s as u8).to_string();
                 index = i.to_string();
@@ -224,7 +201,7 @@ pub fn csv(snap: &TraceSnapshot) -> String {
         }
         let _ = writeln!(
             out,
-            "{},{},{},{success},{index},{partition},{victim},{start},{len},{site},{action},{lane},{tenant},{class},{epoch},{attempt}",
+            "{},{},{},{success},{index},{partition},{victim},{start},{len},{site},{action},{lane},{epoch}",
             e.ts_nanos,
             e.worker,
             e.event.name(),
@@ -287,31 +264,23 @@ mod tests {
             (6, 1, TraceEvent::ChunkEnd { start: 10, len: 4 }),
             (7, 0, TraceEvent::FaultInjected { site: 4, action: 1 }),
             (8, 1, TraceEvent::InjectLane { lane: 3 }),
-            (9, 0, TraceEvent::TenantInstalled { tenant: 12, class: 1 }),
-            (10, 0, TraceEvent::TenantDeadline { tenant: 12 }),
             (11, 2, TraceEvent::WorkerRespawned { worker: 1, epoch: 2 }),
             (12, 2, TraceEvent::WorkerQuarantined { worker: 0 }),
             (13, 2, TraceEvent::OrphanRescued { from: 0 }),
-            (14, 0, TraceEvent::TenantRetry { tenant: 12, attempt: 3 }),
-            (15, 0, TraceEvent::BreakerOpen { tenant: 12 }),
             (16, 3, TraceEvent::StolenRemote { victim: 7 }),
         ]);
         let text = csv(&s);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 13);
+        assert_eq!(lines.len(), 9);
         assert!(lines[0].starts_with("ts_nanos,worker,event"));
-        assert_eq!(lines[1], "5,0,claim_attempt,1,2,6,,,,,,,,,,");
-        assert_eq!(lines[2], "6,1,chunk_end,,,,,10,4,,,,,,,");
-        assert_eq!(lines[3], "7,0,fault_injected,,,,,,,4,1,,,,,");
-        assert_eq!(lines[4], "8,1,inject_lane,,,,,,,,,3,,,,");
-        assert_eq!(lines[5], "9,0,tenant_installed,,,,,,,,,,12,1,,");
-        assert_eq!(lines[6], "10,0,tenant_deadline,,,,,,,,,,12,,,");
-        assert_eq!(lines[7], "11,2,worker_respawned,,,,1,,,,,,,,2,");
-        assert_eq!(lines[8], "12,2,worker_quarantined,,,,0,,,,,,,,,");
-        assert_eq!(lines[9], "13,2,orphan_rescued,,,,0,,,,,,,,,");
-        assert_eq!(lines[10], "14,0,tenant_retry,,,,,,,,,,12,,,3");
-        assert_eq!(lines[11], "15,0,breaker_open,,,,,,,,,,12,,,");
-        assert_eq!(lines[12], "16,3,stolen_remote,,,,7,,,,,,,,,");
+        assert_eq!(lines[1], "5,0,claim_attempt,1,2,6,,,,,,,");
+        assert_eq!(lines[2], "6,1,chunk_end,,,,,10,4,,,,");
+        assert_eq!(lines[3], "7,0,fault_injected,,,,,,,4,1,,");
+        assert_eq!(lines[4], "8,1,inject_lane,,,,,,,,,3,");
+        assert_eq!(lines[5], "11,2,worker_respawned,,,,1,,,,,,2");
+        assert_eq!(lines[6], "12,2,worker_quarantined,,,,0,,,,,,");
+        assert_eq!(lines[7], "13,2,orphan_rescued,,,,0,,,,,,");
+        assert_eq!(lines[8], "16,3,stolen_remote,,,,7,,,,,,");
     }
 
     #[test]
@@ -343,31 +312,15 @@ mod tests {
     }
 
     #[test]
-    fn tenant_events_render_as_instants() {
-        let s = snap(vec![
-            (1, 0, TraceEvent::TenantInstalled { tenant: 3, class: 0 }),
-            (2, 0, TraceEvent::TenantDeadline { tenant: 3 }),
-        ]);
-        let json = chrome_trace_json(&s);
-        assert!(json.contains(r#""name":"tenant_installed""#), "{json}");
-        assert!(json.contains(r#""tenant":3,"class":0"#), "{json}");
-        assert!(json.contains(r#""name":"tenant_deadline""#), "{json}");
-    }
-
-    #[test]
     fn resilience_events_render_as_instants() {
         let s = snap(vec![
             (1, 2, TraceEvent::WorkerQuarantined { worker: 1 }),
             (2, 2, TraceEvent::OrphanRescued { from: 1 }),
             (3, 1, TraceEvent::WorkerRespawned { worker: 1, epoch: 1 }),
-            (4, 0, TraceEvent::TenantRetry { tenant: 5, attempt: 2 }),
-            (5, 0, TraceEvent::BreakerOpen { tenant: 5 }),
         ]);
         let json = chrome_trace_json(&s);
         assert!(json.contains(r#""name":"worker_quarantined""#), "{json}");
         assert!(json.contains(r#""name":"orphan_rescued""#), "{json}");
         assert!(json.contains(r#""worker":1,"epoch":1"#), "{json}");
-        assert!(json.contains(r#""tenant":5,"attempt":2"#), "{json}");
-        assert!(json.contains(r#""name":"breaker_open""#), "{json}");
     }
 }

@@ -143,23 +143,6 @@ pub enum TraceEvent {
         /// Number of iterations in the claimed chunk.
         len: u32,
     },
-    /// A worker began executing work submitted through the multi-tenant
-    /// layer (`parloop-tenant`). Emitted at the start of the tenant's
-    /// install frame, so the gap to the submission timestamp is the
-    /// install latency the tenant stats histogram records.
-    TenantInstalled {
-        /// The submitting tenant's id.
-        tenant: u32,
-        /// The tenant's QoS class code (`0` latency, `1` batch — kept as a
-        /// raw byte so this crate stays a dependency leaf).
-        class: u8,
-    },
-    /// A tenant loop observed its deadline-derived `CancelToken` fired and
-    /// returned `Err` (recorded by the worker running the install frame).
-    TenantDeadline {
-        /// The cancelled tenant's id.
-        tenant: u32,
-    },
     /// A replacement thread took over worker slot `worker` (after a fatal
     /// worker death or an in-place recovery from quarantine), bumping the
     /// slot's respawn epoch.
@@ -180,20 +163,6 @@ pub enum TraceEvent {
     OrphanRescued {
         /// The worker slot the job was rescued from.
         from: u32,
-    },
-    /// A tenant submission was rejected and is backing off before its
-    /// next attempt under the tenant's `RetryPolicy`.
-    TenantRetry {
-        /// The retrying tenant's id.
-        tenant: u32,
-        /// Which retry attempt is being scheduled (first retry = 1).
-        attempt: u32,
-    },
-    /// A tenant's circuit breaker tripped open after consecutive
-    /// rejections: submissions fail fast until the cooldown elapses.
-    BreakerOpen {
-        /// The tenant whose breaker opened.
-        tenant: u32,
     },
     /// The adaptive controller changed a loop site's grain after
     /// ingesting that loop's wall time. One event per *accepted*
@@ -230,18 +199,15 @@ impl TraceEvent {
             TraceEvent::BackstopWake => "backstop_wake",
             TraceEvent::AssistJoin => "assist_join",
             TraceEvent::AssistChunk { .. } => "assist_chunk",
-            TraceEvent::TenantInstalled { .. } => "tenant_installed",
-            TraceEvent::TenantDeadline { .. } => "tenant_deadline",
             TraceEvent::WorkerRespawned { .. } => "worker_respawned",
             TraceEvent::WorkerQuarantined { .. } => "worker_quarantined",
             TraceEvent::OrphanRescued { .. } => "orphan_rescued",
-            TraceEvent::TenantRetry { .. } => "tenant_retry",
-            TraceEvent::BreakerOpen { .. } => "breaker_open",
             TraceEvent::GrainAdjusted { .. } => "grain_adjusted",
         }
     }
 
-    /// Pack into two words for the fixed-size ring slot.
+    /// Pack into two words for the fixed-size ring slot. Tags 20, 21, 25
+    /// and 26 belonged to deleted events and stay unused.
     pub(crate) fn pack(&self) -> (u64, u64) {
         match *self {
             TraceEvent::JobPushed => (1, 0),
@@ -267,19 +233,11 @@ impl TraceEvent {
             TraceEvent::BackstopWake => (17, 0),
             TraceEvent::AssistJoin => (18, 0),
             TraceEvent::AssistChunk { start, len } => (19 | (len as u64) << 32, start),
-            TraceEvent::TenantInstalled { tenant, class } => {
-                (20 | (class as u64) << 8, tenant as u64)
-            }
-            TraceEvent::TenantDeadline { tenant } => (21, tenant as u64),
             TraceEvent::WorkerRespawned { worker, epoch } => {
                 (22 | (epoch as u64) << 32, worker as u64)
             }
             TraceEvent::WorkerQuarantined { worker } => (23, worker as u64),
             TraceEvent::OrphanRescued { from } => (24, from as u64),
-            TraceEvent::TenantRetry { tenant, attempt } => {
-                (25 | (attempt as u64) << 32, tenant as u64)
-            }
-            TraceEvent::BreakerOpen { tenant } => (26, tenant as u64),
             TraceEvent::StolenRemote { victim } => (27, victim as u64),
             TraceEvent::GrainAdjusted { site, grain } => (28 | (grain as u64) << 32, site as u64),
         }
@@ -312,13 +270,9 @@ impl TraceEvent {
             17 => TraceEvent::BackstopWake,
             18 => TraceEvent::AssistJoin,
             19 => TraceEvent::AssistChunk { start: b, len: (a >> 32) as u32 },
-            20 => TraceEvent::TenantInstalled { tenant: b as u32, class: (a >> 8) as u8 },
-            21 => TraceEvent::TenantDeadline { tenant: b as u32 },
             22 => TraceEvent::WorkerRespawned { worker: b as u32, epoch: (a >> 32) as u32 },
             23 => TraceEvent::WorkerQuarantined { worker: b as u32 },
             24 => TraceEvent::OrphanRescued { from: b as u32 },
-            25 => TraceEvent::TenantRetry { tenant: b as u32, attempt: (a >> 32) as u32 },
-            26 => TraceEvent::BreakerOpen { tenant: b as u32 },
             27 => TraceEvent::StolenRemote { victim: b as u32 },
             28 => TraceEvent::GrainAdjusted { site: b as u32, grain: (a >> 32) as u32 },
             _ => return None,
@@ -404,16 +358,10 @@ mod tests {
             TraceEvent::AssistJoin,
             TraceEvent::AssistChunk { start: 0, len: 1 },
             TraceEvent::AssistChunk { start: u64::MAX >> 1, len: u32::MAX },
-            TraceEvent::TenantInstalled { tenant: 0, class: 0 },
-            TraceEvent::TenantInstalled { tenant: u32::MAX, class: u8::MAX },
-            TraceEvent::TenantDeadline { tenant: u32::MAX },
             TraceEvent::WorkerRespawned { worker: 0, epoch: 1 },
             TraceEvent::WorkerRespawned { worker: u32::MAX, epoch: u32::MAX },
             TraceEvent::WorkerQuarantined { worker: 3 },
             TraceEvent::OrphanRescued { from: u32::MAX },
-            TraceEvent::TenantRetry { tenant: 7, attempt: 1 },
-            TraceEvent::TenantRetry { tenant: u32::MAX, attempt: u32::MAX },
-            TraceEvent::BreakerOpen { tenant: 9 },
             TraceEvent::StolenRemote { victim: 0 },
             TraceEvent::StolenRemote { victim: u32::MAX },
             TraceEvent::GrainAdjusted { site: 3, grain: 256 },
@@ -429,6 +377,9 @@ mod tests {
     fn unknown_tag_rejected() {
         assert_eq!(TraceEvent::unpack(0, 0), None);
         assert_eq!(TraceEvent::unpack(0xFF, 7), None);
+        for retired in [20, 21, 25, 26] {
+            assert_eq!(TraceEvent::unpack(retired, 7), None, "tag {retired}");
+        }
     }
 
     #[test]

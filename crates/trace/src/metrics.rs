@@ -60,10 +60,6 @@ pub struct EventCounts {
     pub assist_chunks: u64,
     /// Iterations covered by assistant-claimed chunks.
     pub assist_iterations: u64,
-    /// Tenant loop installs admitted onto the pool.
-    pub tenant_installs: u64,
-    /// Tenant loops cancelled by their deadline.
-    pub tenant_deadlines: u64,
     /// Worker slots restored to service by a replacement thread or an
     /// in-place recovery.
     pub worker_respawns: u64,
@@ -71,10 +67,6 @@ pub struct EventCounts {
     pub worker_quarantines: u64,
     /// Orphaned jobs swept from dead/quarantined workers into live lanes.
     pub orphans_rescued: u64,
-    /// Tenant submissions scheduled for a backed-off retry.
-    pub tenant_retries: u64,
-    /// Tenant circuit breakers tripped open.
-    pub breaker_opens: u64,
     /// Adaptive grain adjustments accepted by site controllers.
     pub grain_adjustments: u64,
 }
@@ -136,13 +128,9 @@ pub fn event_counts(snap: &TraceSnapshot) -> EventCounts {
                 c.assist_chunks += 1;
                 c.assist_iterations += len as u64;
             }
-            TraceEvent::TenantInstalled { .. } => c.tenant_installs += 1,
-            TraceEvent::TenantDeadline { .. } => c.tenant_deadlines += 1,
             TraceEvent::WorkerRespawned { .. } => c.worker_respawns += 1,
             TraceEvent::WorkerQuarantined { .. } => c.worker_quarantines += 1,
             TraceEvent::OrphanRescued { .. } => c.orphans_rescued += 1,
-            TraceEvent::TenantRetry { .. } => c.tenant_retries += 1,
-            TraceEvent::BreakerOpen { .. } => c.breaker_opens += 1,
             TraceEvent::GrainAdjusted { .. } => c.grain_adjustments += 1,
         }
     }

@@ -354,7 +354,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..32 {
-                        sink.record_external(TraceEvent::BreakerOpen { tenant: 0 });
+                        sink.record_external(TraceEvent::GrainAdjusted { site: 0, grain: 64 });
                     }
                 });
             }

@@ -164,11 +164,12 @@ if [ "$QUICK" -eq 0 ]; then
   test -s results/lazy_split.json \
     || { echo "verify.sh: results/lazy_split.json missing or empty" >&2; exit 1; }
 
-  # Multi-tenant acceptance: fairness-ratio sanity and zero lost jobs
-  # under concurrent tenants (exactly-once conservation — the p99 bar of
-  # QoS against a class-blind run is full-mode only; smoke sizes are too
-  # shallow for a stable ratio). Exits non-zero when a bar is missed and
-  # writes results/traffic.json.
+  # QoS-lane acceptance: fairness-ratio sanity between two equal groups
+  # of batch submitters and zero lost iterations (exactly-once
+  # conservation — the p99 bar of Latency-class installs against a
+  # class-blind run is full-mode only; smoke sizes are too shallow for a
+  # stable ratio). Exits non-zero when a bar is missed and writes
+  # results/traffic.json.
   echo "== traffic_bench --smoke =="
   ./target/release/traffic_bench --smoke
   test -s results/traffic.json \

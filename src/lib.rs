@@ -12,9 +12,6 @@
 //!   paper's figures on a modeled 32-core, 4-socket machine;
 //! * [`nas`] — Rust ports of the five NAS parallel benchmark kernels;
 //! * [`micro`] — the paper's balanced/unbalanced iterative microbenchmarks;
-//! * [`tenant`] — the multi-tenant layer: a process-global lazily-built
-//!   registry, `Tenant` handles carrying a QoS class / fair-share weight /
-//!   deadline, and bounded admission over the shared fleet;
 //! * [`trace`] — the observability layer: per-worker lock-free event rings,
 //!   scheduler metrics (steal rate, claim-failure histograms, affinity
 //!   retention) and Chrome-trace/CSV export;
@@ -33,7 +30,6 @@ pub use parloop_nas as nas;
 pub use parloop_runtime as runtime;
 pub use parloop_sim as sim;
 pub use parloop_simcache as simcache;
-pub use parloop_tenant as tenant;
 pub use parloop_topo as topo;
 pub use parloop_trace as trace;
 
@@ -44,9 +40,5 @@ pub use parloop_core::{
 pub use parloop_runtime::{
     join, scope, CancelToken, PoolHealth, QosClass, StallReport, ThreadPool, ThreadPoolBuilder,
     WorkerState,
-};
-pub use parloop_tenant::{
-    global_pool, init_global, teardown_global, GlobalError, RetryPolicy, Tenant, TenantBuilder,
-    TenantError, TenantStats,
 };
 pub use parloop_trace::{NoopSink, RingTraceSink, TraceEvent, TraceSink, WorkerStats};

@@ -23,21 +23,14 @@ fn facade_reexports_are_usable() {
     let (a, b) = pool.install(|| parloop::join(|| 1, || 2));
     assert_eq!(a + b, 3);
 
-    // The tenant-layer facade from the README (on an explicit pool, so
-    // this test never touches the process-global registry).
-    let pool = std::sync::Arc::new(parloop::ThreadPool::new(2));
-    let tenant = parloop::Tenant::builder("readme")
-        .class(parloop::QosClass::Latency)
-        .weight(2)
-        .build_on(pool);
+    // The QoS-class install from the README.
     let hits = AtomicUsize::new(0);
-    tenant
-        .par_for(0..10, parloop::Schedule::hybrid(), |_| {
+    pool.install_class(parloop::QosClass::Latency, || {
+        parloop::par_for(&pool, 0..10, parloop::Schedule::hybrid(), |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         })
-        .unwrap();
+    });
     assert_eq!(hits.load(Ordering::Relaxed), 10);
-    assert_eq!(tenant.stats().installed, 1);
 }
 
 #[test]
@@ -155,17 +148,13 @@ fn pinning_valid_for_odd_machines() {
 
 #[test]
 fn error_types_implement_error_and_display() {
-    use parloop::{LoopError, TenantError};
+    use parloop::LoopError;
 
     // `dyn Error` coercion is the whole point: downstream `?`-chains and
-    // anyhow-style boxing must accept both error types.
+    // anyhow-style boxing must accept the loop error type.
     fn takes_error(e: &dyn std::error::Error) -> String {
         e.to_string()
     }
-
-    assert_eq!(takes_error(&TenantError::Overloaded), "tenant over its admission depth limit");
-    assert_eq!(takes_error(&TenantError::DeadlineExceeded), "tenant deadline exceeded");
-    assert_eq!(takes_error(&TenantError::BreakerOpen), "tenant circuit breaker open");
 
     let cancelled = LoopError::Cancelled(Default::default());
     assert_eq!(takes_error(&cancelled), "loop cancelled before completion");

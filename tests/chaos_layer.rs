@@ -205,35 +205,48 @@ fn disabled_injector_is_never_consulted() {
     assert!(!pool.is_degraded(), "tripwire fired somewhere");
 }
 
-/// Mid-loop cancellation on a deterministic single-worker schedule: the
-/// first partition's body fires the token, the remaining partitions are
-/// drained (claimed + skipped), the caller gets `Err`, everything that ran
-/// ran exactly once, and the pool is immediately reusable.
+/// Mid-loop cancellation: the body fires the token at a fixed iteration,
+/// the partitions claimed after it are drained (claimed + skipped), the
+/// caller gets `Err(Cancelled)`, everything that ran ran exactly once, and
+/// the pool is immediately reusable. Two inputs: a deterministic
+/// single-worker schedule firing in its first chunk, and a 2-worker loop
+/// with `R = 16` partitions (oversub 8) firing in partition 1, whose
+/// bodies nap so the peer is mid-partition when the token fires.
 #[test]
 fn cancellation_mid_loop_returns_err_and_pool_stays_usable() {
-    let pool = ThreadPool::new(1);
-    let cancel = CancelToken::new();
-    let ran: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-    let c2 = cancel.clone();
-    let sched = Schedule::Hybrid { grain: Some(4), oversub: 4 };
-    let r = Loop { cancel: Some(&cancel), ..Loop::new(sched) }.run(&pool, 0..64, |chunk| {
-        c2.cancel();
-        for i in chunk {
-            ran[i].fetch_add(1, Ordering::Relaxed);
-        }
-    });
-    assert!(r.is_err(), "token fired inside the first chunk must cancel the loop");
-    let executed: usize = ran.iter().map(|h| h.load(Ordering::Relaxed)).sum();
-    assert!(ran.iter().all(|h| h.load(Ordering::Relaxed) <= 1), "some iteration ran twice");
-    assert!(executed < 64, "cancellation should have skipped at least one partition");
-    assert!(executed > 0, "the cancelling chunk itself did run");
+    let inputs = [
+        (1, Schedule::Hybrid { grain: Some(4), oversub: 4 }, 64, 0, Duration::ZERO),
+        (2, Schedule::hybrid_oversub(8), 512, 40, Duration::from_micros(100)),
+    ];
+    for (p, sched, n, fire_at, nap) in inputs {
+        let pool = ThreadPool::new(p);
+        let cancel = CancelToken::new();
+        let ran: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let r = Loop { cancel: Some(&cancel), ..Loop::new(sched) }.run(&pool, 0..n, |chunk| {
+            for i in chunk {
+                if i == fire_at {
+                    cancel.cancel();
+                }
+                ran[i].fetch_add(1, Ordering::Relaxed);
+                std::thread::sleep(nap);
+            }
+        });
+        assert!(matches!(r, Err(LoopError::Cancelled(_))), "P={p}: token must cancel: {r:?}");
+        let executed: usize = ran.iter().map(|h| h.load(Ordering::Relaxed)).sum();
+        assert!(
+            ran.iter().all(|h| h.load(Ordering::Relaxed) <= 1),
+            "P={p}: an iteration ran twice"
+        );
+        assert!(executed < n, "P={p}: cancellation should have skipped at least one partition");
+        assert!(executed > 0, "P={p}: the cancelling chunk itself did run");
 
-    // Pool reusable right away, exactly-once intact.
-    let sum = AtomicUsize::new(0);
-    parloop::par_for(&pool, 0..100, Schedule::hybrid(), |i| {
-        sum.fetch_add(i, Ordering::Relaxed);
-    });
-    assert_eq!(sum.load(Ordering::Relaxed), 4950);
+        // Pool reusable right away, exactly-once intact.
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        parloop::par_for(&pool, 0..n, Schedule::hybrid(), |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "P={p}: follow-up loop");
+    }
 }
 
 /// A cancelled hybrid loop reports its counters: the drained

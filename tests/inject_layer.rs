@@ -9,7 +9,9 @@
 //! * **Per-submitter FIFO** — jobs posted by one thread run in post order
 //!   (each submitter sticks to its home lane; lanes are FIFO).
 //! * **Multi-submitter stress** — many concurrent submitter threads, no
-//!   job lost or run twice.
+//!   job lost or run twice, in either QoS class.
+//! * **Class priority** — on a 1-worker pool, latency-class jobs drain
+//!   ahead of a batch backlog queued before them.
 //! * **Class counters** — every pool runs QoS lanes, and lane jobs are
 //!   counted by the class that served them.
 //! * **Backstop liveness** — with chaos dropping every post-publish wake
@@ -22,7 +24,7 @@
 //!   are still inside the idle policy's 20 µs spin budget, so most of them
 //!   cost no OS wake.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -131,7 +133,7 @@ fn jobs_from_one_submitter_run_in_post_order() {
     assert_eq!(seen, (0..100).collect::<Vec<_>>());
 }
 
-fn stress(pool: &ThreadPool, submitters: usize, jobs_per_submitter: usize) {
+fn stress(pool: &ThreadPool, class: QosClass, submitters: usize, jobs_per_submitter: usize) {
     let total = submitters * jobs_per_submitter;
     let hits: Arc<Vec<AtomicUsize>> = Arc::new((0..total).map(|_| AtomicUsize::new(0)).collect());
     let done = Arc::new(AtomicUsize::new(0));
@@ -143,7 +145,7 @@ fn stress(pool: &ThreadPool, submitters: usize, jobs_per_submitter: usize) {
                 for j in 0..jobs_per_submitter {
                     let hits = Arc::clone(&hits);
                     let done = Arc::clone(&done);
-                    pool.spawn_detached(move || {
+                    pool.spawn_detached_class(class, move || {
                         hits[t * jobs_per_submitter + j].fetch_add(1, Ordering::Relaxed);
                         done.fetch_add(1, Ordering::Release);
                     });
@@ -165,8 +167,55 @@ fn stress(pool: &ThreadPool, submitters: usize, jobs_per_submitter: usize) {
 fn multi_submitter_stress_loses_and_duplicates_nothing() {
     let pool = ThreadPool::new(4);
     let before = pool.stats().injected;
-    stress(&pool, 8, 1500);
-    assert!(pool.stats().injected >= before + 8 * 1500);
+    for class in [QosClass::Latency, QosClass::Batch] {
+        stress(&pool, class, 8, 1500);
+    }
+    assert!(pool.stats().injected >= before + 2 * 8 * 1500);
+}
+
+#[test]
+fn latency_jobs_jump_a_queued_batch_backlog() {
+    // One worker (held by a gate job) and one submitter thread: all six
+    // jobs land in the same lane, so the order after the gate opens is
+    // the lane's DRR order — both latency jobs first, then the batch
+    // backlog in FIFO order, although every batch job was posted earlier.
+    use QosClass::{Batch, Latency};
+    let pool = ThreadPoolBuilder::new().num_workers(1).build();
+    let gate = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicBool::new(false));
+    let (g, s) = (Arc::clone(&gate), Arc::clone(&started));
+    pool.spawn_detached(move || {
+        s.store(true, Ordering::Release);
+        while !g.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    });
+    while !started.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+
+    let order = Arc::new(Mutex::new(Vec::new()));
+    for class in [Batch, Batch, Batch, Batch, Latency, Latency] {
+        let order = Arc::clone(&order);
+        pool.spawn_detached_class(class, move || order.lock().unwrap().push(class));
+    }
+    gate.store(true, Ordering::Release);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while order.lock().unwrap().len() < 6 {
+        assert!(Instant::now() < deadline, "class-tagged jobs not drained");
+        std::thread::yield_now();
+    }
+    assert_eq!(
+        *order.lock().unwrap(),
+        [Latency, Latency, Batch, Batch, Batch, Batch],
+        "latency-class jobs did not jump the queued batch backlog"
+    );
+
+    // The gate job is untagged, so it counts as latency class too.
+    let latency_jobs: u64 = pool.worker_stats().iter().map(|w| w.latency_jobs).sum();
+    let batch_jobs: u64 = pool.worker_stats().iter().map(|w| w.batch_jobs).sum();
+    assert_eq!(latency_jobs, 3);
+    assert_eq!(batch_jobs, 4);
 }
 
 #[test]
@@ -238,7 +287,7 @@ fn injected_panic_at_inject_lane_is_demoted_not_unwound() {
     for i in 0..5 {
         assert_eq!(pool.install(move || i + 1), i + 1);
     }
-    stress(&pool, 4, 100);
+    stress(&pool, QosClass::Latency, 4, 100);
 }
 
 #[test]

@@ -4,12 +4,11 @@
 
 use parloop::core::{par_for, Schedule};
 use parloop::runtime::{join, scope, ThreadPool, ThreadPoolBuilder};
-use parloop::{global_pool, init_global, teardown_global, GlobalError};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 mod common;
-use common::{threads_named, threads_named_settled};
+use common::threads_named_settled;
 
 #[test]
 fn many_short_lived_pools() {
@@ -129,135 +128,26 @@ fn results_flow_out_of_install() {
     assert_eq!(v[199], 398);
 }
 
-// ---------------------------------------------------------------------
-// Global-registry lifecycle (`parloop::tenant::global`).
-//
-// The registry is process-global state, and `cargo test` runs every
-// `#[test]` in this binary concurrently — so the lifecycle tests
-// serialize on one mutex and each starts from a torn-down registry.
-// ---------------------------------------------------------------------
-
-static GLOBAL_REGISTRY_LOCK: Mutex<()> = Mutex::new(());
-
-/// Start from no global pool, whatever earlier tests did.
-fn reset_global() {
-    match teardown_global() {
-        Ok(_) => {}
-        Err(e) => panic!("stale global-pool reference leaked by an earlier test: {e}"),
-    }
-    assert_eq!(
-        threads_named_settled("parloop-global", 0),
-        0,
-        "torn-down global pool left threads alive"
-    );
-}
-
+/// Drop racing the self-healing respawn path: the pool runs under a chaos
+/// plan that keeps killing workers at the `WorkerExit` site, and the drop
+/// lands while respawns may be in flight. Drop must wait out in-flight
+/// respawns (never orphaning a replacement thread, never double-joining a
+/// slot) and release every thread.
 #[test]
-fn global_pool_initializes_once_under_a_first_use_race() {
-    let _serial = GLOBAL_REGISTRY_LOCK.lock().unwrap();
-    reset_global();
-
-    // Many threads race the lazy first use: exactly one pool is built and
-    // everyone gets it.
-    let pools: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..8).map(|_| s.spawn(global_pool)).collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let first = Arc::as_ptr(&pools[0]);
-    assert!(pools.iter().all(|p| Arc::as_ptr(p) == first), "racing first uses built two pools");
-    assert!(threads_named("parloop-global") >= 1);
-
-    // The pool works like any explicit pool.
-    let count = AtomicUsize::new(0);
-    par_for(&pools[0], 0..512, Schedule::hybrid(), |_| {
-        count.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_eq!(count.load(Ordering::Relaxed), 512);
-
-    drop(pools);
-    assert_eq!(teardown_global(), Ok(true));
-    assert_eq!(
-        threads_named_settled("parloop-global", 0),
-        0,
-        "teardown_global leaked worker threads"
-    );
-}
-
-#[test]
-fn init_global_after_any_pool_exists_is_an_error() {
-    let _serial = GLOBAL_REGISTRY_LOCK.lock().unwrap();
-    reset_global();
-
-    // Explicit init wins when it comes first...
-    let pool =
-        init_global(ThreadPoolBuilder::new().num_workers(2).thread_name_prefix("parloop-global"))
-            .expect("first init on an empty registry");
-    assert_eq!(pool.num_workers(), 2);
-    assert_eq!(Arc::as_ptr(&global_pool()), Arc::as_ptr(&pool));
-
-    // ...and a second init errors instead of replacing a live pool.
-    let again = ThreadPoolBuilder::new().num_workers(1).thread_name_prefix("parloop-global");
-    assert!(matches!(init_global(again), Err(GlobalError::AlreadyInitialized)));
-
-    drop(pool);
-    assert_eq!(teardown_global(), Ok(true));
-
-    // The same error fires when the pool was built lazily.
-    drop(global_pool());
-    let late = ThreadPoolBuilder::new().num_workers(1).thread_name_prefix("parloop-global");
-    assert!(matches!(init_global(late), Err(GlobalError::AlreadyInitialized)));
-    assert_eq!(teardown_global(), Ok(true));
-}
-
-#[test]
-fn teardown_is_refused_while_handles_live_and_joins_when_they_drop() {
-    let _serial = GLOBAL_REGISTRY_LOCK.lock().unwrap();
-    reset_global();
-
-    assert_eq!(teardown_global(), Ok(false), "teardown of nothing is a no-op");
-    assert!(parloop::tenant::global_pool_if_initialized().is_none());
-
-    let handle = global_pool();
-    assert!(threads_named("parloop-global") >= 1);
-
-    // A live handle blocks teardown and the pool keeps running.
-    assert_eq!(teardown_global(), Err(GlobalError::Busy));
-    assert_eq!(handle.install(|| 6 * 7), 42);
-
-    drop(handle);
-    assert_eq!(teardown_global(), Ok(true));
-    assert_eq!(
-        threads_named_settled("parloop-global", 0),
-        0,
-        "teardown_global leaked worker threads"
-    );
-    assert!(parloop::tenant::global_pool_if_initialized().is_none());
-}
-
-/// Teardown racing the self-healing respawn path: the global pool runs
-/// under a chaos plan that keeps killing workers at the `WorkerExit`
-/// site, and `teardown_global` lands while respawns may be in flight.
-/// Drop must wait out in-flight respawns (never orphaning a replacement
-/// thread, never double-joining a slot) and release every thread.
-#[test]
-fn teardown_global_during_respawn_joins_everything() {
-    let _serial = GLOBAL_REGISTRY_LOCK.lock().unwrap();
-    reset_global();
-
+fn drop_during_respawn_churn_joins_every_thread() {
+    let prefix = "respawn-churn";
     for seed in 0..8u64 {
         // A kill every ~200 WorkerExit visits: respawn churn for the
-        // whole lifetime of the pool, including the teardown window.
+        // whole lifetime of the pool, including the drop window.
         let mut injector = parloop::PlannedInjector::quiet(seed);
         for k in 0..64 {
             injector = injector.with_kill_at(k * 200);
         }
-        let pool = init_global(
-            ThreadPoolBuilder::new()
-                .num_workers(3)
-                .thread_name_prefix("parloop-global")
-                .fault_injector(Arc::new(injector)),
-        )
-        .expect("registry torn down at loop top");
+        let pool = ThreadPoolBuilder::new()
+            .num_workers(3)
+            .thread_name_prefix(prefix)
+            .fault_injector(Arc::new(injector))
+            .build();
 
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..16 {
@@ -272,16 +162,15 @@ fn teardown_global_during_respawn_joins_everything() {
         });
         assert_eq!(count.load(Ordering::Relaxed), 512, "seed {seed}");
 
-        // Tear down immediately — kills (and therefore respawns) may
-        // still be in flight from the loop above.
+        // Drop immediately — kills (and therefore respawns) may still be
+        // in flight from the loop above.
         drop(pool);
-        assert_eq!(teardown_global(), Ok(true), "seed {seed}");
         assert_eq!(
-            threads_named_settled("parloop-global", 0),
+            threads_named_settled(prefix, 0),
             0,
-            "seed {seed}: teardown under respawn churn leaked worker threads"
+            "seed {seed}: drop under respawn churn leaked worker threads"
         );
-        assert_eq!(ran.load(Ordering::SeqCst), 16, "seed {seed}: detached job lost in teardown");
+        assert_eq!(ran.load(Ordering::SeqCst), 16, "seed {seed}: detached job lost in drop");
     }
 }
 
