@@ -14,8 +14,8 @@
 //! | `fig5_latency`  | Figure 5 — per-level access latency of the modeled machine |
 //!
 //! The acceptance bins that track series across commits (`split_bench`,
-//! `traffic_bench`, `resilience_bench`, `locality_bench`, `adapt_bench`)
-//! report them through [`merge_bench_json`].
+//! `traffic_bench`, `locality_bench`, `adapt_bench`) report them through
+//! [`merge_bench_json`].
 
 use parloop_sim::PolicyKind;
 

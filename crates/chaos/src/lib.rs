@@ -9,8 +9,8 @@
 //! * [`Site`] — the taxonomy of injection points threaded through the
 //!   runtime and the hybrid loop layer (steal sweeps, victim selection,
 //!   parking, the claim `fetch_or`, adopter-frame publication, partition
-//!   bodies, the worker main loop, external injection-lane posts, worker
-//!   exits and grain adjustments);
+//!   bodies, the worker main loop, external injection-lane posts and
+//!   grain adjustments);
 //! * [`FaultAction`] — what a site is told to do: nothing, fail the
 //!   operation, stall for a bounded spin, or panic;
 //! * [`FaultInjector`] — the trait the registry owns, mirroring
@@ -33,7 +33,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Runtime sites (`MainLoop`, `StealSweep`, `StealVictim`, `Park`) are
 /// consulted by worker-thread plumbing; loop sites (`Claim`,
 /// `FramePublish`, `PartitionBody`, `AssistClaim`) by the hybrid and
-/// lazy-splitting schedulers. Injected
+/// lazy-splitting schedulers; `InjectLane` and `GrainAdjust` on threads
+/// that may be external submitters, where an injected panic demotes to
+/// `Fail`. Injected
 /// panics at loop sites surface through the loop's panic protocol; panics
 /// at runtime sites are raised only from the worker main loop (where the
 /// degraded-worker catch contains them), never from inside `wait_until`.
@@ -70,13 +72,6 @@ pub enum Site {
     /// consecutive forced losses are bounded by the loop layer so rate-1
     /// plans still make progress).
     AssistClaim,
-    /// Top of the worker run loop, *between* jobs (never inside one, so
-    /// the worker holds no claims or latch obligations when consulted).
-    /// The only site that receives [`FaultAction::Kill`]: the worker
-    /// rescues its deque into the injection lanes and exits its thread
-    /// fatally, exercising the self-healing respawn path. Consulted only
-    /// by worker threads, never by submitters.
-    WorkerExit,
     /// The adaptive grain controller about to ingest one loop's wall time
     /// (`parloop-core`'s `adapt` layer). Consulted through the pool's
     /// external-decision path (the recording thread may be a non-worker
@@ -91,7 +86,7 @@ pub enum Site {
 
 impl Site {
     /// Every site, in code order.
-    pub const ALL: [Site; 11] = [
+    pub const ALL: [Site; 10] = [
         Site::MainLoop,
         Site::StealSweep,
         Site::StealVictim,
@@ -101,7 +96,6 @@ impl Site {
         Site::PartitionBody,
         Site::InjectLane,
         Site::AssistClaim,
-        Site::WorkerExit,
         Site::GrainAdjust,
     ];
 
@@ -132,7 +126,6 @@ impl Site {
             Site::PartitionBody => "partition_body",
             Site::InjectLane => "inject_lane",
             Site::AssistClaim => "assist_claim",
-            Site::WorkerExit => "worker_exit",
             Site::GrainAdjust => "grain_adjust",
         }
     }
@@ -162,12 +155,6 @@ pub enum FaultAction {
     Delay(u32),
     /// Raise a panic at the site.
     Panic,
-    /// Kill the worker thread fatally (deterministic thread death). Only
-    /// meaningful at [`Site::WorkerExit`]; every other site demotes it to
-    /// [`FaultAction::Fail`] — a kill mid-operation could strand a held
-    /// claim or latch, which is not an interleaving the real system can
-    /// produce.
-    Kill,
 }
 
 impl FaultAction {
@@ -178,7 +165,6 @@ impl FaultAction {
             FaultAction::Fail => 1,
             FaultAction::Delay(_) => 2,
             FaultAction::Panic => 3,
-            FaultAction::Kill => 4,
         }
     }
 
@@ -272,8 +258,6 @@ pub struct PlannedInjector {
     delay_spins: u32,
     /// One-shot panics: `(site, nth query)`.
     panic_plan: Vec<(Site, u64)>,
-    /// One-shot worker kills: nth queries of [`Site::WorkerExit`].
-    kill_plan: Vec<u64>,
     queries: [PaddedCounter; N_SITES],
     injected: [PaddedCounter; N_SITES],
 }
@@ -296,7 +280,6 @@ impl PlannedInjector {
                 Site::PartitionBody => RATE_DENOM / 32,
                 Site::InjectLane => RATE_DENOM / 16,
                 Site::AssistClaim => RATE_DENOM / 2,
-                Site::WorkerExit => RATE_DENOM / 64,
                 Site::GrainAdjust => RATE_DENOM / 16,
             };
             // Seed-dependent rate in [ceil/2, ceil).
@@ -313,7 +296,6 @@ impl PlannedInjector {
             rates: [0; N_SITES],
             delay_spins: 200,
             panic_plan: Vec::new(),
-            kill_plan: Vec::new(),
             queries: Default::default(),
             injected: Default::default(),
         }
@@ -337,14 +319,6 @@ impl PlannedInjector {
         self
     }
 
-    /// Arm a one-shot worker kill at the `nth` visit (0-based) of
-    /// [`Site::WorkerExit`] — deterministic fatal thread death for the
-    /// self-healing respawn path.
-    pub fn with_kill_at(mut self, nth: u64) -> Self {
-        self.kill_plan.push(nth);
-        self
-    }
-
     /// The seed this plan was built from.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -356,9 +330,6 @@ impl PlannedInjector {
     pub fn preview(&self, site: Site, k: u64) -> FaultAction {
         if self.panic_plan.iter().any(|&(s, n)| s == site && n == k) {
             return FaultAction::Panic;
-        }
-        if site == Site::WorkerExit && self.kill_plan.contains(&k) {
-            return FaultAction::Kill;
         }
         let s = site.index();
         if self.rates[s] == 0 {
@@ -373,10 +344,8 @@ impl PlannedInjector {
             return FaultAction::None;
         }
         // Which fault: sites where "fail" has no meaning always delay;
-        // `WorkerExit` always kills; others mix failures with occasional
-        // delays.
+        // others mix failures with occasional delays.
         match site {
-            Site::WorkerExit => FaultAction::Kill,
             Site::MainLoop | Site::PartitionBody => FaultAction::Delay(self.delay_spins),
             _ => {
                 if (h >> 32) & 7 == 0 {
@@ -433,7 +402,6 @@ impl std::fmt::Debug for PlannedInjector {
             .field("rates", &self.rates)
             .field("delay_spins", &self.delay_spins)
             .field("panic_plan", &self.panic_plan)
-            .field("kill_plan", &self.kill_plan)
             .finish_non_exhaustive()
     }
 }
@@ -510,43 +478,6 @@ mod tests {
         }
         assert_eq!(inj.injected_total(), 1);
         assert_eq!(inj.queries_total(), 8);
-    }
-
-    #[test]
-    fn kill_plan_is_one_shot_and_worker_exit_only() {
-        let inj = PlannedInjector::quiet(11).with_kill_at(2);
-        for k in 0..6u64 {
-            let a = inj.decide(0, Site::WorkerExit);
-            if k == 2 {
-                assert_eq!(a, FaultAction::Kill);
-            } else {
-                assert_eq!(a, FaultAction::None, "k={k}");
-            }
-        }
-        // The kill plan never bleeds into other sites.
-        for site in Site::ALL.into_iter().filter(|&s| s != Site::WorkerExit) {
-            for _ in 0..6 {
-                assert_eq!(inj.decide(0, site), FaultAction::None, "{site}");
-            }
-        }
-        assert_eq!(inj.injected_total(), 1);
-    }
-
-    #[test]
-    fn from_seed_worker_exit_only_ever_kills() {
-        for seed in 0..8 {
-            let inj = PlannedInjector::from_seed(seed);
-            for k in 0..4096 {
-                let a = inj.preview(Site::WorkerExit, k);
-                assert!(
-                    matches!(a, FaultAction::None | FaultAction::Kill),
-                    "seed {seed}, k={k}: {a:?}"
-                );
-                for site in Site::ALL.into_iter().filter(|&s| s != Site::WorkerExit) {
-                    assert_ne!(inj.preview(site, k), FaultAction::Kill, "seed {seed}, {site}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -106,8 +106,7 @@ pub fn same_worker_fraction(prev: &[u32], cur: &[u32]) -> f64 {
 /// Owner ids outside `socket_of` are treated like [`UNRECORDED`] and
 /// skipped rather than indexed: owner maps can legitimately carry ids the
 /// socket table does not cover (a pool rebuilt with more workers than the
-/// map, or a respawned slot observed mid-handover), and a locality
-/// *metric* must not panic on the data it measures.
+/// map), and a locality *metric* must not panic on the data it measures.
 pub fn same_socket_fraction(prev: &[u32], cur: &[u32], socket_of: &[u32]) -> f64 {
     assert_eq!(prev.len(), cur.len(), "owner maps must cover the same range");
     let mut same = 0usize;

@@ -323,9 +323,7 @@ where
     // the CAS so a dropped or panicked publish never burns budget.
     if token.chaos_enabled() {
         match token.chaos_decide(Site::FramePublish) {
-            // `Kill` is only honored at the runtime's worker-exit site;
-            // at loop sites it demotes to a failed operation.
-            FaultAction::Fail | FaultAction::Kill => return false,
+            FaultAction::Fail => return false,
             FaultAction::Delay(spins) => chaos_spin(spins),
             FaultAction::Panic => panic!("{INJECTED_PANIC_MSG} (frame publish)"),
             FaultAction::None => {}
@@ -436,7 +434,7 @@ where
         let mut forced_loss = false;
         if chaos {
             match token.chaos_decide(Site::Claim) {
-                FaultAction::Fail | FaultAction::Kill => forced_loss = true,
+                FaultAction::Fail => forced_loss = true,
                 FaultAction::Delay(spins) => chaos_spin(spins),
                 FaultAction::Panic => panic!("{INJECTED_PANIC_MSG} (claim)"),
                 FaultAction::None => {}
@@ -512,7 +510,7 @@ where
             match token.chaos_decide(Site::PartitionBody) {
                 FaultAction::Delay(spins) => chaos_spin(spins),
                 FaultAction::Panic => panic!("{INJECTED_PANIC_MSG} (partition body)"),
-                FaultAction::Fail | FaultAction::Kill | FaultAction::None => {}
+                FaultAction::Fail | FaultAction::None => {}
             }
         }
         lazy_for_chunks(range, state.grain, body)

@@ -374,7 +374,7 @@ where
         }
         if chaos && !gate_bypassed {
             match token.chaos_decide(Site::AssistClaim) {
-                FaultAction::Fail | FaultAction::Kill => {
+                FaultAction::Fail => {
                     gate_bypassed = true;
                     continue;
                 }

@@ -467,10 +467,10 @@ where
     // Chaos: perturb the *controller*, never the loop. `Fail` drops this
     // sample on the floor (convergence must survive missing
     // observations); `Delay` stalls the recording thread so concurrent
-    // loops race their CAS. Panic/Kill are already demoted to Fail by
-    // the external-decision path.
+    // loops race their CAS. Panic is already demoted to Fail by the
+    // external-decision path.
     match pool.chaos_decide_external(Site::GrainAdjust) {
-        FaultAction::Fail | FaultAction::Panic | FaultAction::Kill => return Ok(report),
+        FaultAction::Fail | FaultAction::Panic => return Ok(report),
         FaultAction::Delay(spins) => chaos_spin(spins),
         FaultAction::None => {}
     }

@@ -266,26 +266,6 @@ impl<T: Copy + Send> Stealer<T> {
         }
     }
 
-    /// Construct a fresh **owner** handle for this deque.
-    ///
-    /// Used by worker respawn: when a worker thread dies its `Worker<T>`
-    /// handle dies with it, but the deque itself (and its stealers) live
-    /// on inside the registry. The replacement thread promotes one of the
-    /// surviving stealers back into an owner.
-    ///
-    /// # Safety
-    ///
-    /// The Chase–Lev protocol admits exactly **one** owner at a time: the
-    /// owner's `push`/`pop` use plain loads of `bottom` that are unsound
-    /// if another owner exists. The caller must guarantee the previous
-    /// `Worker<T>` has been dropped *and* that drop happens-before this
-    /// call — in the respawn path that edge is the `JoinHandle::join` of
-    /// the dead worker's thread, performed by the replacement before it
-    /// promotes.
-    pub unsafe fn promote(&self) -> Worker<T> {
-        Worker { inner: Arc::clone(&self.inner) }
-    }
-
     /// Steal with bounded retries, flattening `Retry` into `None`.
     pub fn steal_with_retries(&self, retries: usize) -> Option<T> {
         for _ in 0..=retries {
@@ -436,23 +416,6 @@ mod tests {
         for (i, t) in taken.iter().enumerate() {
             assert_eq!(t.load(Ordering::Relaxed), 1, "element {i} taken wrong number of times");
         }
-    }
-
-    /// A promoted owner handle continues exactly where the dead one left
-    /// off: same elements, same LIFO/FIFO discipline.
-    #[test]
-    fn promote_revives_ownership_after_owner_drop() {
-        let (w, s) = deque::<u64>();
-        w.push(1);
-        w.push(2);
-        drop(w);
-        // SAFETY: the sole prior owner was dropped on this thread.
-        let w2 = unsafe { s.promote() };
-        w2.push(3);
-        assert_eq!(w2.pop(), Some(3));
-        assert_eq!(s.steal(), Steal::Success(1));
-        assert_eq!(w2.pop(), Some(2));
-        assert!(w2.is_empty());
     }
 
     #[test]

@@ -50,7 +50,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::job::JobRef;
@@ -203,69 +203,22 @@ fn submitter_token() -> usize {
 /// so submitters on different lanes never false-share.
 pub(crate) struct InjectLanes {
     lanes: Box<[CachePadded<Lane>]>,
-    /// Quarantine fences, one per lane. A fenced lane stops being chosen
-    /// as a submitter's home lane; its existing contents are drained by
-    /// the recovery sweep (and, as a backstop, by ordinary worker sweeps,
-    /// which deliberately ignore the fence — so a submitter that raced the
-    /// fence and posted anyway never strands a job).
-    fenced: Box<[AtomicBool]>,
 }
 
 impl InjectLanes {
     /// A bank of `lanes` lanes, each with QoS priority sub-lanes.
     pub(crate) fn new(lanes: usize) -> Self {
         assert!(lanes > 0, "a pool needs at least one injection lane");
-        InjectLanes {
-            lanes: (0..lanes).map(|_| CachePadded::new(Lane::new())).collect(),
-            fenced: (0..lanes).map(|_| AtomicBool::new(false)).collect(),
-        }
+        InjectLanes { lanes: (0..lanes).map(|_| CachePadded::new(Lane::new())).collect() }
     }
 
     pub(crate) fn num_lanes(&self) -> usize {
         self.lanes.len()
     }
 
-    /// The lane this submitter thread posts to. Fenced lanes are skipped
-    /// by probing forward; if every lane is fenced (never true for a live
-    /// pool — quarantine is per-worker) the unmodified home lane is used.
+    /// The lane this submitter thread posts to.
     pub(crate) fn home_lane(&self) -> usize {
-        let n = self.lanes.len();
-        let base = submitter_token() % n;
-        for k in 0..n {
-            let lane = (base + k) % n;
-            if !self.fenced[lane].load(Ordering::Relaxed) {
-                return lane;
-            }
-        }
-        base
-    }
-
-    /// Fence `lane` off from new home-lane routing (quarantine entry).
-    pub(crate) fn fence_lane(&self, lane: usize) {
-        self.fenced[lane].store(true, Ordering::Release);
-    }
-
-    /// Reopen `lane` to home-lane routing (respawn / recovery).
-    pub(crate) fn unfence_lane(&self, lane: usize) {
-        self.fenced[lane].store(false, Ordering::Release);
-    }
-
-    /// Whether `lane` is currently fenced.
-    #[cfg(test)]
-    pub(crate) fn is_fenced(&self, lane: usize) -> bool {
-        self.fenced[lane].load(Ordering::Acquire)
-    }
-
-    /// Drain every job out of `lane`, preserving each job's QoS class so
-    /// the recovery sweep can re-inject it into a live lane at the same
-    /// priority. Used after [`fence_lane`](Self::fence_lane); safe to race
-    /// with worker sweeps (both pop under the lane lock).
-    pub(crate) fn drain_lane(&self, lane: usize) -> Vec<(JobRef, QosClass)> {
-        let mut drained = Vec::new();
-        while let Some(entry) = self.lanes[lane].pop_class() {
-            drained.push(entry);
-        }
-        drained
+        submitter_token() % self.lanes.len()
     }
 
     /// Enqueue `job` on `lane` in the sub-lane for `class`.
@@ -379,31 +332,6 @@ mod tests {
             assert!(classes.iter().all(|c| *c == served_by));
             assert_eq!(log.lock().unwrap().as_slice(), (0..30).collect::<Vec<_>>().as_slice());
         }
-    }
-
-    #[test]
-    fn fenced_lane_is_skipped_by_home_routing_and_drains_with_class() {
-        let lanes = InjectLanes::new(2);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        lanes.push(0, tagged(&log, 7), QosClass::Latency);
-        lanes.fence_lane(0);
-        assert!(lanes.is_fenced(0));
-        // Whatever this thread's submitter token maps to, the fenced lane
-        // is never chosen while an unfenced one exists.
-        assert_eq!(lanes.home_lane(), 1);
-        let drained = lanes.drain_lane(0);
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].1, QosClass::Latency);
-        for (job, class) in drained {
-            lanes.push(1, job, class);
-        }
-        lanes.unfence_lane(0);
-        assert!(!lanes.is_fenced(0));
-        let (job, lane, class) = lanes.take(1, 0).unwrap();
-        assert_eq!(lane, 1);
-        assert_eq!(class, QosClass::Latency);
-        unsafe { job.execute() };
-        assert_eq!(log.lock().unwrap().as_slice(), &[7]);
     }
 
     #[test]

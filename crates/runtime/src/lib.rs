@@ -49,7 +49,7 @@ mod scope;
 pub mod util;
 
 pub use cancel::CancelToken;
-pub use health::{PoolHealth, StallReport, WorkerState};
+pub use health::{PoolHealth, StallReport};
 pub use inject::{QosClass, DRR_WEIGHTS};
 pub use job::POISONED_JOB_MSG;
 pub use join::join;

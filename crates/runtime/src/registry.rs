@@ -25,8 +25,7 @@
 //! published, and the push's `notify_one` wakes them. A worker adds
 //! itself at the first empty `find_work` of an idle spell and removes
 //! itself when it takes a job, when its `wait_until` latch resolves, and
-//! when its worker loop exits or unwinds (so a chaos kill and respawn
-//! cannot leave the count stale). A worker running a job is never
+//! when its worker loop exits or unwinds. A worker running a job is never
 //! counted, so [`WorkerToken::peer_idle`] — the one read — asks whether
 //! some *other* worker could take a job published now. The loop layers
 //! use it to publish a loop's parallelism only when that is so.
@@ -44,7 +43,7 @@
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -54,7 +53,7 @@ use parloop_topo::TopologyMap;
 use parloop_trace::{CounterBank, NoopSink, TraceEvent, TraceSink, WorkerStats};
 
 use crate::deque::{self, Steal, Stealer};
-use crate::health::{PoolHealth, StallReport, WorkerState};
+use crate::health::{PoolHealth, StallReport};
 use crate::inject::{InjectLanes, Lane, QosClass};
 use crate::job::{HeapJob, JobRef, StackJob};
 use crate::latch::{CountLatch, Latch, LockLatch, Probe, SpinLatch};
@@ -137,40 +136,12 @@ pub struct PoolStats {
     pub grain_adjustments: u64,
 }
 
-/// One worker slot's lifecycle fields, cache-padded so state transitions
-/// and parked-flag flips never false-share with a neighbour.
-#[derive(Debug, Default)]
-struct WorkerSlot {
-    /// [`WorkerState`] encoding (see [`WorkerState::as_u8`]).
-    state: AtomicU8,
-    /// Respawn epoch: `0` for the original thread, bumped once per
-    /// respawn (replacement thread or self-heal of a wedged worker).
-    epoch: AtomicU64,
-    /// Whether the worker is currently blocked in the sleep protocol. A
-    /// parked worker's heartbeat is legitimately flat, so the watchdog
-    /// never escalates a parked worker to quarantine.
-    parked: AtomicBool,
-}
-
 /// Watchdog beat tracker entry: the last heartbeat value seen for a
-/// worker, when it last changed, and across how many consecutive
-/// watchdog trips it has stayed flat. Updated only on watchdog trips
-/// (cold path), so heartbeat ages cost the hot path nothing.
+/// worker and when it last changed. Updated only on watchdog trips (cold
+/// path), so heartbeat ages cost the hot path nothing.
 struct BeatEntry {
     beat: u64,
     since: Instant,
-    flat_trips: u32,
-}
-
-/// How the worker loop ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LoopExit {
-    /// Pool shutdown: drain leftovers and exit.
-    Terminate,
-    /// Chaos-forced fatal death ([`FaultAction::Kill`] at
-    /// [`Site::WorkerExit`]): rescue orphans, exit the thread, and leave
-    /// a replacement to take over the slot.
-    Killed,
 }
 
 pub(crate) struct Registry {
@@ -195,24 +166,11 @@ pub(crate) struct Registry {
     /// own slot).
     hearts: Box<[CachePadded<AtomicU64>]>,
     /// Per-worker degraded flags, set by the main loop's panic catch.
-    /// Sticky: they record that an escaped panic *ever* happened, even
-    /// after the slot heals.
+    /// Sticky: they record that an escaped panic *ever* happened, while
+    /// the worker itself stays in service.
     degraded: Box<[AtomicBool]>,
-    /// Per-worker lifecycle slots (state machine, respawn epoch, parked).
-    slots: Box<[CachePadded<WorkerSlot>]>,
     /// Watchdog beat tracker (see [`BeatEntry`]); locked only on trips.
     beat_tracker: Mutex<Vec<BeatEntry>>,
-    /// The worker threads' join handles, indexed by slot. `None` only
-    /// transiently while a respawn has the predecessor handle out.
-    handles: Mutex<Vec<Option<JoinHandle<()>>>>,
-    /// Respawns currently between "predecessor handle taken" and
-    /// "replacement handle stored" — pool drop spins these down to zero
-    /// before it stops scanning for handles to join.
-    respawns_in_flight: AtomicUsize,
-    /// Thread-spawn config, kept so respawned workers match the
-    /// originals.
-    thread_prefix: String,
-    stack_size: Option<usize>,
     /// Workers whose last look for work came up empty (module docs, "The
     /// idle count"). Cache-padded: every idle-spell boundary writes it.
     idle: CachePadded<AtomicUsize>,
@@ -271,9 +229,8 @@ impl Registry {
             // user submitter threads.
             match self.chaos.decide(EXTERNAL_SUBMITTER, Site::InjectLane) {
                 // Dropped wake: publish the job but skip the notification;
-                // only the timeout backstop can find it. `Kill` is only
-                // meaningful at `Site::WorkerExit`; defensively demoted.
-                FaultAction::Fail | FaultAction::Panic | FaultAction::Kill => drop_wake = true,
+                // only the timeout backstop can find it.
+                FaultAction::Fail | FaultAction::Panic => drop_wake = true,
                 // Forced contention: stall the submitter, then make it
                 // collide with every other delayed submitter on lane 0.
                 FaultAction::Delay(spins) => {
@@ -309,139 +266,25 @@ impl Registry {
     /// the flag via [`ThreadPool::health`].
     fn mark_degraded(&self, worker: usize) {
         self.degraded[worker].store(true, Ordering::Release);
-        // Lifecycle: Healthy → Degraded. A slot already quarantined or
-        // respawning keeps its further-along state.
-        let _ = self.slots[worker].state.compare_exchange(
-            WorkerState::Healthy.as_u8(),
-            WorkerState::Degraded.as_u8(),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
     }
 
     fn degraded_list(&self) -> Vec<usize> {
         (0..self.n).filter(|&w| self.degraded[w].load(Ordering::Acquire)).collect()
     }
 
-    /// `worker`'s current lifecycle state.
-    fn worker_state(&self, worker: usize) -> WorkerState {
-        WorkerState::from_u8(self.slots[worker].state.load(Ordering::Acquire))
-    }
-
-    fn quarantined_list(&self) -> Vec<usize> {
-        (0..self.n).filter(|&w| self.worker_state(w) == WorkerState::Quarantined).collect()
-    }
-
-    /// Lifecycle transition `Healthy|Degraded → Quarantined`, fencing the
-    /// slot's injection lane off from new home-lane routing. Returns
-    /// `false` if the slot was already quarantined or respawning (another
-    /// reporter won the race).
-    fn try_quarantine(&self, worker: usize) -> bool {
-        let slot = &self.slots[worker];
-        for from in [WorkerState::Healthy, WorkerState::Degraded] {
-            if slot
-                .state
-                .compare_exchange(
-                    from.as_u8(),
-                    WorkerState::Quarantined.as_u8(),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
-                self.injected.fence_lane(worker);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Bring slot `worker` back into service: bump the respawn epoch,
-    /// reopen its lane, mark it healthy, and record the event. Called by
-    /// a replacement thread (after joining its predecessor) or by a
-    /// wedged worker healing itself — in both cases on the slot's own
-    /// (single-writer) thread.
-    fn announce_respawn(&self, worker: usize) -> u64 {
-        let slot = &self.slots[worker];
-        let epoch = slot.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        self.injected.unfence_lane(worker);
-        slot.state.store(WorkerState::Healthy.as_u8(), Ordering::Release);
-        if self.trace_on {
-            self.trace.record(
-                worker,
-                TraceEvent::WorkerRespawned { worker: worker as u32, epoch: epoch as u32 },
-            );
-        }
-        epoch
-    }
-
-    /// Re-publish a rescued orphan into a live injection lane (fenced
-    /// lanes are skipped by `home_lane`), waking a sleeper for it.
-    /// Deliberately bypasses the chaos `InjectLane` site: recovery must
-    /// not re-enter the fault injector.
-    fn republish(&self, job: JobRef, class: QosClass) {
-        let lane = self.injected.home_lane();
-        self.injected.push(lane, job, class);
-        self.sleep.notify_one();
-    }
-
-    /// Spawn a replacement thread onto slot `index`. Returns `false`
-    /// (spawning nothing) when the pool is shutting down. The replacement
-    /// joins its predecessor's handle before touching the slot's deque,
-    /// which is the happens-before edge for deque ownership.
-    fn spawn_replacement(self: &Arc<Self>, index: usize) -> bool {
-        if self.terminate.load(Ordering::Acquire) {
-            return false;
-        }
-        self.respawns_in_flight.fetch_add(1, Ordering::SeqCst);
-        {
-            // Take-predecessor, spawn, and store happen under ONE lock
-            // hold: if the replacement dies instantly (another kill), its
-            // own `spawn_replacement` blocks here until our store lands,
-            // so it takes a real predecessor handle and its successor's
-            // handle can never be clobbered by our late store.
-            let mut slots = self.handles.lock().unwrap_or_else(|e| e.into_inner());
-            let predecessor = slots[index].take();
-            let reg = Arc::clone(self);
-            let mut builder =
-                std::thread::Builder::new().name(format!("{}-{}", self.thread_prefix, index));
-            if let Some(bytes) = self.stack_size {
-                builder = builder.stack_size(bytes);
-            }
-            let handle = builder
-                .spawn(move || worker_entry(reg, index, None, predecessor))
-                .expect("failed to respawn pool worker");
-            slots[index] = Some(handle);
-        }
-        self.respawns_in_flight.fetch_sub(1, Ordering::SeqCst);
-        true
-    }
-
     fn health(&self) -> PoolHealth {
         PoolHealth {
             degraded_workers: self.degraded_list(),
-            quarantined_workers: self.quarantined_list(),
             watchdog_trips: self.watchdog_trips.load(Ordering::Relaxed),
             heartbeats: self.hearts.iter().map(|h| h.load(Ordering::Relaxed)).collect(),
-            respawn_epochs: self.slots.iter().map(|s| s.epoch.load(Ordering::Relaxed)).collect(),
         }
     }
 
-    /// Build and emit a stall diagnostic on behalf of `reporter`, and
-    /// return the workers whose flat heartbeats warrant quarantine: flat
-    /// across ≥ 2 consecutive watchdog trips, not parked, and still in
-    /// ordinary service. The *caller* performs the quarantine (it owns a
-    /// trace ring to record into).
-    fn report_stall(
-        &self,
-        reporter: usize,
-        stalled_for: Duration,
-        jobs_executed: u64,
-    ) -> Vec<usize> {
+    /// Build and emit a stall diagnostic on behalf of `reporter`.
+    fn report_stall(&self, reporter: usize, stalled_for: Duration, jobs_executed: u64) {
         self.watchdog_trips.fetch_add(1, Ordering::Relaxed);
         let now = Instant::now();
         let mut ages = Vec::with_capacity(self.n);
-        let mut escalate = Vec::new();
         {
             let mut tracker = self.beat_tracker.lock().unwrap_or_else(|e| e.into_inner());
             for w in 0..self.n {
@@ -450,19 +293,8 @@ impl Registry {
                 if entry.beat != beat {
                     entry.beat = beat;
                     entry.since = now;
-                    entry.flat_trips = 0;
-                } else {
-                    entry.flat_trips = entry.flat_trips.saturating_add(1);
                 }
                 ages.push(now.saturating_duration_since(entry.since));
-                let parked = self.slots[w].parked.load(Ordering::Relaxed);
-                if w != reporter
-                    && !parked
-                    && entry.flat_trips >= 2
-                    && matches!(self.worker_state(w), WorkerState::Healthy | WorkerState::Degraded)
-                {
-                    escalate.push(w);
-                }
             }
         }
         let report = StallReport {
@@ -472,13 +304,10 @@ impl Registry {
             sleepers: self.sleep.sleeper_count(),
             heartbeats: self.hearts.iter().map(|h| h.load(Ordering::Relaxed)).collect(),
             heartbeat_ages: ages,
-            worker_states: (0..self.n).map(|w| self.worker_state(w)).collect(),
             degraded_workers: self.degraded_list(),
-            quarantined_workers: self.quarantined_list(),
             worker_stats: self.counters.all_workers(),
         };
         (self.stall_handler)(&report);
-        escalate
     }
 
     /// Is there any work a currently-idle worker could acquire?
@@ -573,9 +402,6 @@ impl WorkerThread {
     fn chaos_point_runtime(&self, site: Site) -> FaultAction {
         match self.chaos_point(site) {
             FaultAction::Panic if self.wait_depth.get() > 0 => FaultAction::Fail,
-            // Fatal death is honored only between jobs at `WorkerExit`;
-            // at any runtime site it demotes to a failed operation.
-            FaultAction::Kill => FaultAction::Fail,
             action => action,
         }
     }
@@ -611,7 +437,7 @@ impl WorkerThread {
         }
         if self.registry.chaos_on {
             match self.chaos_point_runtime(Site::StealSweep) {
-                FaultAction::Fail | FaultAction::Kill => {
+                FaultAction::Fail => {
                     // Forced empty sweep: the adversary hides all victims.
                     self.registry.counters.note_failed_sweep(self.index);
                     self.trace(TraceEvent::StealFailed);
@@ -643,32 +469,20 @@ impl WorkerThread {
         (0..len).find_map(|k| self.try_steal_from(victims[(start + k) % len]))
     }
 
-    /// Probe one victim's deque: chaos re-roll, lifecycle skip, then the
-    /// Chase–Lev steal loop.
+    /// Probe one victim's deque: chaos re-roll, then the Chase–Lev steal
+    /// loop.
     fn try_steal_from(&self, victim: usize) -> Option<JobRef> {
         if self.registry.chaos_on {
             match self.chaos_point_runtime(Site::StealVictim) {
                 // Forced victim re-roll: skip this victim as if its
                 // deque raced empty.
-                FaultAction::Fail | FaultAction::Kill => return None,
+                FaultAction::Fail => return None,
                 FaultAction::Delay(spins) => chaos_spin(spins),
                 FaultAction::Panic => {
                     panic!("{} at steal victim", parloop_chaos::INJECTED_PANIC_MSG)
                 }
                 FaultAction::None => {}
             }
-        }
-        // Slots out of ordinary service are skipped: a quarantined slot's
-        // deque was already rescued into live lanes, and a respawning
-        // slot's deque is mid-ownership-handover. Probing them wastes the
-        // sweep's time at best (and races the handover's promote at
-        // worst); one `Acquire` state load is far cheaper than a steal
-        // attempt. Healthy and Degraded slots stay ordinary victims.
-        if matches!(
-            self.registry.worker_state(victim),
-            WorkerState::Quarantined | WorkerState::Respawning
-        ) {
-            return None;
         }
         loop {
             match self.registry.stealers[victim].steal() {
@@ -738,7 +552,7 @@ impl WorkerThread {
         if self.registry.chaos_on {
             match self.chaos_point_runtime(Site::Park) {
                 // Skip the park entirely: a busy-churning adversary.
-                FaultAction::Fail | FaultAction::Kill => return,
+                FaultAction::Fail => return,
                 // Stall *before* blocking, so wakeups race the sleep.
                 FaultAction::Delay(spins) => chaos_spin(spins),
                 FaultAction::Panic => panic!("{} at park", parloop_chaos::INJECTED_PANIC_MSG),
@@ -746,13 +560,7 @@ impl WorkerThread {
             }
         }
         self.trace(TraceEvent::Parked);
-        // The parked flag tells the watchdog this worker's flat heartbeat
-        // is a legitimate sleep, not a wedged thread.
-        let slot = &self.registry.slots[self.index];
-        slot.parked.store(true, Ordering::Relaxed);
-        let outcome = self.registry.sleep.sleep(&has_work, self.fruitless.get());
-        slot.parked.store(false, Ordering::Relaxed);
-        match outcome {
+        match self.registry.sleep.sleep(&has_work, self.fruitless.get()) {
             SleepOutcome::NotBlocked => self.fruitless.set(0),
             SleepOutcome::Notified => {
                 self.fruitless.set(0);
@@ -807,8 +615,8 @@ impl WorkerThread {
     }
 
     /// One watchdog tick: reset the window if the pool executed any job
-    /// since the last look, report if the window exceeds the threshold,
-    /// and escalate persistently-flat workers to quarantine.
+    /// since the last look, and report if the window exceeds the
+    /// threshold.
     fn check_stall(&self, stall: &mut Option<(Instant, u64)>) {
         let reg = &self.registry;
         let jobs = reg.counters.totals().jobs_executed;
@@ -817,10 +625,7 @@ impl WorkerThread {
                 let elapsed = since.elapsed();
                 if elapsed >= reg.stall_threshold {
                     self.trace(TraceEvent::WatchdogStall);
-                    let victims = reg.report_stall(self.index, elapsed, jobs);
-                    for victim in victims {
-                        self.quarantine_worker(victim);
-                    }
+                    reg.report_stall(self.index, elapsed, jobs);
                     *stall = Some((Instant::now(), jobs));
                 }
             }
@@ -828,155 +633,54 @@ impl WorkerThread {
         }
     }
 
-    /// Fence `victim` off and rescue its orphaned work: drain its
-    /// injection lane and deque into live lanes (exactly-once: steals and
-    /// lane pops are already exactly-once, and re-publication happens on
-    /// this thread before anything else can observe the job again). If
-    /// the victim's thread is actually dead, spawn a replacement; if it
-    /// is merely wedged in user code, it self-heals at the top of its run
-    /// loop once it comes back.
-    fn quarantine_worker(&self, victim: usize) {
-        let reg = &self.registry;
-        if !reg.try_quarantine(victim) {
-            return;
-        }
-        self.trace(TraceEvent::WorkerQuarantined { worker: victim as u32 });
-        // Lane first: once fenced, submitters route elsewhere, so the
-        // drain observes a shrinking queue. Preserve each job's class.
-        for (job, class) in reg.injected.drain_lane(victim) {
-            reg.counters.note_orphan_rescued(victim);
-            self.trace(TraceEvent::OrphanRescued { from: victim as u32 });
-            reg.republish(job, class);
-        }
-        // Then the deque, through the victim's stealer (safe from any
-        // thread). A wedged-but-alive victim may push more later; steal
-        // sweeps skip quarantined slots, so those jobs are executed by
-        // the victim itself (work-first: own deque before anything else)
-        // and become ordinarily stealable again once it heals.
-        loop {
-            match reg.stealers[victim].steal() {
-                Steal::Success(job) => {
-                    reg.counters.note_orphan_rescued(victim);
-                    self.trace(TraceEvent::OrphanRescued { from: victim as u32 });
-                    reg.republish(job, QosClass::Latency);
-                }
-                Steal::Empty => break,
-                Steal::Retry => std::hint::spin_loop(),
-            }
-        }
-        // Mailbox jobs are addressed to the worker *identity* and are
-        // never rescued: the replacement (or healed) worker drains the
-        // same mailbox. Documented quarantine limitation.
-        let dead = {
-            let handles = reg.handles.lock().unwrap_or_else(|e| e.into_inner());
-            handles[victim].as_ref().is_some_and(|h| h.is_finished())
-        };
-        if dead
-            && reg.slots[victim]
-                .state
-                .compare_exchange(
-                    WorkerState::Quarantined.as_u8(),
-                    WorkerState::Respawning.as_u8(),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-        {
-            reg.spawn_replacement(victim);
-        }
-    }
-
-    /// A quarantined worker that was merely wedged (stuck in user code,
-    /// not dead) heals itself the moment it runs its loop again: epoch
-    /// bump, lane unfenced, back to `Healthy`.
-    fn heal_if_quarantined(&self) {
-        let slot = &self.registry.slots[self.index];
-        if WorkerState::from_u8(slot.state.load(Ordering::Acquire)) == WorkerState::Quarantined {
-            self.registry.announce_respawn(self.index);
-        }
-    }
-
-    /// Dying-worker rescue: re-publish every job left on this worker's
-    /// own deque into live injection lanes. Runs between jobs (no claims
-    /// or latches held), so exactly-once is preserved: each job is popped
-    /// exactly once here and executed exactly once wherever it lands.
-    fn rescue_own_deque(&self) {
-        while let Some(job) = self.deque.pop() {
-            self.registry.counters.note_orphan_rescued(self.index);
-            self.trace(TraceEvent::OrphanRescued { from: self.index as u32 });
-            self.registry.republish(job, QosClass::Latency);
-        }
-    }
-
-    fn main_loop(&self) -> LoopExit {
+    fn main_loop(&self) {
         // A panic that unwinds past every job boundary (a broken invariant
         // or an injected chaos panic) is caught here: the worker is marked
         // degraded and re-enters service instead of taking the process (or
         // the pool's shutdown join) down with it.
-        let exit = loop {
+        loop {
             let run = unwind::halt_unwinding(|| self.run_loop());
-            // An exit (terminate or chaos kill) or an escaped panic may end
-            // the loop mid idle spell: leave the count, or a respawn would
-            // be counted twice.
+            // Shutdown or an escaped panic may end the loop mid idle
+            // spell: leave the count.
             self.leave_idle();
             match run {
-                Ok(exit) => break exit,
+                Ok(()) => break,
                 Err(_) => {
                     self.wait_depth.set(0);
                     self.registry.mark_degraded(self.index);
                     self.trace(TraceEvent::WorkerDegraded);
                 }
             }
-        };
-        if exit == LoopExit::Terminate {
-            // Drain leftovers so heap jobs (e.g. spent hybrid-loop adopter
-            // frames) are reclaimed rather than leaked. By the shutdown
-            // invariant every StackJob has already completed, so anything
-            // left here is a self-contained heap job that is safe to run;
-            // panics are contained so one poisoned leftover cannot leak
-            // the rest. (A `Killed` exit already rescued the deque and
-            // leaves the mailbox for the replacement.)
-            while let Some(job) = self.pop() {
-                let _ = unwind::halt_unwinding(|| unsafe { job.execute() });
-            }
-            while let Some(job) = self.registry.mailboxes[self.index].pop() {
-                let _ = unwind::halt_unwinding(|| unsafe { job.execute() });
-            }
         }
-        exit
+        // Drain leftovers so heap jobs (e.g. spent hybrid-loop adopter
+        // frames) are reclaimed rather than leaked. By the shutdown
+        // invariant every StackJob has already completed, so anything
+        // left here is a self-contained heap job that is safe to run;
+        // panics are contained so one poisoned leftover cannot leak the
+        // rest.
+        while let Some(job) = self.pop() {
+            let _ = unwind::halt_unwinding(|| unsafe { job.execute() });
+        }
+        while let Some(job) = self.registry.mailboxes[self.index].pop() {
+            let _ = unwind::halt_unwinding(|| unsafe { job.execute() });
+        }
     }
 
     /// The body of the worker loop: find work, execute, park once the
-    /// idle policy's spin budget is spent.
-    fn run_loop(&self) -> LoopExit {
+    /// idle policy's spin budget is spent. Returns at pool shutdown.
+    fn run_loop(&self) {
         let reg = Arc::clone(&self.registry);
         let mut idle = IdleSpin::new();
         loop {
-            // Self-heal *before* the terminate check, so a pool dropped
-            // with a quarantined worker still exits through the healed
-            // (unfenced, epoch-bumped) path.
-            self.heal_if_quarantined();
             if reg.terminate.load(Ordering::Acquire) {
-                return LoopExit::Terminate;
+                return;
             }
             reg.heartbeat(self.index);
             if reg.chaos_on {
-                // Fatal worker death is decided only here, between jobs:
-                // no claims, latches, or wait frames are held, so dying
-                // is exactly-once safe. Non-`Kill` actions at this site
-                // are meaningless and ignored.
-                if let FaultAction::Kill = self.chaos_point(Site::WorkerExit) {
-                    reg.slots[self.index]
-                        .state
-                        .store(WorkerState::Respawning.as_u8(), Ordering::Release);
-                    self.rescue_own_deque();
-                    return LoopExit::Killed;
-                }
                 match self.chaos_point(Site::MainLoop) {
                     // `Fail` has no operation to fail here; treat it as a
-                    // scheduling perturbation (`Kill` likewise: it is only
-                    // honored at `WorkerExit`).
-                    FaultAction::Fail | FaultAction::Kill => std::thread::yield_now(),
+                    // scheduling perturbation.
+                    FaultAction::Fail => std::thread::yield_now(),
                     FaultAction::Delay(spins) => chaos_spin(spins),
                     FaultAction::Panic => {
                         panic!("{} at main loop", parloop_chaos::INJECTED_PANIC_MSG)
@@ -996,64 +700,20 @@ impl WorkerThread {
     }
 }
 
-/// The body of every worker thread — original generation and respawned
-/// replacements alike.
-///
-/// * First generation: `deque` is `Some` (handed over from the builder),
-///   `predecessor` is `None`.
-/// * Replacement: `deque` is `None` and `predecessor` holds the dead
-///   generation's join handle. The join below is the **happens-before
-///   edge** the whole respawn scheme rests on: it proves the old thread —
-///   and with it the old `deque::Worker` owner handle and the old
-///   generation's trace-ring writer — is gone before the stealer is
-///   promoted into a new owner and the ring gains a new single writer.
-fn worker_entry(
-    registry: Arc<Registry>,
-    index: usize,
-    deque: Option<deque::Worker<JobRef>>,
-    predecessor: Option<JoinHandle<()>>,
-) {
-    if let Some(h) = predecessor {
-        // The predecessor died of a chaos kill (clean exit); tolerate a
-        // panicked exit too — either way it is reaped here.
-        let _ = h.join();
-    }
-    let respawned = deque.is_none();
-    let deque = match deque {
-        Some(d) => d,
-        // SAFETY: the predecessor thread was joined above, so the only
-        // prior owner handle has been dropped, and the join edge orders
-        // that drop before this promotion.
-        None => unsafe { registry.stealers[index].promote() },
-    };
-    let mut seed = index as u64;
-    if respawned {
-        // Epoch bump + unfence + Healthy + WorkerRespawned trace event.
-        let epoch = registry.announce_respawn(index);
-        seed ^= epoch << 32;
-    }
+/// The body of every worker thread: it owns worker `index`'s deque from
+/// pool build to pool drop.
+fn worker_entry(registry: Arc<Registry>, index: usize, deque: deque::Worker<JobRef>) {
     let wt = WorkerThread {
-        registry: Arc::clone(&registry),
+        registry,
         index,
         deque,
-        rng: XorShift64Star::new(seed),
+        rng: XorShift64Star::new(index as u64),
         wait_depth: Cell::new(0),
         fruitless: Cell::new(0),
         counted_idle: Cell::new(false),
     };
     WORKER.with(|c| c.set(&wt as *const WorkerThread));
-    let exit = wt.main_loop();
-    if exit == LoopExit::Killed && !registry.spawn_replacement(index) {
-        // Shutdown raced the kill: no replacement is coming, so run the
-        // terminate drain ourselves (this thread is still worker `index`,
-        // with the TLS identity mailbox jobs may assert on).
-        while let Some(job) = wt.pop() {
-            let _ = unwind::halt_unwinding(|| unsafe { job.execute() });
-        }
-        while let Some(job) = registry.mailboxes[index].pop() {
-            let _ = unwind::halt_unwinding(|| unsafe { job.execute() });
-        }
-    }
+    wt.main_loop();
     WORKER.with(|c| c.set(ptr::null()));
 }
 
@@ -1207,14 +867,7 @@ impl ThreadPoolBuilder {
             chaos_on,
             hearts: (0..n).map(|_| CachePadded::new(AtomicU64::new(0))).collect(),
             degraded: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            slots: (0..n).map(|_| CachePadded::new(WorkerSlot::default())).collect(),
-            beat_tracker: Mutex::new(
-                (0..n).map(|_| BeatEntry { beat: 0, since: now, flat_trips: 0 }).collect(),
-            ),
-            handles: Mutex::new((0..n).map(|_| None).collect()),
-            respawns_in_flight: AtomicUsize::new(0),
-            thread_prefix: self.thread_name_prefix.clone(),
-            stack_size: self.stack_size,
+            beat_tracker: Mutex::new((0..n).map(|_| BeatEntry { beat: 0, since: now }).collect()),
             idle: CachePadded::new(AtomicUsize::new(0)),
             watchdog_trips: AtomicU64::new(0),
             stall_threshold: self.stall_threshold,
@@ -1228,14 +881,10 @@ impl ThreadPoolBuilder {
         // set before a spawned closure runs, so once every worker has
         // reported, the pool's threads are visible under their names.
         let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
-        {
-            // One lock hold across the whole spawn loop: a worker killed
-            // on its very first run-loop pass blocks in
-            // `spawn_replacement` until every original handle is stored,
-            // so it takes its own handle as predecessor instead of `None`
-            // — and this loop can never overwrite a replacement's handle.
-            let mut slots = registry.handles.lock().unwrap_or_else(|e| e.into_inner());
-            for (index, wdeque) in workers.into_iter().enumerate() {
+        let handles = workers
+            .into_iter()
+            .enumerate()
+            .map(|(index, wdeque)| {
                 let reg = Arc::clone(&registry);
                 let started = started_tx.clone();
                 let name = format!("{}-{}", self.thread_name_prefix, index);
@@ -1243,22 +892,21 @@ impl ThreadPoolBuilder {
                 if let Some(bytes) = self.stack_size {
                     builder = builder.stack_size(bytes);
                 }
-                let handle = builder
+                builder
                     .spawn(move || {
                         // The receiver lives until every worker reported.
                         let _ = started.send(());
-                        worker_entry(reg, index, Some(wdeque), None)
+                        worker_entry(reg, index, wdeque)
                     })
-                    .expect("failed to spawn pool worker");
-                slots[index] = Some(handle);
-            }
-        }
+                    .expect("failed to spawn pool worker")
+            })
+            .collect();
         drop(started_tx);
         for _ in 0..n {
             started_rx.recv().expect("a pool worker exited before reporting in");
         }
 
-        ThreadPool { registry }
+        ThreadPool { registry, handles }
     }
 }
 
@@ -1273,6 +921,8 @@ impl Default for ThreadPoolBuilder {
 /// Dropping the pool shuts the workers down (after draining leftover jobs).
 pub struct ThreadPool {
     registry: Arc<Registry>,
+    /// The worker threads' join handles, indexed by worker id.
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl ThreadPool {
@@ -1297,9 +947,8 @@ impl ThreadPool {
             return FaultAction::None;
         }
         match self.registry.chaos.decide(EXTERNAL_SUBMITTER, site) {
-            // Faults must not unwind into (Panic), or kill (Kill), user
-            // submitter threads.
-            FaultAction::Panic | FaultAction::Kill => FaultAction::Fail,
+            // Faults must not unwind into user submitter threads.
+            FaultAction::Panic => FaultAction::Fail,
             action => action,
         }
     }
@@ -1504,31 +1153,11 @@ impl ThreadPool {
 impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.registry.terminate.store(true, Ordering::Release);
-        // Join every worker generation. Handles are scanned (not drained
-        // in one pass) because a respawn in flight may have a slot's
-        // handle out: the loop keeps going until no handle remains *and*
-        // no respawn is mid-swap — the replacement will observe the
-        // terminate flag and exit promptly once its handle appears.
-        loop {
-            let handle = {
-                let mut slots = self.registry.handles.lock().unwrap_or_else(|e| e.into_inner());
-                slots.iter_mut().find_map(|s| s.take())
-            };
-            match handle {
-                Some(h) => {
-                    // Workers sleep with a bounded timeout, so a few
-                    // notifications suffice; the timeout is the backstop.
-                    self.registry.sleep.notify_all();
-                    h.join().expect("pool worker panicked outside a job");
-                }
-                None => {
-                    if self.registry.respawns_in_flight.load(Ordering::SeqCst) == 0 {
-                        break;
-                    }
-                    self.registry.sleep.notify_all();
-                    std::thread::yield_now();
-                }
-            }
+        // The terminate flag is the published event: a parked worker's
+        // has-work re-check reads it, so one wake reaches every sleeper.
+        self.registry.sleep.notify_all();
+        for h in self.handles.drain(..) {
+            h.join().expect("pool worker panicked outside a job");
         }
         // Any detached jobs still sitting in the injection lanes run here,
         // on the dropping thread, so their allocations are reclaimed and
@@ -1896,27 +1525,6 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 1);
     }
 
-    #[test]
-    fn chaos_kill_respawns_worker_and_pool_keeps_working() {
-        use parloop_chaos::PlannedInjector;
-        let inj = Arc::new(PlannedInjector::quiet(7).with_kill_at(0));
-        let pool = ThreadPoolBuilder::new().num_workers(2).fault_injector(inj).build();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            assert_eq!(pool.install(|| 21 * 2), 42);
-            let health = pool.health();
-            if health.total_respawns() >= 1 && health.quarantined_workers.is_empty() {
-                break;
-            }
-            assert!(Instant::now() < deadline, "respawn never recorded: {health:?}");
-            std::thread::yield_now();
-        }
-        // A chaos kill is a clean death, not an escaped panic.
-        assert!(!pool.is_degraded());
-        assert_eq!(pool.install(|| 7), 7);
-        pool.broadcast_all(|_| {});
-    }
-
     /// The idle count polled until it reads `expected` or a 10 s deadline
     /// passes; returns the last reading.
     fn idle_settled(pool: &ThreadPool, expected: usize) -> usize {
@@ -1931,7 +1539,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_count_settles_at_p_across_work_and_a_kill_respawn() {
+    fn idle_count_settles_at_p_across_work() {
         // A quiet pool counts every worker, parked ones included, and
         // counts each once again after running work.
         let pool = ThreadPool::new(3);
@@ -1939,46 +1547,6 @@ mod tests {
         assert_eq!(pool.install(|| 6 * 7), 42);
         pool.broadcast_all(|_| {});
         assert_eq!(idle_settled(&pool, 3), 3);
-
-        // A chaos kill usually ends a worker's loop in the middle of an
-        // idle spell: most visits of the exit site are idle polls. The
-        // replacement must not be counted on top of its predecessor.
-        use parloop_chaos::PlannedInjector;
-        let inj = (0..4).fold(PlannedInjector::quiet(7), |inj, k| inj.with_kill_at(16 + 32 * k));
-        let pool = ThreadPoolBuilder::new().num_workers(2).fault_injector(Arc::new(inj)).build();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            assert_eq!(pool.install(|| 21 * 2), 42);
-            let health = pool.health();
-            if health.total_respawns() >= 4 && health.quarantined_workers.is_empty() {
-                break;
-            }
-            assert!(Instant::now() < deadline, "respawn never recorded: {health:?}");
-            std::thread::yield_now();
-        }
-        assert_eq!(idle_settled(&pool, 2), 2);
-    }
-
-    #[test]
-    fn kill_during_shutdown_still_joins_cleanly() {
-        use parloop_chaos::PlannedInjector;
-        // Many kills armed: respawned workers keep being killed, racing
-        // respawn against pool drop.
-        let mut inj = PlannedInjector::quiet(11);
-        for nth in 0..64 {
-            inj = inj.with_kill_at(nth * 50);
-        }
-        let pool = ThreadPoolBuilder::new().num_workers(3).fault_injector(Arc::new(inj)).build();
-        let total = Arc::new(AtomicUsize::new(0));
-        for _ in 0..32 {
-            let t = Arc::clone(&total);
-            pool.spawn_detached(move || {
-                t.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        drop(pool);
-        // Every detached job ran exactly once despite worker deaths.
-        assert_eq!(total.load(Ordering::Relaxed), 32);
     }
 
     #[test]

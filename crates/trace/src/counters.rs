@@ -25,7 +25,6 @@ struct PaddedCounters {
     batch_jobs: AtomicU64,
     notified_wakes: AtomicU64,
     backstop_wakes: AtomicU64,
-    orphans_rescued: AtomicU64,
 }
 
 /// A point-in-time copy of one worker's counters.
@@ -61,10 +60,6 @@ pub struct WorkerStats {
     /// Parks that ended in the timeout backstop firing (a poll, not a
     /// productive wake; these back off exponentially while fruitless).
     pub backstop_wakes: u64,
-    /// Orphaned jobs rescued *from* this worker's deque or lane when it
-    /// died or was quarantined (attributed to the victim slot — the
-    /// rescuer may be a dying worker or a supervising thread).
-    pub orphans_rescued: u64,
 }
 
 /// Per-worker scheduler counters plus the pool-global injection count.
@@ -153,14 +148,6 @@ impl CounterBank {
         self.workers[worker].backstop_wakes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one orphaned job rescued from dead/quarantined worker
-    /// `from`'s deque or lane (attributed to the victim slot; callable
-    /// from any rescuing thread — plain atomic increment).
-    #[inline]
-    pub fn note_orphan_rescued(&self, from: usize) {
-        self.workers[from].orphans_rescued.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Count one job injected from an external thread.
     #[inline]
     pub fn note_injected(&self) {
@@ -200,7 +187,6 @@ impl CounterBank {
             batch_jobs: c.batch_jobs.load(Ordering::Relaxed),
             notified_wakes: c.notified_wakes.load(Ordering::Relaxed),
             backstop_wakes: c.backstop_wakes.load(Ordering::Relaxed),
-            orphans_rescued: c.orphans_rescued.load(Ordering::Relaxed),
         }
     }
 
@@ -225,7 +211,6 @@ impl CounterBank {
             t.batch_jobs += s.batch_jobs;
             t.notified_wakes += s.notified_wakes;
             t.backstop_wakes += s.backstop_wakes;
-            t.orphans_rescued += s.orphans_rescued;
         }
         t
     }
@@ -256,9 +241,6 @@ mod tests {
         bank.note_notified_wake(0);
         bank.note_backstop_wake(2);
         bank.note_backstop_wake(2);
-        bank.note_orphan_rescued(1);
-        bank.note_orphan_rescued(1);
-        bank.note_orphan_rescued(1);
         assert_eq!(bank.worker(0).jobs_executed, 2);
         assert_eq!(bank.worker(1).jobs_pushed, 2);
         assert_eq!(bank.worker(0).assist_joins, 1);
@@ -270,7 +252,6 @@ mod tests {
         assert_eq!(bank.worker(2).batch_jobs, 2);
         assert_eq!(bank.worker(0).notified_wakes, 1);
         assert_eq!(bank.worker(2).backstop_wakes, 2);
-        assert_eq!(bank.worker(1).orphans_rescued, 3);
         let t = bank.totals();
         assert_eq!(t.jobs_executed, 3);
         assert_eq!(t.jobs_pushed, 3);
@@ -283,7 +264,6 @@ mod tests {
         assert_eq!(t.batch_jobs, 2);
         assert_eq!(t.notified_wakes, 1);
         assert_eq!(t.backstop_wakes, 2);
-        assert_eq!(t.orphans_rescued, 3);
         assert_eq!(bank.injected(), 1);
         bank.note_grain_adjustment();
         bank.note_grain_adjustment();

@@ -56,15 +56,6 @@ fn classify(event: &TraceEvent) -> Option<Record> {
         TraceEvent::AssistChunk { start, len } => {
             Record::Instant("assist_chunk", format!(r#"{{"start":{start},"len":{len}}}"#))
         }
-        TraceEvent::WorkerRespawned { worker, epoch } => {
-            Record::Instant("worker_respawned", format!(r#"{{"worker":{worker},"epoch":{epoch}}}"#))
-        }
-        TraceEvent::WorkerQuarantined { worker } => {
-            Record::Instant("worker_quarantined", format!(r#"{{"worker":{worker}}}"#))
-        }
-        TraceEvent::OrphanRescued { from } => {
-            Record::Instant("orphan_rescued", format!(r#"{{"from":{from}}}"#))
-        }
         TraceEvent::GrainAdjusted { site, grain } => {
             Record::Instant("grain_adjusted", format!(r#"{{"site":{site},"grain":{grain}}}"#))
         }
@@ -152,7 +143,7 @@ pub fn chrome_trace_json(snap: &TraceSnapshot) -> String {
 /// per-kind payload fields.
 pub fn csv(snap: &TraceSnapshot) -> String {
     let mut out = String::from(
-        "ts_nanos,worker,event,success,index,partition,victim,start,len,site,action,lane,epoch\n",
+        "ts_nanos,worker,event,success,index,partition,victim,start,len,site,action,lane\n",
     );
     for e in &snap.events {
         let (mut success, mut index, mut partition, mut victim, mut start, mut len) = (
@@ -164,17 +155,10 @@ pub fn csv(snap: &TraceSnapshot) -> String {
             String::new(),
         );
         let (mut site, mut action, mut lane) = (String::new(), String::new(), String::new());
-        let mut epoch = String::new();
         match e.event {
             TraceEvent::Stolen { victim: v } | TraceEvent::StolenRemote { victim: v } => {
                 victim = v.to_string()
             }
-            TraceEvent::WorkerRespawned { worker: w, epoch: ep } => {
-                victim = w.to_string();
-                epoch = ep.to_string();
-            }
-            TraceEvent::WorkerQuarantined { worker: w } => victim = w.to_string(),
-            TraceEvent::OrphanRescued { from: f } => victim = f.to_string(),
             TraceEvent::InjectLane { lane: l } => lane = l.to_string(),
             TraceEvent::ClaimAttempt { success: s, index: i, partition: p } => {
                 success = (s as u8).to_string();
@@ -201,7 +185,7 @@ pub fn csv(snap: &TraceSnapshot) -> String {
         }
         let _ = writeln!(
             out,
-            "{},{},{},{success},{index},{partition},{victim},{start},{len},{site},{action},{lane},{epoch}",
+            "{},{},{},{success},{index},{partition},{victim},{start},{len},{site},{action},{lane}",
             e.ts_nanos,
             e.worker,
             e.event.name(),
@@ -264,23 +248,17 @@ mod tests {
             (6, 1, TraceEvent::ChunkEnd { start: 10, len: 4 }),
             (7, 0, TraceEvent::FaultInjected { site: 4, action: 1 }),
             (8, 1, TraceEvent::InjectLane { lane: 3 }),
-            (11, 2, TraceEvent::WorkerRespawned { worker: 1, epoch: 2 }),
-            (12, 2, TraceEvent::WorkerQuarantined { worker: 0 }),
-            (13, 2, TraceEvent::OrphanRescued { from: 0 }),
             (16, 3, TraceEvent::StolenRemote { victim: 7 }),
         ]);
         let text = csv(&s);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 9);
+        assert_eq!(lines.len(), 6);
         assert!(lines[0].starts_with("ts_nanos,worker,event"));
-        assert_eq!(lines[1], "5,0,claim_attempt,1,2,6,,,,,,,");
-        assert_eq!(lines[2], "6,1,chunk_end,,,,,10,4,,,,");
-        assert_eq!(lines[3], "7,0,fault_injected,,,,,,,4,1,,");
-        assert_eq!(lines[4], "8,1,inject_lane,,,,,,,,,3,");
-        assert_eq!(lines[5], "11,2,worker_respawned,,,,1,,,,,,2");
-        assert_eq!(lines[6], "12,2,worker_quarantined,,,,0,,,,,,");
-        assert_eq!(lines[7], "13,2,orphan_rescued,,,,0,,,,,,");
-        assert_eq!(lines[8], "16,3,stolen_remote,,,,7,,,,,,");
+        assert_eq!(lines[1], "5,0,claim_attempt,1,2,6,,,,,,");
+        assert_eq!(lines[2], "6,1,chunk_end,,,,,10,4,,,");
+        assert_eq!(lines[3], "7,0,fault_injected,,,,,,,4,1,");
+        assert_eq!(lines[4], "8,1,inject_lane,,,,,,,,,3");
+        assert_eq!(lines[5], "16,3,stolen_remote,,,,7,,,,,");
     }
 
     #[test]
@@ -309,18 +287,5 @@ mod tests {
         assert!(json.contains(r#""lane":2"#), "{json}");
         assert!(json.contains(r#""name":"wake_targeted""#));
         assert!(json.contains(r#""name":"backstop_wake""#));
-    }
-
-    #[test]
-    fn resilience_events_render_as_instants() {
-        let s = snap(vec![
-            (1, 2, TraceEvent::WorkerQuarantined { worker: 1 }),
-            (2, 2, TraceEvent::OrphanRescued { from: 1 }),
-            (3, 1, TraceEvent::WorkerRespawned { worker: 1, epoch: 1 }),
-        ]);
-        let json = chrome_trace_json(&s);
-        assert!(json.contains(r#""name":"worker_quarantined""#), "{json}");
-        assert!(json.contains(r#""name":"orphan_rescued""#), "{json}");
-        assert!(json.contains(r#""worker":1,"epoch":1"#), "{json}");
     }
 }

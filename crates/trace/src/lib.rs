@@ -143,27 +143,6 @@ pub enum TraceEvent {
         /// Number of iterations in the claimed chunk.
         len: u32,
     },
-    /// A replacement thread took over worker slot `worker` (after a fatal
-    /// worker death or an in-place recovery from quarantine), bumping the
-    /// slot's respawn epoch.
-    WorkerRespawned {
-        /// The worker slot that was restored to service.
-        worker: u32,
-        /// The slot's respawn epoch after the bump (first respawn = 1).
-        epoch: u32,
-    },
-    /// The watchdog escalated a persistently-stalled worker to quarantine:
-    /// its lane is fenced off and its queued work swept to live workers.
-    WorkerQuarantined {
-        /// The quarantined worker slot.
-        worker: u32,
-    },
-    /// One orphaned job from a dead or quarantined worker's deque or lane
-    /// was re-published into the live injection lanes.
-    OrphanRescued {
-        /// The worker slot the job was rescued from.
-        from: u32,
-    },
     /// The adaptive controller changed a loop site's grain after
     /// ingesting that loop's wall time. One event per *accepted*
     /// adjustment (unchanged settings are not re-announced).
@@ -199,15 +178,12 @@ impl TraceEvent {
             TraceEvent::BackstopWake => "backstop_wake",
             TraceEvent::AssistJoin => "assist_join",
             TraceEvent::AssistChunk { .. } => "assist_chunk",
-            TraceEvent::WorkerRespawned { .. } => "worker_respawned",
-            TraceEvent::WorkerQuarantined { .. } => "worker_quarantined",
-            TraceEvent::OrphanRescued { .. } => "orphan_rescued",
             TraceEvent::GrainAdjusted { .. } => "grain_adjusted",
         }
     }
 
-    /// Pack into two words for the fixed-size ring slot. Tags 20, 21, 25
-    /// and 26 belonged to deleted events and stay unused.
+    /// Pack into two words for the fixed-size ring slot. Tags 20–26
+    /// belonged to deleted events and stay unused.
     pub(crate) fn pack(&self) -> (u64, u64) {
         match *self {
             TraceEvent::JobPushed => (1, 0),
@@ -233,11 +209,6 @@ impl TraceEvent {
             TraceEvent::BackstopWake => (17, 0),
             TraceEvent::AssistJoin => (18, 0),
             TraceEvent::AssistChunk { start, len } => (19 | (len as u64) << 32, start),
-            TraceEvent::WorkerRespawned { worker, epoch } => {
-                (22 | (epoch as u64) << 32, worker as u64)
-            }
-            TraceEvent::WorkerQuarantined { worker } => (23, worker as u64),
-            TraceEvent::OrphanRescued { from } => (24, from as u64),
             TraceEvent::StolenRemote { victim } => (27, victim as u64),
             TraceEvent::GrainAdjusted { site, grain } => (28 | (grain as u64) << 32, site as u64),
         }
@@ -270,9 +241,6 @@ impl TraceEvent {
             17 => TraceEvent::BackstopWake,
             18 => TraceEvent::AssistJoin,
             19 => TraceEvent::AssistChunk { start: b, len: (a >> 32) as u32 },
-            22 => TraceEvent::WorkerRespawned { worker: b as u32, epoch: (a >> 32) as u32 },
-            23 => TraceEvent::WorkerQuarantined { worker: b as u32 },
-            24 => TraceEvent::OrphanRescued { from: b as u32 },
             27 => TraceEvent::StolenRemote { victim: b as u32 },
             28 => TraceEvent::GrainAdjusted { site: b as u32, grain: (a >> 32) as u32 },
             _ => return None,
@@ -296,9 +264,9 @@ pub trait TraceSink: Send + Sync {
     fn record(&self, worker: usize, event: TraceEvent);
 
     /// Record an event from *outside* the per-worker single-writer
-    /// discipline: watchdog reporters, submitter threads, supervision
-    /// paths. May be called from any thread concurrently; sinks that
-    /// cannot accept that serialize or drop internally. Default: drop.
+    /// discipline: watchdog reporters and submitter threads. May be called
+    /// from any thread concurrently; sinks that cannot accept that
+    /// serialize or drop internally. Default: drop.
     fn record_external(&self, _event: TraceEvent) {}
 }
 
@@ -358,10 +326,6 @@ mod tests {
             TraceEvent::AssistJoin,
             TraceEvent::AssistChunk { start: 0, len: 1 },
             TraceEvent::AssistChunk { start: u64::MAX >> 1, len: u32::MAX },
-            TraceEvent::WorkerRespawned { worker: 0, epoch: 1 },
-            TraceEvent::WorkerRespawned { worker: u32::MAX, epoch: u32::MAX },
-            TraceEvent::WorkerQuarantined { worker: 3 },
-            TraceEvent::OrphanRescued { from: u32::MAX },
             TraceEvent::StolenRemote { victim: 0 },
             TraceEvent::StolenRemote { victim: u32::MAX },
             TraceEvent::GrainAdjusted { site: 3, grain: 256 },
@@ -377,7 +341,7 @@ mod tests {
     fn unknown_tag_rejected() {
         assert_eq!(TraceEvent::unpack(0, 0), None);
         assert_eq!(TraceEvent::unpack(0xFF, 7), None);
-        for retired in [20, 21, 25, 26] {
+        for retired in 20..=26 {
             assert_eq!(TraceEvent::unpack(retired, 7), None, "tag {retired}");
         }
     }

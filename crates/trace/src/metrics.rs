@@ -60,13 +60,6 @@ pub struct EventCounts {
     pub assist_chunks: u64,
     /// Iterations covered by assistant-claimed chunks.
     pub assist_iterations: u64,
-    /// Worker slots restored to service by a replacement thread or an
-    /// in-place recovery.
-    pub worker_respawns: u64,
-    /// Workers escalated from stall to quarantine by the watchdog.
-    pub worker_quarantines: u64,
-    /// Orphaned jobs swept from dead/quarantined workers into live lanes.
-    pub orphans_rescued: u64,
     /// Adaptive grain adjustments accepted by site controllers.
     pub grain_adjustments: u64,
 }
@@ -128,9 +121,6 @@ pub fn event_counts(snap: &TraceSnapshot) -> EventCounts {
                 c.assist_chunks += 1;
                 c.assist_iterations += len as u64;
             }
-            TraceEvent::WorkerRespawned { .. } => c.worker_respawns += 1,
-            TraceEvent::WorkerQuarantined { .. } => c.worker_quarantines += 1,
-            TraceEvent::OrphanRescued { .. } => c.orphans_rescued += 1,
             TraceEvent::GrainAdjusted { .. } => c.grain_adjustments += 1,
         }
     }

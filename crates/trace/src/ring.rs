@@ -331,8 +331,8 @@ mod tests {
     fn external_events_ride_along_with_pseudo_worker_id() {
         let sink = RingTraceSink::with_capacity(2, 8);
         sink.record(0, TraceEvent::JobPushed);
-        sink.record_external(TraceEvent::WorkerQuarantined { worker: 1 });
-        sink.record_external(TraceEvent::OrphanRescued { from: 1 });
+        sink.record_external(TraceEvent::WatchdogStall);
+        sink.record_external(TraceEvent::GrainAdjusted { site: 1, grain: 64 });
         let snap = sink.snapshot();
         assert_eq!(snap.len(), 3);
         // Per-worker accounting is untouched by external events.
@@ -340,8 +340,8 @@ mod tests {
         assert_eq!(snap.dropped, vec![0, 0]);
         let ext: Vec<_> = snap.events.iter().filter(|e| e.worker == 2).collect();
         assert_eq!(ext.len(), 2);
-        assert_eq!(ext[0].event, TraceEvent::WorkerQuarantined { worker: 1 });
-        assert_eq!(ext[1].event, TraceEvent::OrphanRescued { from: 1 });
+        assert_eq!(ext[0].event, TraceEvent::WatchdogStall);
+        assert_eq!(ext[1].event, TraceEvent::GrainAdjusted { site: 1, grain: 64 });
         // Drain consumes the external ring alongside the worker rings.
         assert_eq!(sink.drain().len(), 3);
         assert!(sink.drain().is_empty());

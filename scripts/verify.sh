@@ -175,16 +175,6 @@ if [ "$QUICK" -eq 0 ]; then
   test -s results/traffic.json \
     || { echo "verify.sh: results/traffic.json missing or empty" >&2; exit 1; }
 
-  # Self-healing acceptance: the seeded worker-kill sweep (honors
-  # CHAOS_SEEDS) must hold exactly-once, full respawn recovery and the
-  # OS thread census; the dip-and-recovery throughput ratio is reported
-  # but only enforced in full mode. Exits non-zero when a bar is missed
-  # and writes results/resilience.json.
-  echo "== resilience_bench --smoke (CHAOS_SEEDS=16) =="
-  CHAOS_SEEDS=16 ./target/release/resilience_bench --smoke
-  test -s results/resilience.json \
-    || { echo "verify.sh: results/resilience.json missing or empty" >&2; exit 1; }
-
   # Sim locality gate: one 128-virtual-core socket-first sweep on the
   # skewed workload — hybrid_sf must keep at least as many consecutive
   # iterations on-socket (and hit L3 at least as often) as the uniform
@@ -218,7 +208,6 @@ else
   echo "== inject_bench skipped (--quick) =="
   echo "== split_bench skipped (--quick) =="
   echo "== traffic_bench skipped (--quick) =="
-  echo "== resilience_bench skipped (--quick) =="
   echo "== locality_bench skipped (--quick) =="
   echo "== adapt_bench skipped (--quick) =="
 fi

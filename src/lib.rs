@@ -39,6 +39,5 @@ pub use parloop_core::{
 };
 pub use parloop_runtime::{
     join, scope, CancelToken, PoolHealth, QosClass, StallReport, ThreadPool, ThreadPoolBuilder,
-    WorkerState,
 };
 pub use parloop_trace::{NoopSink, RingTraceSink, TraceEvent, TraceSink, WorkerStats};

@@ -12,27 +12,28 @@
 //! * **Off-path proof** — a disabled injector is never consulted.
 //! * **Cancellation** — loops with a cancel token observe it firing,
 //!   return `Err`, and preserve exactly-once for everything that ran.
-//! * **Watchdog** — a stalled pool produces a diagnostic, not a hang.
+//! * **Watchdog** — a stalled pool produces a diagnostic, not a hang,
+//!   and the diagnostic names a stuck worker whose queued jobs its peers
+//!   steal; once unstuck, the worker serves again on its own thread.
 //! * **Locality** — the topology-aware configuration (multi-socket map,
 //!   socket-first stealing, NUMA earmarks) keeps every guarantee under
-//!   the same adversary, steal sweeps never probe quarantined or
-//!   respawning slots, and a flat map never counts a remote steal.
+//!   the same adversary, and a flat map never counts a remote steal.
 //!
 //! The seed sweep honours `CHAOS_SEEDS` (default 64) so CI can dial the
 //! stress level (`scripts/verify.sh` runs a reduced sweep).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use parloop::chaos::{FaultAction, FaultInjector, PlannedInjector, Site};
 use parloop::core::{same_socket_fraction, same_worker_fraction, AffinityProbe};
-use parloop::runtime::{Latch, TopologyMap, WorkerToken};
+use parloop::runtime::{current_worker_index, Latch, TopologyMap, WorkerToken};
 use parloop::trace::metrics::max_claim_failure_run;
 use parloop::trace::{init_clock, RingTraceSink};
 use parloop::{
-    par_for_tracked, CancelToken, Loop, LoopError, Schedule, ThreadPool, ThreadPoolBuilder,
-    TraceEvent,
+    par_for_tracked, CancelToken, Loop, LoopError, Schedule, StallReport, ThreadPool,
+    ThreadPoolBuilder,
 };
 
 mod common;
@@ -343,226 +344,14 @@ fn chaos_runs_actually_inject_faults() {
     assert!(claim_faults > 0, "claim site never injected at ~25% rate across 10 runs");
 }
 
-/// Self-healing under worker death, across a seed sweep: a one-shot
-/// `Kill` at the `WorkerExit` site takes a worker down mid-service. The
-/// pool must preserve exactly-once for every loop, respawn the dead slot
-/// (epoch recorded in `PoolHealth`), end with zero degraded/quarantined
-/// workers, and settle back to exactly `P` live worker threads.
-#[test]
-fn worker_exit_kill_sweep_recovers_exactly_once() {
-    let p = 3;
-    let n = 384;
-    for seed in 0..seed_count() {
-        let injector = Arc::new(PlannedInjector::quiet(seed).with_kill_at(seed % 4));
-        let prefix = format!("kswp{seed}");
-        init_clock();
-        let pool = ThreadPoolBuilder::new()
-            .num_workers(p)
-            .thread_name_prefix(&prefix)
-            .fault_injector(Arc::clone(&injector) as _)
-            .build();
-
-        for round in 0..3 {
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            let cancel = CancelToken::new();
-            Loop { cancel: Some(&cancel), ..Loop::new(Schedule::hybrid().with_grain(8)) }
-                .run(&pool, 0..n, |chunk| {
-                    for i in chunk {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                })
-                .unwrap_or_else(|e| panic!("seed {seed} round {round}: loop failed: {e:?}"));
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(
-                    h.load(Ordering::Relaxed),
-                    1,
-                    "seed {seed} round {round}: iteration {i} not exactly-once"
-                );
-            }
-        }
-
-        // The one-shot kill fires between jobs; idle run-loop passes keep
-        // visiting the site, so recovery lands promptly after the loops.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let health = loop {
-            let h = pool.health();
-            if h.total_respawns() >= 1 && !h.is_quarantined() {
-                break h;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "seed {seed}: kill never recovered (health: {h:?})"
-            );
-            std::thread::yield_now();
-        };
-        assert!(
-            injector.queries_at(Site::WorkerExit) > 0,
-            "seed {seed}: WorkerExit site never consulted"
-        );
-        assert_eq!(health.respawn_epochs.len(), p);
-        assert!(
-            health.respawn_epochs.iter().any(|&e| e >= 1),
-            "seed {seed}: no slot recorded a respawn epoch: {health:?}"
-        );
-        assert_eq!(
-            threads_named_settled(&prefix, p),
-            p,
-            "seed {seed}: thread census off after respawn (dead thread unreaped or doubled)"
-        );
-
-        // Post-recovery service check: the replacement participates.
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let cancel = CancelToken::new();
-        Loop { cancel: Some(&cancel), ..Loop::new(Schedule::hybrid().with_grain(8)) }
-            .run(&pool, 0..n, |chunk| {
-                for i in chunk {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .unwrap_or_else(|e| panic!("seed {seed}: post-recovery loop failed: {e:?}"));
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "seed {seed}");
-        drop(pool);
-        assert_eq!(threads_named_settled(&prefix, 0), 0, "seed {seed}: drop leaked worker threads");
-    }
-}
-
-/// Off-path pin for the self-healing machinery: with chaos disabled the
-/// `WorkerExit` site must never be consulted — worker death detection
-/// costs exactly one untaken branch per run-loop pass.
-#[test]
-fn worker_exit_site_is_never_consulted_when_chaos_off() {
-    struct CountingDisabled(AtomicUsize);
-    impl FaultInjector for CountingDisabled {
-        fn enabled(&self) -> bool {
-            false
-        }
-        fn decide(&self, _worker: usize, site: Site) -> FaultAction {
-            if site == Site::WorkerExit {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-            FaultAction::None
-        }
-    }
-    let counter = Arc::new(CountingDisabled(AtomicUsize::new(0)));
-    let pool =
-        ThreadPoolBuilder::new().num_workers(3).fault_injector(Arc::clone(&counter) as _).build();
-    for _ in 0..5 {
-        let sum = AtomicUsize::new(0);
-        parloop::par_for(&pool, 0..500, Schedule::hybrid(), |i| {
-            sum.fetch_add(i, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 124_750);
-    }
-    drop(pool);
-    assert_eq!(
-        counter.0.load(Ordering::Relaxed),
-        0,
-        "disabled injector was consulted at WorkerExit"
-    );
-}
-
-/// Stuck-worker quarantine end to end: one worker wedges inside a job,
-/// the waiting worker's watchdog escalates it to `Quarantined`, and once
-/// the wedge releases the worker self-heals on its next run-loop pass —
-/// so the pool drops cleanly (joining all threads) right afterwards.
-#[test]
-fn quarantined_worker_heals_and_pool_drops_cleanly() {
-    let pool = Arc::new(
-        ThreadPoolBuilder::new()
-            .num_workers(2)
-            .stall_threshold(Duration::from_millis(30))
-            .on_stall(|_| {}) // expected stall; keep stderr quiet
-            .build(),
-    );
-    let gate = Arc::new(AtomicBool::new(false));
-    let started = Arc::new(AtomicBool::new(false));
-    {
-        let gate = Arc::clone(&gate);
-        let started = Arc::clone(&started);
-        pool.spawn_detached(move || {
-            started.store(true, Ordering::Release);
-            while !gate.load(Ordering::Acquire) {
-                std::hint::spin_loop();
-            }
-        });
-    }
-    // Only once the wedge is running do we occupy the other worker —
-    // otherwise the waiter could adopt the wedge job itself.
-    while !started.load(Ordering::Acquire) {
-        std::thread::yield_now();
-    }
-
-    // Observer: release the wedge as soon as quarantine lands.
-    let observer = {
-        let pool = Arc::clone(&pool);
-        let gate = Arc::clone(&gate);
-        std::thread::spawn(move || {
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            while !pool.health().is_quarantined() {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "watchdog never quarantined the wedged worker: {:?}",
-                    pool.health()
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            gate.store(true, Ordering::Release);
-        })
-    };
-
-    // The healthy worker waits on a latch resolved only after the gate
-    // opens; its watchdog ticks while it waits and performs the
-    // escalation (reporter != victim, victim unparked and flat).
-    pool.install(|| {
-        let token = WorkerToken::current().expect("install runs on a worker");
-        let latch = Arc::new(token.count_latch(1));
-        let releaser = {
-            let latch = Arc::clone(&latch);
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || {
-                while !gate.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                latch.set();
-            })
-        };
-        token.wait_until(&*latch);
-        releaser.join().unwrap();
-    });
-    observer.join().unwrap();
-
-    // The wedged worker heals at the top of its run loop: epoch bump,
-    // unfenced lane, Healthy again — observable before (and after) drop.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        let h = pool.health();
-        if !h.is_quarantined() && h.total_respawns() >= 1 {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "wedged worker never healed: {h:?}");
-        std::thread::yield_now();
-    }
-
-    // Healed pool is fully usable, then drops cleanly (joins everything).
-    let sum = AtomicUsize::new(0);
-    parloop::par_for(&pool, 0..100, Schedule::hybrid(), |i| {
-        sum.fetch_add(i, Ordering::Relaxed);
-    });
-    assert_eq!(sum.load(Ordering::Relaxed), 4950);
-    drop(pool);
-}
-
 /// Theorem 3 for the locality-aware configuration: a two-socket map with
 /// socket-first stealing and NUMA-earmarked claim anchors, driven by the
-/// full-rate injector *plus* a guaranteed one-shot worker kill per seed
-/// (so the respawn path runs mid-sweep on every seed, not just when the
-/// seeded `WorkerExit` rate happens to fire). Consecutive loops are
-/// tracked with an [`AffinityProbe`] and the invariants that hold for
-/// *any* interleaving are pinned: every iteration runs exactly once and
-/// is recorded against a valid worker slot (respawned workers keep their
-/// slot index, so kills must not surface out-of-range owners), and
-/// same-socket retention can never be below same-worker retention (a
-/// same-worker iteration is same-socket by definition). The quantitative
+/// full-rate injector. Consecutive loops are tracked with an
+/// [`AffinityProbe`] and the invariants that hold for *any* interleaving
+/// are pinned: every iteration runs exactly once and is recorded against
+/// a valid worker id, and same-socket retention can never be below
+/// same-worker retention (a same-worker iteration is same-socket by
+/// definition). The quantitative
 /// retention bar lives in the deterministic sim layer and the
 /// `locality_bench` acceptance — on a real pool, consecutive-loop
 /// placement is host-timing luck (a 1-CPU CI box serializes workers), so
@@ -574,7 +363,7 @@ fn socket_first_chaos_sweep_keeps_exactly_once_and_affinity() {
     let sockets = vec![0usize, 0, 1, 1];
     let socket_of: Vec<u32> = sockets.iter().map(|&s| s as u32).collect();
     for seed in 0..seed_count().min(32) {
-        let injector = Arc::new(PlannedInjector::from_seed(seed).with_kill_at(seed % 4));
+        let injector = Arc::new(PlannedInjector::from_seed(seed));
         init_clock();
         let pool = ThreadPoolBuilder::new()
             .num_workers(p)
@@ -601,7 +390,7 @@ fn socket_first_chaos_sweep_keeps_exactly_once_and_affinity() {
                 assert!(
                     (owner as usize) < p,
                     "seed {seed} round {round}: iteration {i} owner {owner} out of range \
-                     (unrecorded chunk or bad slot after respawn)"
+                     (unrecorded chunk)"
                 );
             }
             if let Some(prev) = &prev {
@@ -622,98 +411,179 @@ fn socket_first_chaos_sweep_keeps_exactly_once_and_affinity() {
             stats.remote_steals,
             stats.steals
         );
-        assert!(
-            injector.queries_at(Site::WorkerExit) > 0,
-            "seed {seed}: WorkerExit site never consulted"
-        );
+        assert!(injector.injected_total() > 0, "seed {seed}: no fault was injected");
         drop(pool);
     }
 }
 
-/// Regression for the sweep's lifecycle skip: while a worker sits in
-/// `Quarantined`, no steal sweep may probe its deque — the slot's work
-/// was already rescued into live lanes, and probing it races the
-/// ownership handover. A wedged worker is escalated by the waiting
-/// worker's watchdog; real loops then run to completion against the
-/// fenced pool, and the drained trace must contain no steal (local or
-/// remote) naming the quarantined victim.
+/// A stuck worker needs no rescue: worker A runs a detached job that
+/// pushes 8 jobs onto its own deque and then spins on a gate, while
+/// worker B waits inside `install` on a latch that a helper thread sets
+/// only after the gate opens. B must steal and run all 8 jobs, and the
+/// watchdog (30 ms threshold) must deliver a report in which A's
+/// heartbeat has been flat for a while and B's has just advanced. The
+/// gate opens once both hold (10 s deadline); afterwards a loop runs
+/// exactly once and the pool drops with every worker thread joined.
 #[test]
-fn steal_sweep_skips_quarantined_victims() {
-    init_clock();
-    let sink = Arc::new(RingTraceSink::with_capacity(3, 1 << 14));
-    let pool = Arc::new(
-        ThreadPoolBuilder::new()
-            .num_workers(3)
-            .topology(TopologyMap::from_sockets(vec![0, 0, 1]))
-            .stall_threshold(Duration::from_millis(30))
-            .on_stall(|_| {}) // expected stall; keep stderr quiet
-            .trace_sink(Arc::<RingTraceSink>::clone(&sink))
-            .build(),
-    );
+fn stuck_worker_jobs_are_stolen_and_stall_report_names_it() {
+    const JOBS: usize = 8;
+    let prefix = "stuck-wk";
+    let reports: Arc<Mutex<Vec<StallReport>>> = Arc::default();
+    let pool = ThreadPoolBuilder::new()
+        .num_workers(2)
+        .thread_name_prefix(prefix)
+        .stall_threshold(Duration::from_millis(30))
+        .on_stall({
+            let reports = Arc::clone(&reports);
+            move |report| reports.lock().unwrap().push(report.clone())
+        })
+        .build();
+    let stuck = Arc::new(AtomicUsize::new(usize::MAX));
+    let ran_on: Arc<Mutex<Vec<usize>>> = Arc::default();
     let gate = Arc::new(AtomicBool::new(false));
-    let started = Arc::new(AtomicBool::new(false));
     {
-        let gate = Arc::clone(&gate);
-        let started = Arc::clone(&started);
+        let (stuck, ran_on, gate) = (Arc::clone(&stuck), Arc::clone(&ran_on), Arc::clone(&gate));
         pool.spawn_detached(move || {
-            started.store(true, Ordering::Release);
+            let token = WorkerToken::current().expect("detached jobs run on a worker");
+            stuck.store(token.index(), Ordering::Release);
+            for _ in 0..JOBS {
+                let ran_on = Arc::clone(&ran_on);
+                token.spawn_local(move || {
+                    ran_on.lock().unwrap().push(current_worker_index().unwrap())
+                });
+            }
             while !gate.load(Ordering::Acquire) {
                 std::hint::spin_loop();
             }
         });
     }
-    while !started.load(Ordering::Acquire) {
-        std::thread::yield_now();
-    }
+    // Only once A is inside its job does the install go out, so the other
+    // worker is the one that takes it.
+    let a = loop {
+        match stuck.load(Ordering::Acquire) {
+            usize::MAX => std::thread::yield_now(),
+            a => break a,
+        }
+    };
+    let b = 1 - a;
 
-    // Observer: once quarantine lands, run real loops against the fenced
-    // pool and inspect the trace — only then release the wedge.
+    // Observer: open the gate once every job ran and a report names A as
+    // flat and B as live, or at the deadline so a failure cannot hang.
     let observer = {
-        let pool = Arc::clone(&pool);
-        let gate = Arc::clone(&gate);
-        let sink = Arc::clone(&sink);
+        let (reports, ran_on, gate) =
+            (Arc::clone(&reports), Arc::clone(&ran_on), Arc::clone(&gate));
         std::thread::spawn(move || {
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            while !pool.health().is_quarantined() {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "watchdog never quarantined the wedged worker: {:?}",
-                    pool.health()
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            let q = pool.health().quarantined_workers[0] as u32;
-            let _ = sink.drain(); // discard pre-quarantine steal events
-            for _ in 0..10 {
-                let sum = AtomicUsize::new(0);
-                parloop::par_for(&pool, 0..2048, Schedule::hybrid(), |i| {
-                    sum.fetch_add(i, Ordering::Relaxed);
-                });
-                assert_eq!(sum.load(Ordering::Relaxed), 2048 * 2047 / 2);
-            }
-            assert!(
-                pool.health().is_quarantined(),
-                "wedge healed early — the skip window was not covered"
-            );
-            let snap = sink.drain();
-            for e in &snap.events {
-                if let TraceEvent::Stolen { victim } | TraceEvent::StolenRemote { victim } = e.event
-                {
-                    assert_ne!(victim, q, "worker {} stole from quarantined slot {q}", e.worker);
+            let names_a =
+                |r: &StallReport| !r.heartbeat_ages[a].is_zero() && r.heartbeat_ages[b].is_zero();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let seen = loop {
+                let done = ran_on.lock().unwrap().len() == JOBS
+                    && reports.lock().unwrap().iter().any(names_a);
+                if done || Instant::now() >= deadline {
+                    break done;
                 }
-            }
+                std::thread::sleep(Duration::from_millis(2));
+            };
             gate.store(true, Ordering::Release);
+            seen
         })
     };
 
-    // The healthy waiter whose watchdog performs the escalation
-    // (reporter != victim; the wedged worker's heartbeats stay flat).
+    pool.install(|| {
+        let token = WorkerToken::current().expect("install runs on a worker");
+        assert_eq!(token.index(), b, "the install must land on the worker that is not stuck");
+        let latch = Arc::new(token.count_latch(1));
+        let helper = {
+            let (latch, gate) = (Arc::clone(&latch), Arc::clone(&gate));
+            std::thread::spawn(move || {
+                while !gate.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                latch.set();
+            })
+        };
+        token.wait_until(&*latch);
+        helper.join().unwrap();
+    });
+    let seen = observer.join().unwrap();
+    let ran_on = ran_on.lock().unwrap().clone();
+    assert!(
+        seen,
+        "within 10 s: {} of {JOBS} jobs ran, stall reports (ages) {:?}",
+        ran_on.len(),
+        reports.lock().unwrap().iter().map(|r| r.heartbeat_ages.clone()).collect::<Vec<_>>()
+    );
+    assert_eq!(ran_on, vec![b; JOBS], "every queued job of stuck worker {a} is stolen by {b}");
+
+    let hits: Vec<AtomicUsize> = (0..256).map(|_| AtomicUsize::new(0)).collect();
+    parloop::par_for(&pool, 0..256, Schedule::hybrid(), |i| {
+        hits[i].fetch_add(1, Ordering::Relaxed);
+    });
+    assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    drop(pool);
+    assert_eq!(threads_named_settled(prefix, 0), 0, "drop leaked worker threads");
+}
+
+/// A worker that wedges inside a job long enough to trip the peer's
+/// watchdog is only reported, never replaced: once the job returns, the
+/// same OS thread goes back to running loop chunks under its old index,
+/// a stall is not a panic so no worker is marked degraded, the pool
+/// still has exactly its two threads, and drop joins both.
+#[test]
+fn wedged_worker_keeps_its_thread_and_pool_drops_cleanly() {
+    let prefix = "wedged-wk";
+    let pool = Arc::new(
+        ThreadPoolBuilder::new()
+            .num_workers(2)
+            .thread_name_prefix(prefix)
+            .stall_threshold(Duration::from_millis(30))
+            .on_stall(|_| {}) // expected stall; keep stderr quiet
+            .build(),
+    );
+    let wedged: Arc<Mutex<Option<(usize, std::thread::ThreadId)>>> = Arc::default();
+    let gate = Arc::new(AtomicBool::new(false));
+    {
+        let (wedged, gate) = (Arc::clone(&wedged), Arc::clone(&gate));
+        pool.spawn_detached(move || {
+            let me = (current_worker_index().unwrap(), std::thread::current().id());
+            *wedged.lock().unwrap() = Some(me);
+            while !gate.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+        });
+    }
+    // Only once the wedge is running does the install go out, so the
+    // other worker is the one that waits (and whose watchdog ticks).
+    let (a, a_thread) = loop {
+        match *wedged.lock().unwrap() {
+            Some(me) => break me,
+            None => std::thread::yield_now(),
+        }
+    };
+
+    // Observer: open the gate once the watchdog has tripped, or at the
+    // deadline so a failure cannot hang.
+    let observer = {
+        let (pool, gate) = (Arc::clone(&pool), Arc::clone(&gate));
+        std::thread::spawn(move || {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let tripped = loop {
+                let tripped = pool.health().watchdog_trips >= 1;
+                if tripped || Instant::now() >= deadline {
+                    break tripped;
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            };
+            gate.store(true, Ordering::Release);
+            tripped
+        })
+    };
+
     pool.install(|| {
         let token = WorkerToken::current().expect("install runs on a worker");
         let latch = Arc::new(token.count_latch(1));
         let releaser = {
-            let latch = Arc::clone(&latch);
-            let gate = Arc::clone(&gate);
+            let (latch, gate) = (Arc::clone(&latch), Arc::clone(&gate));
             std::thread::spawn(move || {
                 while !gate.load(Ordering::Acquire) {
                     std::thread::sleep(Duration::from_millis(1));
@@ -724,19 +594,41 @@ fn steal_sweep_skips_quarantined_victims() {
         token.wait_until(&*latch);
         releaser.join().unwrap();
     });
-    observer.join().unwrap();
+    assert!(observer.join().unwrap(), "watchdog never tripped: {:?}", pool.health());
 
-    // Wedge released: the worker heals and the pool stays fully usable.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while pool.health().is_quarantined() {
-        assert!(std::time::Instant::now() < deadline, "wedged worker never healed");
-        std::thread::yield_now();
+    // Loops until worker `a` runs a chunk again; each iteration is slow
+    // enough that the idle worker wakes and joins before the loop ends.
+    let n = 256;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        let a_threads: Mutex<Vec<std::thread::ThreadId>> = Mutex::default();
+        parloop::par_for(&pool, 0..n, Schedule::hybrid(), |i| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+            if current_worker_index() == Some(a) {
+                a_threads.lock().unwrap().push(std::thread::current().id());
+            }
+            let spin = Instant::now();
+            while spin.elapsed() < Duration::from_micros(50) {
+                std::hint::spin_loop();
+            }
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+        let a_threads = a_threads.into_inner().unwrap();
+        assert!(
+            a_threads.iter().all(|&t| t == a_thread),
+            "worker {a} came back on a different thread"
+        );
+        if !a_threads.is_empty() {
+            break;
+        }
+        assert!(Instant::now() < deadline, "worker {a} ran no chunk after its wedge ended");
     }
-    let sum = AtomicUsize::new(0);
-    parloop::par_for(&pool, 0..100, Schedule::hybrid(), |i| {
-        sum.fetch_add(i, Ordering::Relaxed);
-    });
-    assert_eq!(sum.load(Ordering::Relaxed), 4950);
+    assert!(!pool.health().is_degraded(), "a stall marked a worker degraded");
+    assert_eq!(threads_named_settled(prefix, 2), 2, "the pool must keep exactly its workers");
+    let pool = Arc::into_inner(pool).expect("the observer dropped its handle");
+    drop(pool);
+    assert_eq!(threads_named_settled(prefix, 0), 0, "drop leaked worker threads");
 }
 
 /// On the default flat (single-socket) map, the socket-first sweep is one
