@@ -257,25 +257,28 @@ pub struct CgResult {
     pub rnorm: f64,
 }
 
-/// Run the full CG benchmark under `sched`.
+/// Run the full CG benchmark under `sched`. The body runs inside one
+/// `install`, so a pool worker issues every loop.
 pub fn cg(pool: &ThreadPool, a: &SparseMatrix, params: CgParams, sched: Schedule) -> CgResult {
-    let n = a.n;
-    let mut x = vec![1.0; n];
-    let mut zeta = 0.0;
-    let mut rnorm = 0.0;
-    for _ in 0..params.niter {
-        let (z, rn) = conj_grad(pool, a, &x, params.cg_iters, sched);
-        rnorm = rn;
-        let xz = par_sum(pool, 0..n, sched, |i| x[i] * z[i]);
-        zeta = params.shift + 1.0 / xz;
-        let znorm = par_sum(pool, 0..n, sched, |i| z[i] * z[i]).sqrt();
-        let zs = UnsafeSlice::new(&mut x);
-        let z_ref = &z;
-        par_for_chunks(pool, 0..n, sched, |chunk| unsafe {
-            scale_leaf(&z_ref[chunk.clone()], znorm, zs.slice_mut(chunk));
-        });
-    }
-    CgResult { zeta, rnorm }
+    pool.install(|| {
+        let n = a.n;
+        let mut x = vec![1.0; n];
+        let mut zeta = 0.0;
+        let mut rnorm = 0.0;
+        for _ in 0..params.niter {
+            let (z, rn) = conj_grad(pool, a, &x, params.cg_iters, sched);
+            rnorm = rn;
+            let xz = par_sum(pool, 0..n, sched, |i| x[i] * z[i]);
+            zeta = params.shift + 1.0 / xz;
+            let znorm = par_sum(pool, 0..n, sched, |i| z[i] * z[i]).sqrt();
+            let zs = UnsafeSlice::new(&mut x);
+            let z_ref = &z;
+            par_for_chunks(pool, 0..n, sched, |chunk| unsafe {
+                scale_leaf(&z_ref[chunk.clone()], znorm, zs.slice_mut(chunk));
+            });
+        }
+        CgResult { zeta, rnorm }
+    })
 }
 
 #[cfg(test)]

@@ -253,76 +253,80 @@ pub struct FtResult {
     pub checksums: Vec<Complex>,
 }
 
-/// Run the FT benchmark under `sched`.
+/// Run the FT benchmark under `sched`. The body runs inside one
+/// `install`, so a pool worker issues every loop.
 pub fn ft(pool: &ThreadPool, p: FtParams, sched: Schedule) -> FtResult {
     const ALPHA: f64 = 1e-6;
     let total = p.total();
-
-    // Random initial state (NPB seeds the grid from the NAS LCG).
+    // The grids come from the caller's allocator, not the worker's (DESIGN
+    // §5.5, "One `install` per kernel").
     let mut u0 = CGrid::zeros(p);
-    let mut x = SEED;
-    for c in &mut u0.data {
-        let re = randlc(&mut x, LCG_A);
-        let im = randlc(&mut x, LCG_A);
-        *c = Complex::new(re, im);
-    }
-
-    // Forward transform once.
-    fft3d(pool, sched, &mut u0, false);
-
-    // Per-mode decay factors exp(−4 α π² |k̄|²).
     let mut decay = vec![0.0f64; total];
-    {
-        let d = UnsafeSlice::new(&mut decay);
-        par_for(pool, 0..p.n3, sched, |k3| {
-            let f3 = freq(k3, p.n3);
-            for k2 in 0..p.n2 {
-                let f2 = freq(k2, p.n2);
-                for k1 in 0..p.n1 {
-                    let f1 = freq(k1, p.n1);
-                    let ksq = f1 * f1 + f2 * f2 + f3 * f3;
-                    let idx = (k3 * p.n2 + k2) * p.n1 + k1;
-                    unsafe {
-                        d.write(idx, (-4.0 * ALPHA * std::f64::consts::PI.powi(2) * ksq).exp())
-                    };
-                }
-            }
-        });
-    }
-
-    let mut checksums = Vec::with_capacity(p.iters);
     let mut work = CGrid::zeros(p);
-    let inv_total = 1.0 / total as f64;
+    pool.install(|| {
+        // Random initial state (NPB seeds the grid from the NAS LCG).
+        let mut x = SEED;
+        for c in &mut u0.data {
+            let re = randlc(&mut x, LCG_A);
+            let im = randlc(&mut x, LCG_A);
+            *c = Complex::new(re, im);
+        }
 
-    for step in 1..=p.iters {
-        // work = u0 ⊙ decay^step, elementwise (parallel).
+        // Forward transform once.
+        fft3d(pool, sched, &mut u0, false);
+
+        // Per-mode decay factors exp(−4 α π² |k̄|²).
         {
-            let w = UnsafeSlice::new(&mut work.data);
-            let u0_ref = &u0;
-            let decay_ref = &decay;
-            par_for_chunks(pool, 0..total, sched, |chunk| {
-                for i in chunk {
-                    let f = decay_ref[i].powi(step as i32);
-                    unsafe { w.write(i, u0_ref.data[i].scale(f)) };
+            let d = UnsafeSlice::new(&mut decay);
+            par_for(pool, 0..p.n3, sched, |k3| {
+                let f3 = freq(k3, p.n3);
+                for k2 in 0..p.n2 {
+                    let f2 = freq(k2, p.n2);
+                    for k1 in 0..p.n1 {
+                        let f1 = freq(k1, p.n1);
+                        let ksq = f1 * f1 + f2 * f2 + f3 * f3;
+                        let idx = (k3 * p.n2 + k2) * p.n1 + k1;
+                        unsafe {
+                            d.write(idx, (-4.0 * ALPHA * std::f64::consts::PI.powi(2) * ksq).exp())
+                        };
+                    }
                 }
             });
         }
-        // Inverse transform back to physical space.
-        fft3d(pool, sched, &mut work, true);
 
-        // Checksum over 1024 fixed sample points (sequential: bitwise
-        // deterministic across schedulers).
-        let mut sum = Complex::ZERO;
-        for j in 1..=1024usize {
-            let q = (5 * j) % p.n1;
-            let r = (3 * j) % p.n2;
-            let s_ = j % p.n3;
-            sum = sum + work.data[work.idx(s_, r, q)].scale(inv_total);
+        let mut checksums = Vec::with_capacity(p.iters);
+        let inv_total = 1.0 / total as f64;
+
+        for step in 1..=p.iters {
+            // work = u0 ⊙ decay^step, elementwise (parallel).
+            {
+                let w = UnsafeSlice::new(&mut work.data);
+                let u0_ref = &u0;
+                let decay_ref = &decay;
+                par_for_chunks(pool, 0..total, sched, |chunk| {
+                    for i in chunk {
+                        let f = decay_ref[i].powi(step as i32);
+                        unsafe { w.write(i, u0_ref.data[i].scale(f)) };
+                    }
+                });
+            }
+            // Inverse transform back to physical space.
+            fft3d(pool, sched, &mut work, true);
+
+            // Checksum over 1024 fixed sample points (sequential: bitwise
+            // deterministic across schedulers).
+            let mut sum = Complex::ZERO;
+            for j in 1..=1024usize {
+                let q = (5 * j) % p.n1;
+                let r = (3 * j) % p.n2;
+                let s_ = j % p.n3;
+                sum = sum + work.data[work.idx(s_, r, q)].scale(inv_total);
+            }
+            checksums.push(sum.scale(1.0 / 1024.0));
         }
-        checksums.push(sum.scale(1.0 / 1024.0));
-    }
 
-    FtResult { checksums }
+        FtResult { checksums }
+    })
 }
 
 #[cfg(test)]

@@ -70,53 +70,58 @@ pub struct IsResult {
     pub histogram: Vec<u64>,
 }
 
-/// Sort `keys` with parallel loops scheduled by `sched`.
+/// Sort `keys` with parallel loops scheduled by `sched`. The body runs
+/// inside one `install`, so a pool worker issues both loops.
 pub fn is_sort(pool: &ThreadPool, params: IsParams, keys: &[u32], sched: Schedule) -> IsResult {
     let n = keys.len();
-    let universe = params.max_key();
-    let blocks = params.blocks.min(n.max(1));
-
-    // Phase 1: histogram (shared atomic buckets — the scattered-write loop).
-    let hist: Vec<AtomicU64> = (0..universe).map(|_| AtomicU64::new(0)).collect();
-    par_for(pool, 0..blocks, sched, |b| {
-        let r = parloop_core::block_bounds(n, blocks, b);
-        // Private tally first, then one merge pass — NPB's approach.
-        let mut local = vec![0u64; universe];
-        for &k in &keys[r] {
-            local[k as usize] += 1;
-        }
-        for (slot, &c) in hist.iter().zip(&local) {
-            if c > 0 {
-                slot.fetch_add(c, Ordering::Relaxed);
-            }
-        }
-    });
-    let histogram: Vec<u64> = hist.iter().map(|h| h.load(Ordering::Relaxed)).collect();
-
-    // Phase 2: exclusive prefix sum (sequential, tiny).
-    let mut cursors: Vec<AtomicU64> = Vec::with_capacity(universe);
-    let mut acc = 0u64;
-    for &c in &histogram {
-        cursors.push(AtomicU64::new(acc));
-        acc += c;
-    }
-    debug_assert_eq!(acc as usize, n);
-
-    // Phase 3: permute into ranked positions.
+    // The output comes from the caller's allocator, not the worker's
+    // (DESIGN §5.5, "One `install` per kernel").
     let mut sorted = vec![0u32; n];
-    {
-        let out = UnsafeSlice::new(&mut sorted);
-        let cursors = &cursors;
+    let histogram = pool.install(|| {
+        let universe = params.max_key();
+        let blocks = params.blocks.min(n.max(1));
+
+        // Phase 1: histogram (shared atomic buckets — the scattered-write loop).
+        let hist: Vec<AtomicU64> = (0..universe).map(|_| AtomicU64::new(0)).collect();
         par_for(pool, 0..blocks, sched, |b| {
             let r = parloop_core::block_bounds(n, blocks, b);
+            // Private tally first, then one merge pass — NPB's approach.
+            let mut local = vec![0u64; universe];
             for &k in &keys[r] {
-                let pos = cursors[k as usize].fetch_add(1, Ordering::Relaxed) as usize;
-                // SAFETY: `pos` values are unique (fetch_add) and < n.
-                unsafe { out.write(pos, k) };
+                local[k as usize] += 1;
+            }
+            for (slot, &c) in hist.iter().zip(&local) {
+                if c > 0 {
+                    slot.fetch_add(c, Ordering::Relaxed);
+                }
             }
         });
-    }
+        let histogram: Vec<u64> = hist.iter().map(|h| h.load(Ordering::Relaxed)).collect();
 
+        // Phase 2: exclusive prefix sum (sequential, tiny).
+        let mut cursors: Vec<AtomicU64> = Vec::with_capacity(universe);
+        let mut acc = 0u64;
+        for &c in &histogram {
+            cursors.push(AtomicU64::new(acc));
+            acc += c;
+        }
+        debug_assert_eq!(acc as usize, n);
+
+        // Phase 3: permute into ranked positions.
+        {
+            let out = UnsafeSlice::new(&mut sorted);
+            let cursors = &cursors;
+            par_for(pool, 0..blocks, sched, |b| {
+                let r = parloop_core::block_bounds(n, blocks, b);
+                for &k in &keys[r] {
+                    let pos = cursors[k as usize].fetch_add(1, Ordering::Relaxed) as usize;
+                    // SAFETY: `pos` values are unique (fetch_add) and < n.
+                    unsafe { out.write(pos, k) };
+                }
+            });
+        }
+        histogram
+    });
     IsResult { sorted, histogram }
 }
 

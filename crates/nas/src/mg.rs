@@ -225,52 +225,56 @@ pub struct MgResult {
     pub history: Vec<f64>,
 }
 
-/// Run `iters` V-cycles under `sched`; returns the residual norms.
+/// Run `iters` V-cycles under `sched`; returns the residual norms. The
+/// body runs inside one `install`, so a pool worker issues every loop.
 pub fn mg(pool: &ThreadPool, params: MgParams, sched: Schedule) -> MgResult {
     let lt = params.levels(); // levels: edge n >> k for k in 0..lt
+                              // The grids come from the caller's allocator, not the worker's (DESIGN
+                              // §5.5, "One `install` per kernel").
     let v = make_rhs(params.n);
     let mut u = Grid::zeros(params.n);
     let mut r_levels: Vec<Grid> = (0..lt).map(|k| Grid::zeros(params.n >> k)).collect();
     let mut u_levels: Vec<Grid> = (1..lt).map(|k| Grid::zeros(params.n >> k)).collect();
-
-    resid(pool, sched, &mut r_levels[0], &u, &v);
-    let mut history = Vec::with_capacity(params.iters);
-
-    for _ in 0..params.iters {
-        // Down: restrict the residual to the coarsest level.
-        for k in 0..lt - 1 {
-            let (fine, coarse) = r_levels.split_at_mut(k + 1);
-            rprj3(pool, sched, &mut coarse[0], &fine[k]);
-        }
-        // Coarsest: u = S r.
-        {
-            let uc = &mut u_levels[lt - 2];
-            uc.data.fill(0.0);
-            psinv(pool, sched, uc, &r_levels[lt - 1]);
-        }
-        // Up: interpolate, recompute residual, smooth.
-        for k in (1..lt - 1).rev() {
-            // u_k starts as zero plus the interpolated correction.
-            let (finer, coarser) = u_levels.split_at_mut(k);
-            let uk = &mut finer[k - 1]; // grid with edge n >> k
-            uk.data.fill(0.0);
-            interp(pool, sched, uk, &coarser[0]);
-            // r_k = r_k − A u_k, then u_k += S r_k.
-            let mut tmp = Grid::zeros(uk.n);
-            resid(pool, sched, &mut tmp, uk, &r_levels[k]);
-            psinv(pool, sched, uk, &tmp);
-        }
-        // Finest level: apply the correction to u, refresh r, smooth.
-        interp(pool, sched, &mut u, &u_levels[0]);
+    pool.install(|| {
         resid(pool, sched, &mut r_levels[0], &u, &v);
-        psinv(pool, sched, &mut u, &r_levels[0]);
-        resid(pool, sched, &mut r_levels[0], &u, &v);
-        let (l2, _) = norm2u3(pool, sched, &r_levels[0]);
-        history.push(l2);
-    }
+        let mut history = Vec::with_capacity(params.iters);
 
-    let (_, rnorm_max) = norm2u3(pool, sched, &r_levels[0]);
-    MgResult { rnorm: *history.last().expect("at least one iteration"), rnorm_max, history }
+        for _ in 0..params.iters {
+            // Down: restrict the residual to the coarsest level.
+            for k in 0..lt - 1 {
+                let (fine, coarse) = r_levels.split_at_mut(k + 1);
+                rprj3(pool, sched, &mut coarse[0], &fine[k]);
+            }
+            // Coarsest: u = S r.
+            {
+                let uc = &mut u_levels[lt - 2];
+                uc.data.fill(0.0);
+                psinv(pool, sched, uc, &r_levels[lt - 1]);
+            }
+            // Up: interpolate, recompute residual, smooth.
+            for k in (1..lt - 1).rev() {
+                // u_k starts as zero plus the interpolated correction.
+                let (finer, coarser) = u_levels.split_at_mut(k);
+                let uk = &mut finer[k - 1]; // grid with edge n >> k
+                uk.data.fill(0.0);
+                interp(pool, sched, uk, &coarser[0]);
+                // r_k = r_k − A u_k, then u_k += S r_k.
+                let mut tmp = Grid::zeros(uk.n);
+                resid(pool, sched, &mut tmp, uk, &r_levels[k]);
+                psinv(pool, sched, uk, &tmp);
+            }
+            // Finest level: apply the correction to u, refresh r, smooth.
+            interp(pool, sched, &mut u, &u_levels[0]);
+            resid(pool, sched, &mut r_levels[0], &u, &v);
+            psinv(pool, sched, &mut u, &r_levels[0]);
+            resid(pool, sched, &mut r_levels[0], &u, &v);
+            let (l2, _) = norm2u3(pool, sched, &r_levels[0]);
+            history.push(l2);
+        }
+
+        let (_, rnorm_max) = norm2u3(pool, sched, &r_levels[0]);
+        MgResult { rnorm: *history.last().expect("at least one iteration"), rnorm_max, history }
+    })
 }
 
 #[cfg(test)]

@@ -266,18 +266,6 @@ impl<T: Copy + Send> Stealer<T> {
         }
     }
 
-    /// Steal with bounded retries, flattening `Retry` into `None`.
-    pub fn steal_with_retries(&self, retries: usize) -> Option<T> {
-        for _ in 0..=retries {
-            match self.steal() {
-                Steal::Success(v) => return Some(v),
-                Steal::Empty => return None,
-                Steal::Retry => std::hint::spin_loop(),
-            }
-        }
-        None
-    }
-
     /// Approximate length as observed by a thief.
     pub fn len(&self) -> usize {
         let t = self.inner.top.load(Ordering::Acquire);

@@ -24,7 +24,11 @@ done
 # Disassemble the release kernels_bench binary and check that each micro
 # leaf kernel's asm anchor contains packed SIMD arithmetic. Grep the
 # *mnemonics*, not registers: on x86-64 scalar f64 also lives in xmm, so
-# "uses xmm" proves nothing — addpd/vaddpd/vfmadd...pd do.
+# "uses xmm" proves nothing — addpd/vaddpd/vfmadd...pd do. On x86-64 it
+# also checks EP's AVX2 tally (`ep_tally_avx2`, linked through the
+# binary's `ep` row) for divides and square roots four lanes wide: both
+# of its divides (the in-crate log's f/(2+f) and the tally's -2·ln(t)/t)
+# and its square root, so a log that falls back to scalar calls fails too.
 asm_check() {
   echo "== asm check (leaf kernels vectorize) =="
   cargo build --release --offline -p parloop-bench --bin kernels_bench
@@ -38,13 +42,13 @@ asm_check() {
   esac
   local dis
   dis=$(objdump -d --demangle "$bin")
-  local failed=0
+  # A function's body: lines from its symbol header to the next header.
+  body_of() {
+    printf '%s\n' "$dis" | awk -v sym="$1" '/^[0-9a-f]+ </ { infn = ($0 ~ sym) } infn'
+  }
+  local failed=0 body
   for sym in axpy_asm_anchor dot_asm_anchor sum_u64_asm_anchor; do
-    # Extract the anchor's function body: lines from its symbol header to
-    # the next function header.
-    local body
-    body=$(printf '%s\n' "$dis" \
-      | awk -v sym="$sym" '/^[0-9a-f]+ </ { infn = ($0 ~ sym) } infn')
+    body=$(body_of "$sym")
     if [ -z "$body" ]; then
       echo "verify.sh: asm anchor $sym not found in $bin" >&2
       failed=1
@@ -57,6 +61,26 @@ asm_check() {
       failed=1
     fi
   done
+  if [ "$arch" = x86_64 ]; then
+    body=$(body_of ep_tally_avx2)
+    if [ -z "$body" ]; then
+      echo "verify.sh: ep_tally_avx2 not found in $bin" >&2
+      failed=1
+    else
+      local op want have
+      for spec in vdivpd:2 vsqrtpd:1; do
+        op=${spec%:*}
+        want=${spec#*:}
+        have=$(printf '%s\n' "$body" | grep -Ec "$op[[:space:]].*%ymm" || true)
+        if [ "$have" -ge "$want" ]; then
+          echo "  ep_tally_avx2: $have $op on ymm"
+        else
+          echo "verify.sh: ep_tally_avx2 has $have $op on ymm, needs $want — EP's tally stopped vectorizing" >&2
+          failed=1
+        fi
+      done
+    fi
+  fi
   [ "$failed" -eq 0 ] || exit 1
 }
 

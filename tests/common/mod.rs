@@ -10,6 +10,8 @@
 
 use std::time::{Duration, Instant};
 
+use parloop::runtime::WorkerToken;
+
 /// Live threads of this process whose name starts with `prefix`
 /// (`/proc/self/task/*/comm`). Each suite's pools use their own prefix,
 /// so concurrent tests don't pollute the count.
@@ -113,5 +115,16 @@ pub fn run_cases(test_seed: u64, cases: usize, mut property: impl FnMut(&mut Xor
         let mut rng =
             XorShift64::new(test_seed ^ (case as u64).wrapping_mul(0xA076_1D64_78BD_642F));
         property(&mut rng);
+    }
+}
+
+/// Wait, within `deadline`, until another worker of the current pool is
+/// idle: a loop issued afterwards publishes its parallelism at its first
+/// chunk boundary instead of running uncontended.
+pub fn wait_for_idle_peer(deadline: Instant) {
+    let token = WorkerToken::current().expect("runs on a pool worker");
+    while !token.peer_idle() {
+        assert!(Instant::now() < deadline, "no peer went idle within the deadline");
+        std::thread::yield_now();
     }
 }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::run_cases;
+use common::{run_cases, wait_for_idle_peer};
 use parloop::chaos::{PlannedInjector, Site, RATE_DENOM};
 use parloop::core::lazy_for_chunks;
 use parloop::runtime::{Latch, WorkerToken};
@@ -91,17 +91,6 @@ fn nested_lazy_loops_cover_exactly_once() {
         });
     });
     assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-}
-
-/// Wait, within `deadline`, until another worker of the current pool is
-/// idle: a loop issued afterwards publishes its assist handle before its
-/// first chunk.
-fn wait_for_idle_peer(deadline: Instant) {
-    let token = WorkerToken::current().expect("runs on a pool worker");
-    while !token.peer_idle() {
-        assert!(Instant::now() < deadline, "no peer went idle within the deadline");
-        std::thread::yield_now();
-    }
 }
 
 /// Regression test: an owner waiting inside its chunk, while an assistant

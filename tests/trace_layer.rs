@@ -3,10 +3,13 @@
 //! failed-claim runs as seen by the tracer, the tracing-off hot-path
 //! guarantee, and well-formedness of the exporters.
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::wait_for_idle_peer;
 use parloop::trace::metrics::{claim_failure_histogram, event_counts, max_claim_failure_run};
 use parloop::trace::{export, init_clock};
 use parloop::{
@@ -27,8 +30,13 @@ fn traced_pool(p: usize, capacity: usize) -> (ThreadPool, Arc<RingTraceSink>) {
 fn real_run_records_full_chunk_coverage() {
     let (pool, sink) = traced_pool(4, 1 << 14);
     let n = 1 << 12;
-    par_for(&pool, 0..n, Schedule::hybrid().with_grain(32), |i| {
-        std::hint::black_box(i);
+    // A loop that never sees an idle peer runs uncontended and claims
+    // nothing, so issue it from a worker once a peer is idle.
+    pool.install(|| {
+        wait_for_idle_peer(Instant::now() + Duration::from_secs(10));
+        par_for(&pool, 0..n, Schedule::hybrid().with_grain(32), |i| {
+            std::hint::black_box(i);
+        });
     });
     let snap = sink.drain();
     assert!(snap.dropped.iter().all(|&d| d == 0), "capacity was sized to lose nothing");
