@@ -1,7 +1,8 @@
 //! NAS-kernel wall-clock bench (plain port of the old Criterion `kernels`
-//! bench): EP / IS / CG at mini sizes under hybrid, static and vanilla
-//! scheduling, plus one iterative-micro phase — and a leaf-saturation
-//! check that the stride-1 `parloop_micro::kernels` actually vectorize.
+//! bench): MG / FT / EP / IS / CG at mini sizes under hybrid, static and
+//! vanilla scheduling, plus one iterative-micro phase — and a
+//! leaf-saturation check that the stride-1 `parloop_micro::kernels`
+//! actually vectorize.
 //!
 //! Usage: `cargo run --release -p parloop-bench --bin kernels_bench
 //! [--quick]`
@@ -15,7 +16,9 @@
 //! memory-bound kernels (sum_u64 at 512 KiB) hover near 1.5x on a busy
 //! 1-CPU host; the precise gate is `scripts/verify.sh --asm`. The
 //! `*_asm_anchor` symbols are exercised through `black_box` so they
-//! survive linking for `scripts/verify.sh --asm` to disassemble.
+//! survive linking for `scripts/verify.sh --asm` to disassemble; the
+//! `ft` row links FT's pencil-block butterfly (`ft::fft_block`) and the
+//! `ep` row EP's AVX2 tally, which it checks too.
 
 use parloop_bench::{quick_flag, time_best_ns, Table};
 use parloop_core::Schedule;
@@ -23,7 +26,9 @@ use parloop_micro::kernels::{axpy_asm_anchor, dot_asm_anchor, sum_u64_asm_anchor
 use parloop_micro::{IterativeMicro, MicroParams};
 use parloop_nas::cg::{cg, make_matrix, CgParams};
 use parloop_nas::ep::{ep, EpParams};
+use parloop_nas::ft::{ft, FtParams};
 use parloop_nas::is::{generate_keys, is_sort, IsParams};
+use parloop_nas::mg::{mg, MgParams};
 use parloop_runtime::ThreadPool;
 
 fn main() {
@@ -42,10 +47,16 @@ fn main() {
 
     println!("NAS kernels at mini sizes, P = {p} (ms, best of {reps})\n");
     let mut t = Table::new(vec!["kernel", "hybrid", "omp_static", "vanilla"]);
-    for kernel in ["ep", "is", "cg", "micro"] {
+    for kernel in ["mg", "ft", "ep", "is", "cg", "micro"] {
         let mut cells = vec![kernel.to_string()];
         for sched in schemes {
             let ns = time_best_ns(reps, || match kernel {
+                "mg" => {
+                    std::hint::black_box(mg(&pool, MgParams::mini(), sched));
+                }
+                "ft" => {
+                    std::hint::black_box(ft(&pool, FtParams::mini(), sched));
+                }
                 "ep" => {
                     std::hint::black_box(ep(&pool, EpParams::mini(), sched));
                 }

@@ -17,7 +17,7 @@ use parloop_core::{par_for_chunks, Schedule};
 use parloop_runtime::ThreadPool;
 
 use crate::randdp::{randlc, A as LCG_A, SEED};
-use crate::util::{par_sum, UnsafeSlice};
+use crate::util::{par_sum, within_npb_epsilon, UnsafeSlice};
 
 /// How off-diagonal nonzeros are distributed across rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,25 +190,26 @@ pub fn make_matrix(params: CgParams) -> SparseMatrix {
     SparseMatrix { n, row_ptr, col, val }
 }
 
-/// One CG solve `A z ≈ x` (`cg_iters` steps); returns `(z, ‖r‖)`.
+/// One CG solve `A z ≈ x` (`cg_iters` steps) into `z`, with `r`, `p` and
+/// `q` as its other vectors; returns `‖x − A z‖`.
 fn conj_grad(
     pool: &ThreadPool,
     a: &SparseMatrix,
     x: &[f64],
+    [z, r, p, q]: &mut [Vec<f64>; 4],
     cg_iters: usize,
     sched: Schedule,
-) -> (Vec<f64>, f64) {
+) -> f64 {
     let n = a.n;
-    let mut z = vec![0.0; n];
-    let mut r = x.to_vec();
-    let mut p = x.to_vec();
-    let mut q = vec![0.0; n];
+    z.fill(0.0);
+    r.copy_from_slice(x);
+    p.copy_from_slice(x);
     let mut rho = par_sum(pool, 0..n, sched, |i| r[i] * r[i]);
 
     for _ in 0..cg_iters {
         {
-            let qs = UnsafeSlice::new(&mut q);
-            let p_ref = &p;
+            let qs = UnsafeSlice::new(q);
+            let p_ref = &*p;
             par_for_chunks(pool, 0..n, sched, |chunk| {
                 for i in chunk {
                     unsafe { qs.write(i, a.row_dot(i, p_ref)) };
@@ -218,9 +219,9 @@ fn conj_grad(
         let pq = par_sum(pool, 0..n, sched, |i| p[i] * q[i]);
         let alpha = rho / pq;
         {
-            let zs = UnsafeSlice::new(&mut z);
-            let rs = UnsafeSlice::new(&mut r);
-            let (p_ref, q_ref) = (&p, &q);
+            let zs = UnsafeSlice::new(z);
+            let rs = UnsafeSlice::new(r);
+            let (p_ref, q_ref) = (&*p, &*q);
             par_for_chunks(pool, 0..n, sched, |chunk| unsafe {
                 axpy_leaf(alpha, &p_ref[chunk.clone()], zs.slice_mut(chunk.clone()));
                 axpy_leaf(-alpha, &q_ref[chunk.clone()], rs.slice_mut(chunk));
@@ -230,8 +231,8 @@ fn conj_grad(
         let beta = rho_new / rho;
         rho = rho_new;
         {
-            let ps = UnsafeSlice::new(&mut p);
-            let r_ref = &r;
+            let ps = UnsafeSlice::new(p);
+            let r_ref = &*r;
             par_for_chunks(pool, 0..n, sched, |chunk| unsafe {
                 xpby_leaf(&r_ref[chunk.clone()], beta, ps.slice_mut(chunk));
             });
@@ -239,13 +240,12 @@ fn conj_grad(
     }
 
     // Residual norm ‖x − A z‖.
-    let z_ref = &z;
-    let rnorm = par_sum(pool, 0..n, sched, |i| {
+    let z_ref = &*z;
+    par_sum(pool, 0..n, sched, |i| {
         let d = x[i] - a.row_dot(i, z_ref);
         d * d
     })
-    .sqrt();
-    (z, rnorm)
+    .sqrt()
 }
 
 /// CG benchmark output.
@@ -257,24 +257,39 @@ pub struct CgResult {
     pub rnorm: f64,
 }
 
+/// The class-S ζ of this CG on its synthetic class-S matrix (not NPB's
+/// `makea`, so not NPB's published ζ), pinned from a run under
+/// `Schedule::hybrid()` at the commit that added the `loopbench` `nas`
+/// workload.
+pub const CLASS_S_ZETA: f64 = 1.251310039130541e1;
+
+/// Whether `r` matches [`CLASS_S_ZETA`] to NPB's verification epsilon, a
+/// relative 1e-8 (reduction order depends on the schedule).
+pub fn verify_class_s(r: &CgResult) -> bool {
+    within_npb_epsilon(r.zeta, CLASS_S_ZETA)
+}
+
 /// Run the full CG benchmark under `sched`. The body runs inside one
 /// `install`, so a pool worker issues every loop.
 pub fn cg(pool: &ThreadPool, a: &SparseMatrix, params: CgParams, sched: Schedule) -> CgResult {
+    let n = a.n;
+    // The vectors come from the caller's allocator, not the worker's
+    // (DESIGN §5.5, "One `install` per kernel"), and serve every step:
+    // `x` and the solve's `[z, r, p, q]`.
+    let mut x = vec![1.0; n];
+    let mut solve: [Vec<f64>; 4] = std::array::from_fn(|_| vec![0.0; n]);
     pool.install(|| {
-        let n = a.n;
-        let mut x = vec![1.0; n];
         let mut zeta = 0.0;
         let mut rnorm = 0.0;
         for _ in 0..params.niter {
-            let (z, rn) = conj_grad(pool, a, &x, params.cg_iters, sched);
-            rnorm = rn;
+            rnorm = conj_grad(pool, a, &x, &mut solve, params.cg_iters, sched);
+            let z = &solve[0];
             let xz = par_sum(pool, 0..n, sched, |i| x[i] * z[i]);
             zeta = params.shift + 1.0 / xz;
             let znorm = par_sum(pool, 0..n, sched, |i| z[i] * z[i]).sqrt();
-            let zs = UnsafeSlice::new(&mut x);
-            let z_ref = &z;
+            let xs = UnsafeSlice::new(&mut x);
             par_for_chunks(pool, 0..n, sched, |chunk| unsafe {
-                scale_leaf(&z_ref[chunk.clone()], znorm, zs.slice_mut(chunk));
+                scale_leaf(&z[chunk.clone()], znorm, xs.slice_mut(chunk));
             });
         }
         CgResult { zeta, rnorm }

@@ -14,8 +14,8 @@
 use parloop_core::Schedule;
 use parloop_runtime::ThreadPool;
 
-use crate::randdp::{fill, seed_after, word, A, SEED};
-use crate::util::par_sum;
+use crate::randdp::{fill, seed_after, word, A, BATCH, SEED};
+use crate::util::{par_sum, within_npb_epsilon};
 
 /// EP problem size: `2^m` pairs processed in blocks of `2^nk_log`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,17 +63,15 @@ pub const CLASS_S_SUMS: (f64, f64) = (-3.24783465203474e3, -6.958407078382297e3)
 /// Whether `r` matches [`CLASS_S_SUMS`] to NPB's verification epsilon, a
 /// relative 1e-8 (block partials are summed in schedule order).
 pub fn verify_class_s(r: &EpResult) -> bool {
-    const EPSILON: f64 = 1e-8;
     let (sx, sy) = CLASS_S_SUMS;
-    ((r.sx - sx) / sx).abs() <= EPSILON && ((r.sy - sy) / sy).abs() <= EPSILON
+    within_npb_epsilon(r.sx, sx) && within_npb_epsilon(r.sy, sy)
 }
 
-/// Deviates generated per batch before their pairs are tallied: 16 KiB
-/// of stack, so a batch stays in L1 between generation and tally.
-const BATCH: usize = 2048;
-
-/// Pairs the tally walks side by side: one 256-bit vector of `f64`.
-const LANES: usize = 4;
+/// Pairs the tally walks side by side: two 256-bit vectors of `f64`.
+/// Eight lanes spill more of the `at_least` counters to the stack than
+/// four, yet run faster: each group gives two independent chains of
+/// divides and square roots to overlap (EXPERIMENTS A17).
+const LANES: usize = 8;
 
 /// A block's partial result: `sx`, `sy` and the annulus counts `q`.
 type Tally = (f64, f64, [u64; 10]);

@@ -74,15 +74,20 @@ pub struct IsResult {
 /// inside one `install`, so a pool worker issues both loops.
 pub fn is_sort(pool: &ThreadPool, params: IsParams, keys: &[u32], sched: Schedule) -> IsResult {
     let n = keys.len();
-    // The output comes from the caller's allocator, not the worker's
-    // (DESIGN §5.5, "One `install` per kernel").
+    let universe = params.max_key();
+    // The output and the shared buckets come from the caller's allocator,
+    // not the worker's (DESIGN §5.5, "One `install` per kernel"). The
+    // buckets are first written inside `install`, so their cache lines
+    // start on a worker, not on the caller's core.
     let mut sorted = vec![0u32; n];
-    let histogram = pool.install(|| {
-        let universe = params.max_key();
+    let mut histogram = Vec::with_capacity(universe);
+    let mut hist: Vec<AtomicU64> = Vec::with_capacity(universe);
+    let mut cursors: Vec<AtomicU64> = Vec::with_capacity(universe);
+    pool.install(|| {
         let blocks = params.blocks.min(n.max(1));
 
         // Phase 1: histogram (shared atomic buckets — the scattered-write loop).
-        let hist: Vec<AtomicU64> = (0..universe).map(|_| AtomicU64::new(0)).collect();
+        hist.extend((0..universe).map(|_| AtomicU64::new(0)));
         par_for(pool, 0..blocks, sched, |b| {
             let r = parloop_core::block_bounds(n, blocks, b);
             // Private tally first, then one merge pass — NPB's approach.
@@ -96,14 +101,14 @@ pub fn is_sort(pool: &ThreadPool, params: IsParams, keys: &[u32], sched: Schedul
                 }
             }
         });
-        let histogram: Vec<u64> = hist.iter().map(|h| h.load(Ordering::Relaxed)).collect();
 
         // Phase 2: exclusive prefix sum (sequential, tiny).
-        let mut cursors: Vec<AtomicU64> = Vec::with_capacity(universe);
         let mut acc = 0u64;
-        for &c in &histogram {
+        for h in &hist {
+            let count = h.load(Ordering::Relaxed);
+            histogram.push(count);
             cursors.push(AtomicU64::new(acc));
-            acc += c;
+            acc += count;
         }
         debug_assert_eq!(acc as usize, n);
 
@@ -120,7 +125,6 @@ pub fn is_sort(pool: &ThreadPool, params: IsParams, keys: &[u32], sched: Schedul
                 }
             });
         }
-        histogram
     });
     IsResult { sorted, histogram }
 }

@@ -52,6 +52,10 @@ pub fn randlc(x: &mut f64, a: f64) -> f64 {
     R46 * *x
 }
 
+/// Deviates a kernel draws per [`fill`] batch before consuming them: 16
+/// KiB of stack, so a batch stays in L1 between generation and use.
+pub(crate) const BATCH: usize = 2048;
+
 /// Fill `out` with uniform deviates, advancing the integer state `x` by
 /// `out.len()` steps with multiplier `a` — [`vranlc`] without converting
 /// the state, for loops that keep it as a `u64` across batches.

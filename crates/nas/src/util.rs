@@ -87,6 +87,14 @@ impl<'a, T> UnsafeSlice<'a, T> {
     }
 }
 
+/// Whether `got` is within NPB's verification epsilon of `want`: a
+/// relative 1e-8, loose enough for reductions whose order depends on the
+/// schedule.
+pub(crate) fn within_npb_epsilon(got: f64, want: f64) -> bool {
+    const EPSILON: f64 = 1e-8;
+    ((got - want) / want).abs() <= EPSILON
+}
+
 /// Per-worker accumulator cells (cache-line padded). Each pool worker only
 /// ever touches its own slot, so plain (non-atomic) accumulation is safe.
 struct WorkerAccum {

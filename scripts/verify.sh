@@ -22,9 +22,10 @@ for arg in "$@"; do
 done
 
 # Disassemble the release kernels_bench binary and check that each micro
-# leaf kernel's asm anchor contains packed SIMD arithmetic. Grep the
-# *mnemonics*, not registers: on x86-64 scalar f64 also lives in xmm, so
-# "uses xmm" proves nothing — addpd/vaddpd/vfmadd...pd do. On x86-64 it
+# leaf kernel's asm anchor, and FT's pencil-block butterfly (`fft_block`,
+# linked through the binary's `ft` row), contains packed SIMD arithmetic.
+# Grep the *mnemonics*, not registers: on x86-64 scalar f64 also lives in
+# xmm, so "uses xmm" proves nothing — addpd/vaddpd/vfmadd...pd do. On x86-64 it
 # also checks EP's AVX2 tally (`ep_tally_avx2`, linked through the
 # binary's `ep` row) for divides and square roots four lanes wide: both
 # of its divides (the in-crate log's f/(2+f) and the tally's -2·ln(t)/t)
@@ -47,7 +48,7 @@ asm_check() {
     printf '%s\n' "$dis" | awk -v sym="$1" '/^[0-9a-f]+ </ { infn = ($0 ~ sym) } infn'
   }
   local failed=0 body
-  for sym in axpy_asm_anchor dot_asm_anchor sum_u64_asm_anchor; do
+  for sym in axpy_asm_anchor dot_asm_anchor sum_u64_asm_anchor ft::fft_block; do
     body=$(body_of "$sym")
     if [ -z "$body" ]; then
       echo "verify.sh: asm anchor $sym not found in $bin" >&2

@@ -4,9 +4,9 @@
 
 use parloop::core::Schedule;
 use parloop::nas::ep::{ep, ep_sequential, verify_class_s, EpParams};
-use parloop::nas::ft::{ft, FtParams};
+use parloop::nas::ft::{self, ft, FtParams};
 use parloop::nas::is::{generate_keys, is_sort, verify, IsParams};
-use parloop::nas::mg::{mg, MgParams};
+use parloop::nas::mg::{self, mg, MgParams};
 use parloop::nas::randdp::{randlc, seed_after, A, SEED};
 use parloop::runtime::ThreadPool;
 
@@ -86,6 +86,19 @@ fn mg_contraction_rate_is_schedule_independent() {
     // Multigrid contracts the residual by a healthy factor per V-cycle.
     let rate = a.history[1] / a.history[0];
     assert!(rate < 0.8, "weak contraction: {rate}");
+}
+
+#[test]
+fn mg_and_ft_class_s_match_their_pins_under_hybrid_and_static() {
+    // The pins catch an operator that is wrong the same way under every
+    // schedule, which the cross-schedule checks cannot.
+    let pool = ThreadPool::new(2);
+    for sched in [Schedule::hybrid(), Schedule::omp_static()] {
+        let r = mg(&pool, MgParams::class_s(), sched);
+        assert!(mg::verify_class_s(&r), "{}: MG rnorm {:e}", sched.name(), r.rnorm);
+        let r = ft(&pool, FtParams::class_s(), sched);
+        assert!(ft::verify_class_s(&r), "{}: FT checksums {:?}", sched.name(), r.checksums);
+    }
 }
 
 #[test]
