@@ -14,7 +14,7 @@
 //! | `fig5_latency`  | Figure 5 — per-level access latency of the modeled machine |
 //!
 //! The acceptance bins that track series across commits (`split_bench`,
-//! `traffic_bench`, `locality_bench`, `adapt_bench`) report them through
+//! `locality_bench`, `adapt_bench`) report them through
 //! [`merge_bench_json`].
 
 use parloop_sim::PolicyKind;

@@ -90,11 +90,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use parloop_runtime::chaos::{chaos_spin, INJECTED_PANIC_MSG};
-use parloop_runtime::{
-    CancelToken, CountLatch, FaultAction, Site, TopologyMap, TraceEvent, WorkerToken,
-};
+use parloop_runtime::{CancelToken, CountLatch, FaultAction, Site, TraceEvent, WorkerToken};
 
-use crate::claim::{locality_earmark, partitions_oversubscribed, ClaimTable, ClaimWalker};
+use crate::claim::{partitions_oversubscribed, ClaimTable, ClaimWalker};
 use crate::lazy::{lazy_for_chunks, run_uncontended};
 use crate::range::block_bounds;
 use crate::schedule::{LoopError, LoopReport};
@@ -124,26 +122,15 @@ struct HybridState<F> {
     /// Cooperative cancellation; `None` when the loop has no token (the
     /// common path pays one `Option` check per claim).
     cancel: Option<CancelToken>,
-    /// The pool's worker → socket map, anchoring each participant's claim
-    /// walk at a partition homed on its own socket ([`locality_earmark`]).
-    /// Under the default flat map the earmark is the paper's `r = w`.
-    topology: Arc<TopologyMap>,
 }
 
 impl<F> HybridState<F> {
-    /// The partition worker `w` anchors its claim walk at. The blocked
-    /// partition → socket mapping matches `NumaPolicy::BlockedByRange`,
-    /// so under first-touch the earmarked partition's pages live on the
-    /// claimer's socket. The *steal* side of locality is the runtime's
-    /// socket-first victim order, derived from the same topology map, so
-    /// "local" means the same thing in both layers.
+    /// The partition worker `w` anchors its claim walk at: the paper's
+    /// `r = w`, folded into `0..R`.
     fn earmark(&self, w: usize) -> usize {
-        if self.topology.is_flat() {
-            // Identity fast path — and the exact pre-topology behavior.
-            return w % self.r_parts;
-        }
-        locality_earmark(self.topology.socket_table(), self.topology.sockets(), w, self.r_parts)
+        w % self.r_parts
     }
+
     #[inline]
     fn cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(|c| c.is_cancelled())
@@ -276,7 +263,6 @@ where
         poisoned: AtomicBool::new(false),
         skipped: AtomicUsize::new(0),
         cancel: cancel.cloned(),
-        topology: token.topology(),
     });
 
     // Publish the DoHybridLoop frame for thieves, then run it ourselves.
@@ -560,24 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_socket_earmarks_keep_exactly_once() {
-        // A 2-socket map with socket-first stealing relabels every worker's
-        // claim anchor; coverage and exactly-once must be unaffected.
-        use parloop_runtime::{ThreadPoolBuilder, TopologyMap};
-        let pool = ThreadPoolBuilder::new()
-            .num_workers(8)
-            .topology(TopologyMap::from_sockets(vec![0, 0, 0, 0, 1, 1, 1, 1]))
-            .build();
-        let n = 5000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let stats = run_hybrid(&pool, n, 64, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        assert_eq!(stats.partitions, 8);
-    }
-
-    #[test]
     fn empty_loop() {
         let pool = ThreadPool::new(4);
         let stats = run_hybrid(&pool, 0, 16, |_| panic!("no iterations"));
@@ -733,7 +701,6 @@ mod tests {
                 poisoned: AtomicBool::new(false),
                 skipped: AtomicUsize::new(0),
                 cancel: None,
-                topology: token.topology(),
             });
             // Claim everything so the published frames are inert no-ops.
             state.table.try_claim(0);

@@ -56,121 +56,40 @@ use std::sync::Mutex;
 use crate::job::JobRef;
 use crate::util::CachePadded;
 
-/// Quality-of-service class carried by externally-injected work.
-///
-/// The class selects which priority sub-lane of an injection lane a job
-/// lands in. Workers drain sub-lanes with weighted deficit-round-robin at
-/// [`DRR_WEIGHTS`] — latency jobs go first but batch work is never
-/// starved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QosClass {
-    /// Interactive work: drained with weight 8 per DRR round.
-    Latency,
-    /// Throughput work: drained with weight 1 per DRR round.
-    Batch,
-}
-
-impl QosClass {
-    /// Sub-lane index (`Latency` = 0, `Batch` = 1).
-    #[inline]
-    pub fn index(self) -> usize {
-        match self {
-            QosClass::Latency => 0,
-            QosClass::Batch => 1,
-        }
-    }
-}
-
-/// Per-round DRR credits for the two sub-lanes, indexed by
-/// [`QosClass::index`]: 8 latency jobs for every batch job when both
-/// classes are backlogged.
-pub const DRR_WEIGHTS: [u32; 2] = [8, 1];
-
-/// The two priority sub-queues and their deficit counters, all guarded by
-/// one mutex so the publish-under-lock invariant is unchanged from the
-/// single-queue lane.
-struct LaneInner {
-    sub: [VecDeque<JobRef>; 2],
-    deficit: [u32; 2],
-}
-
 /// One locked MPSC segment with an atomic length published under the lock.
 ///
 /// Also used for the per-worker mailboxes, which had the same
-/// publish-after-unlock counter bug. Mailbox jobs all go through the
-/// class-blind [`push`](Self::push), so they share the latency sub-queue
-/// and pop in arrival order.
+/// publish-after-unlock counter bug. A lane pops in arrival order.
 pub(crate) struct Lane {
-    queue: Mutex<LaneInner>,
+    queue: Mutex<VecDeque<JobRef>>,
     len: AtomicUsize,
 }
 
 impl Lane {
     pub(crate) fn new() -> Self {
-        Lane {
-            queue: Mutex::new(LaneInner {
-                sub: [VecDeque::new(), VecDeque::new()],
-                deficit: DRR_WEIGHTS,
-            }),
-            len: AtomicUsize::new(0),
-        }
+        Lane { queue: Mutex::new(VecDeque::new()), len: AtomicUsize::new(0) }
     }
 
-    /// Enqueue `job` class-blind (mailbox path): it lands in the latency
-    /// sub-queue.
+    /// Enqueue `job`, publishing the new length before the lock releases
+    /// (see the module docs for why the ordering matters).
     pub(crate) fn push(&self, job: JobRef) {
-        self.push_class(job, QosClass::Latency);
-    }
-
-    /// Enqueue `job` in the sub-lane for `class`, publishing the new length
-    /// before the lock releases (see the module docs for why the ordering
-    /// matters).
-    pub(crate) fn push_class(&self, job: JobRef, class: QosClass) {
         let mut q = self.queue.lock().unwrap();
-        q.sub[class.index()].push_back(job);
+        q.push_back(job);
         self.len.fetch_add(1, Ordering::Release);
     }
 
-    /// Dequeue one job, reporting which class's sub-lane served it. The
-    /// length check lets idle sweeps skip empty lanes without touching
-    /// their locks.
-    pub(crate) fn pop_class(&self) -> Option<(JobRef, QosClass)> {
+    /// Dequeue the oldest job. The length check lets idle sweeps skip
+    /// empty lanes without touching their locks.
+    pub(crate) fn pop(&self) -> Option<JobRef> {
         if self.len.load(Ordering::Acquire) == 0 {
             return None;
         }
         let mut q = self.queue.lock().unwrap();
-        let popped = Self::drr_pop(&mut q);
+        let popped = q.pop_front();
         if popped.is_some() {
             self.len.fetch_sub(1, Ordering::Relaxed);
         }
         popped
-    }
-
-    /// Dequeue one job, discarding the class (mailbox and shutdown paths).
-    pub(crate) fn pop(&self) -> Option<JobRef> {
-        self.pop_class().map(|(job, _)| job)
-    }
-
-    /// Weighted deficit-round-robin over the sub-lanes: serve a backlogged
-    /// class while it has credit, refresh credits from [`DRR_WEIGHTS`] when
-    /// no backlogged class does. Work-conserving — an empty class never
-    /// blocks the other, so a lone backlogged class drains at full speed.
-    fn drr_pop(inner: &mut LaneInner) -> Option<(JobRef, QosClass)> {
-        const CLASSES: [QosClass; 2] = [QosClass::Latency, QosClass::Batch];
-        for round in 0..2 {
-            for class in CLASSES {
-                let c = class.index();
-                if inner.deficit[c] > 0 && !inner.sub[c].is_empty() {
-                    inner.deficit[c] -= 1;
-                    let job = inner.sub[c].pop_front().expect("checked non-empty under lock");
-                    return Some((job, class));
-                }
-            }
-            if round == 0 {
-                inner.deficit = DRR_WEIGHTS;
-            }
-        }
-        None
     }
 
     /// Published queue length.
@@ -206,7 +125,7 @@ pub(crate) struct InjectLanes {
 }
 
 impl InjectLanes {
-    /// A bank of `lanes` lanes, each with QoS priority sub-lanes.
+    /// A bank of `lanes` lanes.
     pub(crate) fn new(lanes: usize) -> Self {
         assert!(lanes > 0, "a pool needs at least one injection lane");
         InjectLanes { lanes: (0..lanes).map(|_| CachePadded::new(Lane::new())).collect() }
@@ -221,28 +140,27 @@ impl InjectLanes {
         submitter_token() % self.lanes.len()
     }
 
-    /// Enqueue `job` on `lane` in the sub-lane for `class`.
-    pub(crate) fn push(&self, lane: usize, job: JobRef, class: QosClass) {
-        self.lanes[lane].push_class(job, class);
+    /// Enqueue `job` on `lane`.
+    pub(crate) fn push(&self, lane: usize, job: JobRef) {
+        self.lanes[lane].push(job);
     }
 
     /// Dequeue one job: the caller's `own` lane first, then a sweep over
     /// the remaining lanes starting at `sweep_start` (workers randomize it
-    /// like a steal sweep). Returns the job, the lane it came from, and
-    /// the QoS class that served it.
-    pub(crate) fn take(&self, own: usize, sweep_start: usize) -> Option<(JobRef, usize, QosClass)> {
+    /// like a steal sweep). Returns the job and the lane it came from.
+    pub(crate) fn take(&self, own: usize, sweep_start: usize) -> Option<(JobRef, usize)> {
         let n = self.lanes.len();
         let own = own % n;
-        if let Some((job, class)) = self.lanes[own].pop_class() {
-            return Some((job, own, class));
+        if let Some(job) = self.lanes[own].pop() {
+            return Some((job, own));
         }
         for k in 0..n {
             let lane = (sweep_start + k) % n;
             if lane == own {
                 continue;
             }
-            if let Some((job, class)) = self.lanes[lane].pop_class() {
-                return Some((job, lane, class));
+            if let Some(job) = self.lanes[lane].pop() {
+                return Some((job, lane));
             }
         }
         None
@@ -271,78 +189,37 @@ mod tests {
         HeapJob::new(move || log.lock().unwrap().push(id)).into_job_ref()
     }
 
-    fn drain_order(lane: &Lane, log: &Arc<Mutex<Vec<u32>>>) -> Vec<u32> {
+    #[test]
+    fn lane_pops_in_arrival_order() {
+        // The mailboxes rely on it: a worker's team bodies run in the
+        // order they were posted.
+        let lane = Lane::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for id in 0..30 {
+            lane.push(tagged(&log, id));
+        }
+        assert_eq!(lane.len(), 30);
         while let Some(job) = lane.pop() {
             unsafe { job.execute() };
         }
-        log.lock().unwrap().clone()
+        assert_eq!(lane.len(), 0);
+        assert_eq!(log.lock().unwrap().as_slice(), (0..30).collect::<Vec<_>>().as_slice());
     }
 
     #[test]
-    fn qos_lane_serves_latency_first_without_starving_batch() {
-        let lane = Lane::new();
+    fn take_reports_the_serving_lane() {
+        let lanes = InjectLanes::new(3);
         let log = Arc::new(Mutex::new(Vec::new()));
-        // 20 latency jobs (ids 0..20) and 4 batch jobs (ids 100..104),
-        // batch pushed first so plain FIFO would drain it first.
-        for id in 100..104 {
-            lane.push_class(tagged(&log, id), QosClass::Batch);
+        lanes.push(2, tagged(&log, 2));
+        lanes.push(0, tagged(&log, 0));
+        // The own lane first, then the sweep from `sweep_start`.
+        for expected in [0, 2] {
+            let (job, lane) = lanes.take(0, 1).unwrap();
+            assert_eq!(lane, expected);
+            unsafe { job.execute() };
         }
-        for id in 0..20 {
-            lane.push_class(tagged(&log, id), QosClass::Latency);
-        }
-        let order = drain_order(&lane, &log);
-        // Single-threaded DRR is deterministic: 8 latency, 1 batch per
-        // round while both are backlogged, then the survivor at full
-        // speed. Batch is served every 9th pop — prioritized but never
-        // starved — despite arriving first.
-        let mut expected: Vec<u32> = Vec::new();
-        expected.extend(0..8);
-        expected.push(100);
-        expected.extend(8..16);
-        expected.push(101);
-        expected.extend(16..20);
-        expected.extend([102, 103]);
-        assert_eq!(order, expected);
-    }
-
-    #[test]
-    fn qos_lane_is_work_conserving_when_one_class_is_empty() {
-        // Two inputs with one class each: only batch work (it must drain
-        // at full speed even though the latency sub-lane holds all the
-        // initial DRR credit), and the class-blind mailbox push, which
-        // lands in the latency sub-lane and must keep arrival order
-        // across the deficit refill every 8 pops.
-        type Push = fn(&Lane, JobRef);
-        let inputs: [(Push, QosClass); 2] = [
-            (|lane, job| lane.push_class(job, QosClass::Batch), QosClass::Batch),
-            (|lane, job| lane.push(job), QosClass::Latency),
-        ];
-        for (push, served_by) in inputs {
-            let lane = Lane::new();
-            let log = Arc::new(Mutex::new(Vec::new()));
-            for id in 0..30 {
-                push(&lane, tagged(&log, id));
-            }
-            let mut classes = Vec::new();
-            while let Some((job, class)) = lane.pop_class() {
-                unsafe { job.execute() };
-                classes.push(class);
-            }
-            assert_eq!(log.lock().unwrap().len(), 30);
-            assert!(classes.iter().all(|c| *c == served_by));
-            assert_eq!(log.lock().unwrap().as_slice(), (0..30).collect::<Vec<_>>().as_slice());
-        }
-    }
-
-    #[test]
-    fn take_reports_the_serving_class() {
-        let lanes = InjectLanes::new(2);
-        let log = Arc::new(Mutex::new(Vec::new()));
-        lanes.push(0, tagged(&log, 1), QosClass::Batch);
-        let (job, lane, class) = lanes.take(0, 1).unwrap();
-        assert_eq!(lane, 0);
-        assert_eq!(class, QosClass::Batch);
-        unsafe { job.execute() };
+        assert!(lanes.take(0, 1).is_none());
         assert!(lanes.is_empty());
+        assert_eq!(*log.lock().unwrap(), [0, 2]);
     }
 }

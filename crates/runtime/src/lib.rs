@@ -4,9 +4,8 @@
 //! work-first, randomized work-stealing scheduler in the style of Cilk and
 //! rayon-core. Each worker thread owns a [Chase–Lev deque](deque) of jobs;
 //! it pushes and pops at the *bottom* of its own deque, and idle workers
-//! steal from the *top* of a uniformly random victim's deque (same-socket
-//! victims first when the pool has a multi-socket [`TopologyMap`]). On top
-//! of the deques sit:
+//! steal from the *top* of a uniformly random victim's deque. On top of the
+//! deques sit:
 //!
 //! * [`join`] — the binary fork-join primitive used to implement
 //!   divide-and-conquer `cilk_for` loops (work-first: the continuation is
@@ -50,7 +49,6 @@ pub mod util;
 
 pub use cancel::CancelToken;
 pub use health::{PoolHealth, StallReport};
-pub use inject::{QosClass, DRR_WEIGHTS};
 pub use job::POISONED_JOB_MSG;
 pub use join::join;
 pub use latch::{CountLatch, Latch, LockLatch, Probe, SpinLatch};
@@ -71,8 +69,3 @@ pub use parloop_trace::{NoopSink, RingTraceSink, TraceEvent, TraceSink, WorkerSt
 /// need not name `parloop-chaos` directly).
 pub use parloop_chaos as chaos;
 pub use parloop_chaos::{FaultAction, FaultInjector, NoopInjector, PlannedInjector, Site};
-
-/// The machine-topology layer: the worker → socket map consumed by
-/// [`ThreadPoolBuilder::topology`] (re-exported so pool users need not
-/// name `parloop-topo` directly).
-pub use parloop_topo::TopologyMap;

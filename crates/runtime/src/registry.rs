@@ -49,12 +49,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parloop_chaos::{chaos_spin, FaultAction, FaultInjector, NoopInjector, Site};
-use parloop_topo::TopologyMap;
 use parloop_trace::{CounterBank, NoopSink, TraceEvent, TraceSink, WorkerStats};
 
 use crate::deque::{self, Steal, Stealer};
 use crate::health::{PoolHealth, StallReport};
-use crate::inject::{InjectLanes, Lane, QosClass};
+use crate::inject::{InjectLanes, Lane};
 use crate::job::{HeapJob, JobRef, StackJob};
 use crate::latch::{CountLatch, Latch, LockLatch, Probe, SpinLatch};
 use crate::rng::XorShift64Star;
@@ -122,10 +121,6 @@ pub struct PoolStats {
     pub assist_joins: u64,
     /// Successful steals.
     pub steals: u64,
-    /// The subset of [`steals`](Self::steals) whose victim lived on a
-    /// different socket of the pool's [`TopologyMap`]. Always `0` under
-    /// the default flat map.
-    pub remote_steals: u64,
     /// Steal sweeps that found nothing.
     pub failed_steal_sweeps: u64,
     /// Jobs injected from external threads.
@@ -178,21 +173,11 @@ pub(crate) struct Registry {
     watchdog_trips: AtomicU64,
     stall_threshold: Duration,
     stall_handler: StallHandler,
-    /// Worker → socket map (flat by default). Shared with loop layers via
-    /// [`WorkerToken::topology`] so partition earmarking and victim
-    /// selection agree on what "local" means.
-    topology: Arc<TopologyMap>,
-    /// Per-worker victim lists: `(local, remote)`, each excluding the
-    /// worker itself, split by the topology map's sockets. Under the flat
-    /// map every victim is in `local` (one phase). Built once — sweeps
-    /// only index.
-    victims: VictimTable,
+    /// Per-worker steal-victim lists: every other worker, in id order.
+    /// Built once — sweeps only index.
+    victims: Box<[Box<[usize]>]>,
     n: usize,
 }
-
-/// One `(local, remote)` steal-victim partition per worker (see
-/// [`Registry::victims`]).
-type VictimTable = Box<[(Box<[usize]>, Box<[usize]>)]>;
 
 /// Callback invoked with each watchdog [`StallReport`].
 type StallHandler = Arc<dyn Fn(&StallReport) + Send + Sync>;
@@ -211,15 +196,6 @@ impl Registry {
     /// already notified for (the sleep protocol's lost-wakeup argument
     /// relies on this order).
     pub(crate) fn inject(&self, job: JobRef) {
-        // Untagged external work defaults to the latency class: blocking
-        // `install` calls are interactive by nature and must not queue
-        // behind a batch backlog.
-        self.inject_class(job, QosClass::Latency);
-    }
-
-    /// [`inject`](Self::inject) with an explicit QoS class
-    /// (`install_class`, `spawn_detached_class`).
-    pub(crate) fn inject_class(&self, job: JobRef, class: QosClass) {
         let mut lane = self.injected.home_lane();
         let mut drop_wake = false;
         if self.chaos_on {
@@ -240,7 +216,7 @@ impl Registry {
                 FaultAction::None => {}
             }
         }
-        self.injected.push(lane, job, class);
+        self.injected.push(lane, job);
         self.counters.note_injected();
         if !drop_wake {
             self.sleep.notify_one();
@@ -423,13 +399,8 @@ impl WorkerThread {
         job
     }
 
-    /// One full randomized sweep over other workers' deques, in the order
-    /// the topology map gives (localized stealing in the sense of
-    /// Suksompong–Leiserson–Schardl): a pass over same-socket victims,
-    /// then — only if the whole local phase came up empty — a pass over
-    /// remote sockets. Under the flat map that is a single pass over
-    /// everyone. Each phase randomizes its own start, so no victim inside
-    /// a phase is structurally favored.
+    /// One full sweep over the other workers' deques from a random start,
+    /// so no victim is structurally favored.
     fn steal(&self) -> Option<JobRef> {
         let n = self.registry.n;
         if n <= 1 {
@@ -450,23 +421,15 @@ impl WorkerThread {
                 FaultAction::None => {}
             }
         }
-        let (local, remote) = &self.registry.victims[self.index];
-        if let Some(job) = self.sweep_phase(local).or_else(|| self.sweep_phase(remote)) {
+        let victims = &self.registry.victims[self.index];
+        let len = victims.len();
+        let start = self.rng.next_below(len);
+        if let Some(job) = (0..len).find_map(|k| self.try_steal_from(victims[(start + k) % len])) {
             return Some(job);
         }
         self.registry.counters.note_failed_sweep(self.index);
         self.trace(TraceEvent::StealFailed);
         None
-    }
-
-    /// One randomized pass over a precomputed victim list.
-    fn sweep_phase(&self, victims: &[usize]) -> Option<JobRef> {
-        let len = victims.len();
-        if len == 0 {
-            return None;
-        }
-        let start = self.rng.next_below(len);
-        (0..len).find_map(|k| self.try_steal_from(victims[(start + k) % len]))
     }
 
     /// Probe one victim's deque: chaos re-roll, then the Chase–Lev steal
@@ -488,14 +451,7 @@ impl WorkerThread {
             match self.registry.stealers[victim].steal() {
                 Steal::Success(job) => {
                     self.registry.counters.note_steal(self.index);
-                    if self.registry.topology.same_socket(self.index, victim) {
-                        self.trace(TraceEvent::Stolen { victim: victim as u32 });
-                    } else {
-                        // Emitted *instead of* `Stolen`: local + remote
-                        // partition the successful steals.
-                        self.registry.counters.note_remote_steal(self.index);
-                        self.trace(TraceEvent::StolenRemote { victim: victim as u32 });
-                    }
+                    self.trace(TraceEvent::Stolen { victim: victim as u32 });
                     return Some(job);
                 }
                 Steal::Empty => return None,
@@ -509,12 +465,8 @@ impl WorkerThread {
     fn take_injected(&self) -> Option<JobRef> {
         let lanes = self.registry.injected.num_lanes();
         let sweep_start = if lanes > 1 { self.rng.next_below(lanes) } else { 0 };
-        let (job, lane, class) = self.registry.injected.take(self.index, sweep_start)?;
+        let (job, lane) = self.registry.injected.take(self.index, sweep_start)?;
         self.registry.counters.note_lane_job(self.index);
-        match class {
-            QosClass::Latency => self.registry.counters.note_latency_job(self.index),
-            QosClass::Batch => self.registry.counters.note_batch_job(self.index),
-        }
         self.trace(TraceEvent::InjectLane { lane: lane as u32 });
         Some(job)
     }
@@ -727,7 +679,6 @@ pub struct ThreadPoolBuilder {
     stall_threshold: Duration,
     stall_handler: Option<StallHandler>,
     backstop_interval: Duration,
-    topology: Option<TopologyMap>,
 }
 
 impl ThreadPoolBuilder {
@@ -741,7 +692,6 @@ impl ThreadPoolBuilder {
             stall_threshold: DEFAULT_STALL_THRESHOLD,
             stall_handler: None,
             backstop_interval: crate::sleep::DEFAULT_BACKSTOP_INTERVAL,
-            topology: None,
         }
     }
 
@@ -810,17 +760,6 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Install a worker → socket map (see [`TopologyMap`]). The map must
-    /// describe exactly this pool's workers. It decides both partition
-    /// earmarks and steal order: idle workers sweep same-socket victims
-    /// before remote ones. Defaults to the flat single-socket map, under
-    /// which every steal victim is local (one randomized sweep) and
-    /// partition earmarking is the identity.
-    pub fn topology(mut self, map: TopologyMap) -> Self {
-        self.topology = Some(map);
-        self
-    }
-
     pub fn build(self) -> ThreadPool {
         let n = self.num_workers;
         let mut workers = Vec::with_capacity(n);
@@ -837,22 +776,7 @@ impl ThreadPoolBuilder {
         let stall_handler = self.stall_handler.unwrap_or_else(|| {
             Arc::new(|report: &StallReport| eprintln!("parloop-runtime watchdog: {report}"))
         });
-        let topology = Arc::new(self.topology.unwrap_or_else(|| TopologyMap::flat(n)));
-        assert_eq!(
-            topology.workers(),
-            n,
-            "topology map describes {} workers but the pool has {n}",
-            topology.workers(),
-        );
-        // Per-worker victim lists: the same map orders the sweep and
-        // classifies each steal as local or remote.
-        let victims: VictimTable = (0..n)
-            .map(|w| {
-                let (local, remote): (Vec<usize>, Vec<usize>) =
-                    (0..n).filter(|&v| v != w).partition(|&v| topology.same_socket(w, v));
-                (local.into(), remote.into())
-            })
-            .collect();
+        let victims = (0..n).map(|w| (0..n).filter(|&v| v != w).collect()).collect();
         let now = Instant::now();
         let registry = Arc::new(Registry {
             stealers,
@@ -872,7 +796,6 @@ impl ThreadPoolBuilder {
             watchdog_trips: AtomicU64::new(0),
             stall_threshold: self.stall_threshold,
             stall_handler,
-            topology,
             victims,
             n,
         });
@@ -972,7 +895,6 @@ impl ThreadPool {
             jobs_pushed: t.jobs_pushed,
             assist_joins: t.assist_joins,
             steals: t.steals,
-            remote_steals: t.remote_steals,
             failed_steal_sweeps: t.failed_steal_sweeps,
             injected: self.registry.counters.injected(),
             grain_adjustments: self.registry.counters.grain_adjustments(),
@@ -986,12 +908,6 @@ impl ThreadPool {
     #[inline]
     pub fn note_grain_adjustment(&self) {
         self.registry.counters.note_grain_adjustment();
-    }
-
-    /// The pool's worker → socket map (flat unless one was installed via
-    /// [`ThreadPoolBuilder::topology`]).
-    pub fn topology(&self) -> Arc<TopologyMap> {
-        Arc::clone(&self.registry.topology)
     }
 
     /// Per-worker breakdown of the counters behind [`stats`](Self::stats),
@@ -1026,45 +942,23 @@ impl ThreadPool {
 
     /// Spawn a detached job on the pool. It runs at some point before the
     /// pool shuts down; there is no completion handle (use
-    /// [`scope`](crate::scope) for structured spawning). Injected work
-    /// defaults to the latency class; see
-    /// [`spawn_detached_class`](Self::spawn_detached_class).
+    /// [`scope`](crate::scope) for structured spawning).
     pub fn spawn_detached(&self, f: impl FnOnce() + Send + 'static) {
-        self.spawn_detached_class(QosClass::Latency, f)
-    }
-
-    /// [`spawn_detached`](Self::spawn_detached) with an explicit QoS
-    /// class for the injection lanes. The class only matters when the
-    /// calling thread is external to the pool (worker-local spawns go to
-    /// the worker's own deque).
-    pub fn spawn_detached_class(&self, class: QosClass, f: impl FnOnce() + Send + 'static) {
         let job = HeapJob::new(f);
         unsafe {
             match WorkerThread::current() {
                 Some(wt) if Arc::ptr_eq(wt.registry(), &self.registry) => {
                     wt.push(job.into_job_ref())
                 }
-                _ => self.registry.inject_class(job.into_job_ref(), class),
+                _ => self.registry.inject(job.into_job_ref()),
             }
         }
     }
 
     /// Run `op` on the pool, blocking until it completes and returning its
     /// result. If the calling thread is already a worker of this pool, `op`
-    /// runs inline. Injected work defaults to the latency class; see
-    /// [`install_class`](Self::install_class).
+    /// runs inline.
     pub fn install<R, F>(&self, op: F) -> R
-    where
-        R: Send,
-        F: FnOnce() -> R + Send,
-    {
-        self.install_class(QosClass::Latency, op)
-    }
-
-    /// [`install`](Self::install) with an explicit QoS class: `Latency`
-    /// work drains ahead of `Batch` work at the DRR weights when both are
-    /// backlogged.
-    pub fn install_class<R, F>(&self, class: QosClass, op: F) -> R
     where
         R: Send,
         F: FnOnce() -> R + Send,
@@ -1078,7 +972,7 @@ impl ThreadPool {
         }
         let job = StackJob::new(op, LockLatch::new());
         let jref = unsafe { job.as_job_ref() };
-        self.registry.inject_class(jref, class);
+        self.registry.inject(jref);
         job.latch.wait();
         unsafe { job.into_result() }
     }
@@ -1277,24 +1171,6 @@ impl WorkerToken {
     pub fn note_assist_join(&self) {
         let w = self.worker();
         w.registry().counters.note_assist_join(w.index());
-    }
-
-    /// The pool's worker → socket map. Loop layers use it to earmark
-    /// partitions near their data with the *same* notion of locality the
-    /// steal sweep uses.
-    pub fn topology(&self) -> Arc<TopologyMap> {
-        Arc::clone(&self.worker().registry().topology)
-    }
-
-    /// The socket this worker lives on (`0` under the flat default map).
-    pub fn socket(&self) -> usize {
-        let w = self.worker();
-        w.registry().topology.socket_of(w.index())
-    }
-
-    /// Number of sockets in the pool's topology map.
-    pub fn num_sockets(&self) -> usize {
-        self.worker().registry().topology.sockets()
     }
 }
 
@@ -1550,68 +1426,9 @@ mod tests {
     }
 
     #[test]
-    fn default_pool_is_flat_uniform() {
+    fn each_worker_sweeps_every_other_worker() {
         let pool = ThreadPool::new(3);
-        assert!(pool.topology().is_flat());
-        assert_eq!(pool.topology().workers(), 3);
-        // The flat map keeps everyone in one phase.
-        let (local, remote) = &pool.registry.victims[1];
-        assert_eq!(&local[..], &[0, 2]);
-        assert!(remote.is_empty());
-    }
-
-    #[test]
-    fn socket_first_partitions_victims_by_socket() {
-        let pool = ThreadPoolBuilder::new()
-            .num_workers(4)
-            .topology(TopologyMap::from_sockets(vec![0, 0, 1, 1]))
-            .build();
-        assert_eq!(pool.topology().sockets(), 2);
-        let (local, remote) = &pool.registry.victims[0];
-        assert_eq!(&local[..], &[1]);
-        assert_eq!(&remote[..], &[2, 3]);
-        let (local, remote) = &pool.registry.victims[3];
-        assert_eq!(&local[..], &[2]);
-        assert_eq!(&remote[..], &[0, 1]);
-        // The pool still schedules work.
-        assert_eq!(pool.install(|| 6 * 7), 42);
-        pool.broadcast_all(|_| {});
-    }
-
-    #[test]
-    fn worker_token_reports_socket() {
-        let pool = ThreadPoolBuilder::new()
-            .num_workers(4)
-            .topology(TopologyMap::from_sockets(vec![0, 0, 1, 1]))
-            .build();
-        pool.broadcast_all(|w| {
-            let t = WorkerToken::current().unwrap();
-            assert_eq!(t.socket(), w / 2);
-            assert_eq!(t.num_sockets(), 2);
-            assert_eq!(t.topology().socket_of(w), w / 2);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "topology map describes")]
-    fn mismatched_topology_is_rejected() {
-        let _ = ThreadPoolBuilder::new()
-            .num_workers(4)
-            .topology(TopologyMap::from_sockets(vec![0, 1]))
-            .build();
-    }
-
-    #[test]
-    fn socket_first_on_flat_map_never_steals_remotely() {
-        let pool = ThreadPoolBuilder::new().num_workers(4).build();
-        for _ in 0..64 {
-            pool.install(|| {
-                crate::join(|| std::hint::black_box(1), || std::hint::black_box(2));
-            });
-        }
-        let stats = pool.stats();
-        assert_eq!(stats.remote_steals, 0);
-        assert!(stats.remote_steals <= stats.steals);
+        assert_eq!(&pool.registry.victims[1][..], &[0, 2]);
     }
 
     #[test]

@@ -171,8 +171,7 @@ fn simulate_inner(
     assert!(p >= 1 && p <= cfg.machine.cores(), "p={p} outside machine");
     let mut mem = MemoryHierarchy::new(cfg.machine, cfg.latency);
     let cores: Vec<usize> = (0..p).map(|w| pin_order(&cfg.machine, cfg.pinning, w)).collect();
-    // The worker → socket map induced by the pinning — the same map a
-    // threaded pool would be built with on this machine.
+    // The worker → socket map induced by the pinning.
     let topo = TopologyMap::from_sockets(cores.iter().map(|&c| cfg.machine.socket_of(c)).collect());
     let socket_of_u32: Vec<u32> = topo.socket_table().iter().map(|&s| s as u32).collect();
 

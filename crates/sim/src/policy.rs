@@ -410,7 +410,7 @@ impl DequeSet {
     }
 
     /// One two-phase localized steal sweep: same-socket victims first from
-    /// a random start, then remote ones, mirroring the threaded runtime.
+    /// a random start, then remote ones (Suksompong–Leiserson–Schardl).
     /// Probing an empty deque is a cheap load there, so only the terminal
     /// outcome is charged: `steal_success` on a hit, one `steal_attempt`
     /// for a whole failed sweep (the runtime's `StealFailed` + backoff).

@@ -1,12 +1,12 @@
 //! Worker-to-socket maps for topology-aware scheduling.
 //!
 //! A [`TopologyMap`] tells a scheduler which socket each *worker* lives on
-//! — the bridge between thread-pool worker ids and the machine model of
-//! [`MachineSpec`]. The threaded runtime uses it to steal socket-first
-//! (localized work stealing in the sense of Suksompong–Leiserson–Schardl)
-//! and to earmark hybrid-loop partitions near their data; the simulator
-//! derives the same map from its pinned virtual cores so both agree on
-//! what "local" means.
+//! — the bridge between worker ids and the machine model of
+//! [`MachineSpec`]. The simulator derives the map from its pinned virtual
+//! cores and uses it to steal socket-first (localized work stealing in the
+//! sense of Suksompong–Leiserson–Schardl) and to earmark hybrid-loop
+//! partitions near their data. The threaded runtime has no map: its
+//! workers sweep every victim uniformly, as under the flat map.
 
 use crate::machine::MachineSpec;
 use crate::pinning::{pin_order, PinningPolicy};

@@ -18,11 +18,8 @@ struct PaddedCounters {
     jobs_pushed: AtomicU64,
     assist_joins: AtomicU64,
     steals: AtomicU64,
-    remote_steals: AtomicU64,
     failed_steal_sweeps: AtomicU64,
     lane_jobs: AtomicU64,
-    latency_jobs: AtomicU64,
-    batch_jobs: AtomicU64,
     notified_wakes: AtomicU64,
     backstop_wakes: AtomicU64,
 }
@@ -41,20 +38,11 @@ pub struct WorkerStats {
     pub assist_joins: u64,
     /// Successful steals by this worker.
     pub steals: u64,
-    /// The subset of [`steals`](Self::steals) whose victim lived on a
-    /// different socket (the second phase of a socket-first sweep). Always
-    /// `0` under a flat topology map.
-    pub remote_steals: u64,
     /// Steal sweeps by this worker that found nothing.
     pub failed_steal_sweeps: u64,
     /// Externally-injected jobs this worker drained from the sharded
     /// injection lanes (its own lane or another's during a sweep).
     pub lane_jobs: u64,
-    /// Lane jobs drained from the latency-class priority sub-lane.
-    pub latency_jobs: u64,
-    /// Lane jobs drained from the batch-class sub-lane (see
-    /// [`latency_jobs`](Self::latency_jobs)).
-    pub batch_jobs: u64,
     /// Parks that ended in a targeted notification (a real wake).
     pub notified_wakes: u64,
     /// Parks that ended in the timeout backstop firing (a poll, not a
@@ -104,14 +92,6 @@ impl CounterBank {
         self.workers[worker].steals.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one cross-socket steal by `worker` (also counted in
-    /// [`note_steal`](Self::note_steal) — `remote_steals` is a subset of
-    /// `steals`, not a disjoint bucket).
-    #[inline]
-    pub fn note_remote_steal(&self, worker: usize) {
-        self.workers[worker].remote_steals.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Count one empty steal sweep by `worker`.
     #[inline]
     pub fn note_failed_sweep(&self, worker: usize) {
@@ -122,18 +102,6 @@ impl CounterBank {
     #[inline]
     pub fn note_lane_job(&self, worker: usize) {
         self.workers[worker].lane_jobs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one latency-class lane job drained by `worker`.
-    #[inline]
-    pub fn note_latency_job(&self, worker: usize) {
-        self.workers[worker].latency_jobs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one batch-class lane job drained by `worker`.
-    #[inline]
-    pub fn note_batch_job(&self, worker: usize) {
-        self.workers[worker].batch_jobs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one park of `worker` ended by a targeted notification.
@@ -180,11 +148,8 @@ impl CounterBank {
             jobs_pushed: c.jobs_pushed.load(Ordering::Relaxed),
             assist_joins: c.assist_joins.load(Ordering::Relaxed),
             steals: c.steals.load(Ordering::Relaxed),
-            remote_steals: c.remote_steals.load(Ordering::Relaxed),
             failed_steal_sweeps: c.failed_steal_sweeps.load(Ordering::Relaxed),
             lane_jobs: c.lane_jobs.load(Ordering::Relaxed),
-            latency_jobs: c.latency_jobs.load(Ordering::Relaxed),
-            batch_jobs: c.batch_jobs.load(Ordering::Relaxed),
             notified_wakes: c.notified_wakes.load(Ordering::Relaxed),
             backstop_wakes: c.backstop_wakes.load(Ordering::Relaxed),
         }
@@ -204,11 +169,8 @@ impl CounterBank {
             t.jobs_pushed += s.jobs_pushed;
             t.assist_joins += s.assist_joins;
             t.steals += s.steals;
-            t.remote_steals += s.remote_steals;
             t.failed_steal_sweeps += s.failed_steal_sweeps;
             t.lane_jobs += s.lane_jobs;
-            t.latency_jobs += s.latency_jobs;
-            t.batch_jobs += s.batch_jobs;
             t.notified_wakes += s.notified_wakes;
             t.backstop_wakes += s.backstop_wakes;
         }
@@ -231,13 +193,9 @@ mod tests {
         bank.note_job_pushed(2);
         bank.note_assist_join(0);
         bank.note_steal(1);
-        bank.note_remote_steal(1);
         bank.note_failed_sweep(2);
         bank.note_injected();
         bank.note_lane_job(1);
-        bank.note_latency_job(1);
-        bank.note_batch_job(2);
-        bank.note_batch_job(2);
         bank.note_notified_wake(0);
         bank.note_backstop_wake(2);
         bank.note_backstop_wake(2);
@@ -245,11 +203,8 @@ mod tests {
         assert_eq!(bank.worker(1).jobs_pushed, 2);
         assert_eq!(bank.worker(0).assist_joins, 1);
         assert_eq!(bank.worker(1).steals, 1);
-        assert_eq!(bank.worker(1).remote_steals, 1);
         assert_eq!(bank.worker(2).failed_steal_sweeps, 1);
         assert_eq!(bank.worker(1).lane_jobs, 1);
-        assert_eq!(bank.worker(1).latency_jobs, 1);
-        assert_eq!(bank.worker(2).batch_jobs, 2);
         assert_eq!(bank.worker(0).notified_wakes, 1);
         assert_eq!(bank.worker(2).backstop_wakes, 2);
         let t = bank.totals();
@@ -257,11 +212,8 @@ mod tests {
         assert_eq!(t.jobs_pushed, 3);
         assert_eq!(t.assist_joins, 1);
         assert_eq!(t.steals, 1);
-        assert_eq!(t.remote_steals, 1);
         assert_eq!(t.failed_steal_sweeps, 1);
         assert_eq!(t.lane_jobs, 1);
-        assert_eq!(t.latency_jobs, 1);
-        assert_eq!(t.batch_jobs, 2);
         assert_eq!(t.notified_wakes, 1);
         assert_eq!(t.backstop_wakes, 2);
         assert_eq!(bank.injected(), 1);

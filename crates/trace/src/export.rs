@@ -32,9 +32,6 @@ fn classify(event: &TraceEvent) -> Option<Record> {
         TraceEvent::Stolen { victim } => {
             Record::Instant("steal", format!(r#"{{"victim":{victim}}}"#))
         }
-        TraceEvent::StolenRemote { victim } => {
-            Record::Instant("steal_remote", format!(r#"{{"victim":{victim}}}"#))
-        }
         TraceEvent::StealFailed => Record::Instant("steal_failed", "{}".into()),
         TraceEvent::ClaimAttempt { success, index, partition } => Record::Instant(
             "claim",
@@ -156,9 +153,7 @@ pub fn csv(snap: &TraceSnapshot) -> String {
         );
         let (mut site, mut action, mut lane) = (String::new(), String::new(), String::new());
         match e.event {
-            TraceEvent::Stolen { victim: v } | TraceEvent::StolenRemote { victim: v } => {
-                victim = v.to_string()
-            }
+            TraceEvent::Stolen { victim: v } => victim = v.to_string(),
             TraceEvent::InjectLane { lane: l } => lane = l.to_string(),
             TraceEvent::ClaimAttempt { success: s, index: i, partition: p } => {
                 success = (s as u8).to_string();
@@ -216,14 +211,12 @@ mod tests {
             (1_000, 0, TraceEvent::ChunkStart { start: 0, len: 8 }),
             (2_000, 1, TraceEvent::ChunkEnd { start: 64, len: 8 }), // orphan close
             (3_000, 0, TraceEvent::ChunkEnd { start: 0, len: 8 }),
-            (4_000, 1, TraceEvent::Stolen { victim: 0 }),
-            (5_000, 1, TraceEvent::StolenRemote { victim: 2 }),
+            (4_000, 1, TraceEvent::Stolen { victim: 2 }),
         ]);
         let json = chrome_trace_json(&s);
         assert_eq!(json.matches(r#""ph":"X""#).count(), 1, "{json}");
         assert!(json.contains(r#""dur":2.000"#), "{json}");
         assert!(json.contains(r#""name":"steal""#));
-        assert!(json.contains(r#""name":"steal_remote""#), "{json}");
         assert!(json.contains(r#""victim":2"#), "{json}");
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.ends_with('}'));
@@ -248,7 +241,7 @@ mod tests {
             (6, 1, TraceEvent::ChunkEnd { start: 10, len: 4 }),
             (7, 0, TraceEvent::FaultInjected { site: 4, action: 1 }),
             (8, 1, TraceEvent::InjectLane { lane: 3 }),
-            (16, 3, TraceEvent::StolenRemote { victim: 7 }),
+            (16, 3, TraceEvent::Stolen { victim: 7 }),
         ]);
         let text = csv(&s);
         let lines: Vec<&str> = text.lines().collect();
@@ -258,7 +251,7 @@ mod tests {
         assert_eq!(lines[2], "6,1,chunk_end,,,,,10,4,,,");
         assert_eq!(lines[3], "7,0,fault_injected,,,,,,,4,1,");
         assert_eq!(lines[4], "8,1,inject_lane,,,,,,,,,3");
-        assert_eq!(lines[5], "16,3,stolen_remote,,,,7,,,,,");
+        assert_eq!(lines[5], "16,3,stolen,,,,7,,,,,");
     }
 
     #[test]

@@ -56,15 +56,6 @@ pub enum TraceEvent {
         /// The worker the job was taken from.
         victim: u32,
     },
-    /// A successful steal from `victim`'s deque where the victim lives on
-    /// a *different socket* than the thief (the second phase of the
-    /// socket-first sweep). Emitted instead of — not in addition to —
-    /// [`Stolen`](Self::Stolen), so affinity metrics can split steals into
-    /// local and remote without double counting.
-    StolenRemote {
-        /// The remote-socket worker the job was taken from.
-        victim: u32,
-    },
     /// A full randomized sweep over all other deques found nothing.
     StealFailed,
     /// The worker is about to block on the sleep condvar.
@@ -161,7 +152,6 @@ impl TraceEvent {
             TraceEvent::JobPushed => "job_pushed",
             TraceEvent::JobPopped => "job_popped",
             TraceEvent::Stolen { .. } => "stolen",
-            TraceEvent::StolenRemote { .. } => "stolen_remote",
             TraceEvent::StealFailed => "steal_failed",
             TraceEvent::Parked => "parked",
             TraceEvent::Unparked => "unparked",
@@ -182,7 +172,7 @@ impl TraceEvent {
         }
     }
 
-    /// Pack into two words for the fixed-size ring slot. Tags 20–26
+    /// Pack into two words for the fixed-size ring slot. Tags 20–27
     /// belonged to deleted events and stay unused.
     pub(crate) fn pack(&self) -> (u64, u64) {
         match *self {
@@ -209,7 +199,6 @@ impl TraceEvent {
             TraceEvent::BackstopWake => (17, 0),
             TraceEvent::AssistJoin => (18, 0),
             TraceEvent::AssistChunk { start, len } => (19 | (len as u64) << 32, start),
-            TraceEvent::StolenRemote { victim } => (27, victim as u64),
             TraceEvent::GrainAdjusted { site, grain } => (28 | (grain as u64) << 32, site as u64),
         }
     }
@@ -241,7 +230,6 @@ impl TraceEvent {
             17 => TraceEvent::BackstopWake,
             18 => TraceEvent::AssistJoin,
             19 => TraceEvent::AssistChunk { start: b, len: (a >> 32) as u32 },
-            27 => TraceEvent::StolenRemote { victim: b as u32 },
             28 => TraceEvent::GrainAdjusted { site: b as u32, grain: (a >> 32) as u32 },
             _ => return None,
         })
@@ -326,8 +314,6 @@ mod tests {
             TraceEvent::AssistJoin,
             TraceEvent::AssistChunk { start: 0, len: 1 },
             TraceEvent::AssistChunk { start: u64::MAX >> 1, len: u32::MAX },
-            TraceEvent::StolenRemote { victim: 0 },
-            TraceEvent::StolenRemote { victim: u32::MAX },
             TraceEvent::GrainAdjusted { site: 3, grain: 256 },
             TraceEvent::GrainAdjusted { site: u32::MAX, grain: u32::MAX },
         ];
@@ -341,7 +327,7 @@ mod tests {
     fn unknown_tag_rejected() {
         assert_eq!(TraceEvent::unpack(0, 0), None);
         assert_eq!(TraceEvent::unpack(0xFF, 7), None);
-        for retired in 20..=26 {
+        for retired in 20..=27 {
             assert_eq!(TraceEvent::unpack(retired, 7), None, "tag {retired}");
         }
     }

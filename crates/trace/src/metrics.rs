@@ -20,12 +20,8 @@ pub struct EventCounts {
     pub jobs_pushed: u64,
     /// `JobPopped` events.
     pub jobs_popped: u64,
-    /// Successful steals from a same-socket victim (or under a uniform
-    /// policy, where every steal reports as local).
+    /// Successful steals.
     pub steals: u64,
-    /// Successful steals from a remote-socket victim (`StolenRemote` is
-    /// emitted *instead of* `Stolen`, so local + remote = total steals).
-    pub remote_steals: u64,
     /// Empty steal sweeps.
     pub failed_steal_sweeps: u64,
     /// Park/unpark pairs are counted by their `Parked` half.
@@ -65,22 +61,9 @@ pub struct EventCounts {
 }
 
 impl EventCounts {
-    /// All successful steals, local and remote.
-    pub fn total_steals(&self) -> u64 {
-        self.steals + self.remote_steals
-    }
-
     /// Fraction of steal sweeps that succeeded, if any happened.
     pub fn steal_success_rate(&self) -> Option<f64> {
-        let hits = self.total_steals();
-        let total = hits + self.failed_steal_sweeps;
-        (total > 0).then(|| hits as f64 / total as f64)
-    }
-
-    /// Fraction of successful steals whose victim shared the thief's
-    /// socket; `None` if there were no steals at all.
-    pub fn local_steal_fraction(&self) -> Option<f64> {
-        let total = self.total_steals();
+        let total = self.steals + self.failed_steal_sweeps;
         (total > 0).then(|| self.steals as f64 / total as f64)
     }
 }
@@ -93,7 +76,6 @@ pub fn event_counts(snap: &TraceSnapshot) -> EventCounts {
             TraceEvent::JobPushed => c.jobs_pushed += 1,
             TraceEvent::JobPopped => c.jobs_popped += 1,
             TraceEvent::Stolen { .. } => c.steals += 1,
-            TraceEvent::StolenRemote { .. } => c.remote_steals += 1,
             TraceEvent::StealFailed => c.failed_steal_sweeps += 1,
             TraceEvent::Parked => c.parks += 1,
             TraceEvent::Unparked => {}
@@ -261,29 +243,11 @@ mod tests {
         ]);
         let c = event_counts(&s);
         assert_eq!(c.steals, 1);
-        assert_eq!(c.remote_steals, 0);
         assert_eq!(c.failed_steal_sweeps, 1);
         assert_eq!(c.chunk_iterations, 32);
         assert_eq!(c.failed_claims, 1);
         assert_eq!(c.steal_success_rate(), Some(0.5));
         assert_eq!(event_counts(&snap(vec![])).steal_success_rate(), None);
-    }
-
-    #[test]
-    fn remote_steals_count_toward_success_not_locality() {
-        let s = snap(vec![
-            (0, 0, TraceEvent::Stolen { victim: 1 }),
-            (1, 0, TraceEvent::StolenRemote { victim: 2 }),
-            (2, 0, TraceEvent::StolenRemote { victim: 3 }),
-            (3, 1, TraceEvent::StealFailed),
-        ]);
-        let c = event_counts(&s);
-        assert_eq!(c.steals, 1);
-        assert_eq!(c.remote_steals, 2);
-        assert_eq!(c.total_steals(), 3);
-        assert_eq!(c.steal_success_rate(), Some(0.75));
-        assert_eq!(c.local_steal_fraction(), Some(1.0 / 3.0));
-        assert_eq!(event_counts(&snap(vec![])).local_steal_fraction(), None);
     }
 
     #[test]

@@ -189,23 +189,11 @@ if [ "$QUICK" -eq 0 ]; then
   test -s results/lazy_split.json \
     || { echo "verify.sh: results/lazy_split.json missing or empty" >&2; exit 1; }
 
-  # QoS-lane acceptance: fairness-ratio sanity between two equal groups
-  # of batch submitters and zero lost iterations (exactly-once
-  # conservation — the p99 bar of Latency-class installs against a
-  # class-blind run is full-mode only; smoke sizes are too shallow for a
-  # stable ratio). Exits non-zero when a bar is missed and writes
-  # results/traffic.json.
-  echo "== traffic_bench --smoke =="
-  ./target/release/traffic_bench --smoke
-  test -s results/traffic.json \
-    || { echo "verify.sh: results/traffic.json missing or empty" >&2; exit 1; }
-
   # Sim locality gate: one 128-virtual-core socket-first sweep on the
   # skewed workload — hybrid_sf must keep at least as many consecutive
   # iterations on-socket (and hit L3 at least as often) as the uniform
-  # hybrid, and a default (flat-map) real pool must show zero remote
-  # steals.
-  # Exits non-zero when a bar is missed and writes results/locality.json.
+  # hybrid. Exits non-zero when a bar is missed and writes
+  # results/locality.json.
   echo "== locality_bench --smoke (sim gate) =="
   ./target/release/locality_bench --smoke
   test -s results/locality.json \
@@ -232,7 +220,6 @@ else
   echo "== chaos stress skipped (--quick) =="
   echo "== inject_bench skipped (--quick) =="
   echo "== split_bench skipped (--quick) =="
-  echo "== traffic_bench skipped (--quick) =="
   echo "== locality_bench skipped (--quick) =="
   echo "== adapt_bench skipped (--quick) =="
 fi

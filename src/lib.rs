@@ -38,6 +38,6 @@ pub use parloop_core::{
     par_for, par_for_chunks, par_for_tracked, GrainPolicy, Loop, LoopError, LoopReport, Schedule,
 };
 pub use parloop_runtime::{
-    join, scope, CancelToken, PoolHealth, QosClass, StallReport, ThreadPool, ThreadPoolBuilder,
+    join, scope, CancelToken, PoolHealth, StallReport, ThreadPool, ThreadPoolBuilder,
 };
 pub use parloop_trace::{NoopSink, RingTraceSink, TraceEvent, TraceSink, WorkerStats};

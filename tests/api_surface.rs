@@ -22,15 +22,6 @@ fn facade_reexports_are_usable() {
     assert_eq!(hits.load(Ordering::Relaxed), 10);
     let (a, b) = pool.install(|| parloop::join(|| 1, || 2));
     assert_eq!(a + b, 3);
-
-    // The QoS-class install from the README.
-    let hits = AtomicUsize::new(0);
-    pool.install_class(parloop::QosClass::Latency, || {
-        parloop::par_for(&pool, 0..10, parloop::Schedule::hybrid(), |_| {
-            hits.fetch_add(1, Ordering::Relaxed);
-        })
-    });
-    assert_eq!(hits.load(Ordering::Relaxed), 10);
 }
 
 #[test]
