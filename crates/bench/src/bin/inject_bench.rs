@@ -4,7 +4,8 @@
 //! Three measurements, written to `results/inject_latency.json`:
 //!
 //! * **throughput** — S submitter threads each post N detached jobs; wall
-//!   time covers submission through execution of the last job (reported,
+//!   time covers submission through execution of the last job. Each row
+//!   gives the median and quartiles of jobs/s over the reps (reported,
 //!   not enforced; the host CPU count is recorded in the JSON so readers
 //!   can judge the numbers).
 //! * **install latency** — round-trip time of `install` on a pool given a
@@ -28,10 +29,11 @@ use parloop_bench::Table;
 use parloop_runtime::{ThreadPool, DEFAULT_BACKSTOP_INTERVAL};
 
 /// Jobs/second for `submitters` threads each posting `jobs` near-empty
-/// detached jobs, measured submission-to-last-execution; best of `reps`.
-fn throughput(pool: &ThreadPool, submitters: usize, jobs: usize, reps: usize) -> f64 {
+/// detached jobs, measured submission-to-last-execution: one value per
+/// rep, sorted ascending.
+fn throughput(pool: &ThreadPool, submitters: usize, jobs: usize, reps: usize) -> Vec<f64> {
     let total = submitters * jobs;
-    let mut best = f64::INFINITY;
+    let mut rates = Vec::with_capacity(reps);
     for _ in 0..reps {
         let done = Arc::new(AtomicUsize::new(0));
         let t0 = Instant::now();
@@ -51,9 +53,10 @@ fn throughput(pool: &ThreadPool, submitters: usize, jobs: usize, reps: usize) ->
         while done.load(Ordering::Acquire) < total {
             std::hint::spin_loop();
         }
-        best = best.min(t0.elapsed().as_secs_f64());
+        rates.push(total as f64 / t0.elapsed().as_secs_f64());
     }
-    total as f64 / best
+    rates.sort_by(|a, b| a.total_cmp(b));
+    rates
 }
 
 /// Round-trip `install` latencies (µs) on a pool given a moment to park
@@ -84,17 +87,28 @@ fn main() {
     let window = if smoke { Duration::from_millis(250) } else { Duration::from_millis(500) };
 
     println!(
-        "injection bench: P={p} workers, {jobs} jobs/submitter, best of {reps}{}",
+        "injection bench: P={p} workers, {jobs} jobs/submitter, {reps} reps{}",
         if smoke { " (smoke)" } else { "" }
     );
 
+    // Per submitter count: jobs/s quartiles `[p25, p50, p75]` over the reps.
     let pool = ThreadPool::new(p);
-    let rows: Vec<(usize, f64)> =
-        [1usize, 2, 4, 8].into_iter().map(|s| (s, throughput(&pool, s, jobs, reps))).collect();
+    let rows: Vec<(usize, [f64; 3])> = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|s| {
+            let rates = throughput(&pool, s, jobs, reps);
+            (s, [0.25, 0.50, 0.75].map(|q| percentile(&rates, q)))
+        })
+        .collect();
 
-    let mut t = Table::new(vec!["submitters", "jobs/s"]);
-    for (submitters, jobs_per_s) in &rows {
-        t.row(vec![submitters.to_string(), format!("{jobs_per_s:.3e}")]);
+    let mut t = Table::new(vec!["submitters", "jobs/s p50", "p25", "p75"]);
+    for (submitters, [q1, median, q3]) in &rows {
+        t.row(vec![
+            submitters.to_string(),
+            format!("{median:.3e}"),
+            format!("{q1:.3e}"),
+            format!("{q3:.3e}"),
+        ]);
     }
     t.print();
 
@@ -121,7 +135,7 @@ fn main() {
 
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let json =
-        render_json(p, cpus, jobs, &rows, p50, p99, window, observed, unthrottled, reduction);
+        render_json(p, cpus, jobs, reps, &rows, p50, p99, window, observed, unthrottled, reduction);
     std::fs::create_dir_all("results").expect("create results/");
     std::fs::write("results/inject_latency.json", &json).expect("write results JSON");
     println!("\nwrote results/inject_latency.json");
@@ -141,7 +155,8 @@ fn render_json(
     p: usize,
     cpus: usize,
     jobs: usize,
-    rows: &[(usize, f64)],
+    reps: usize,
+    rows: &[(usize, [f64; 3])],
     p50: f64,
     p99: f64,
     window: Duration,
@@ -152,12 +167,12 @@ fn render_json(
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!(
-        "  \"workers\": {p},\n  \"host_cpus\": {cpus},\n  \"jobs_per_submitter\": {jobs},\n"
+        "  \"workers\": {p},\n  \"host_cpus\": {cpus},\n  \"jobs_per_submitter\": {jobs},\n  \"reps\": {reps},\n"
     ));
     s.push_str("  \"throughput_jobs_per_s\": [\n");
-    for (k, (submitters, jobs_per_s)) in rows.iter().enumerate() {
+    for (k, (submitters, [q1, median, q3])) in rows.iter().enumerate() {
         s.push_str(&format!(
-            "    {{\"submitters\": {submitters}, \"jobs_per_s\": {jobs_per_s:.1}}}{}\n",
+            "    {{\"submitters\": {submitters}, \"p25\": {q1:.1}, \"p50\": {median:.1}, \"p75\": {q3:.1}}}{}\n",
             if k + 1 < rows.len() { "," } else { "" }
         ));
     }

@@ -98,38 +98,6 @@ pub fn same_worker_fraction(prev: &[u32], cur: &[u32]) -> f64 {
     }
 }
 
-/// Fraction of iterations whose consecutive owners share a *socket*
-/// (given `socket_of[w]` for each worker) — a coarser locality metric than
-/// [`same_worker_fraction`]: an iteration that migrates between cores of
-/// one socket still hits the shared L3.
-///
-/// Owner ids outside `socket_of` are treated like [`UNRECORDED`] and
-/// skipped rather than indexed: owner maps can legitimately carry ids the
-/// socket table does not cover (a pool rebuilt with more workers than the
-/// map), and a locality *metric* must not panic on the data it measures.
-pub fn same_socket_fraction(prev: &[u32], cur: &[u32], socket_of: &[u32]) -> f64 {
-    assert_eq!(prev.len(), cur.len(), "owner maps must cover the same range");
-    let mut same = 0usize;
-    let mut comparable = 0usize;
-    for (&a, &b) in prev.iter().zip(cur) {
-        if a == UNRECORDED || b == UNRECORDED {
-            continue;
-        }
-        let (Some(sa), Some(sb)) = (socket_of.get(a as usize), socket_of.get(b as usize)) else {
-            continue;
-        };
-        comparable += 1;
-        if sa == sb {
-            same += 1;
-        }
-    }
-    if comparable == 0 {
-        1.0
-    } else {
-        same as f64 / comparable as f64
-    }
-}
-
 /// Accumulates affinity across a sequence of parallel loops.
 #[derive(Default)]
 pub struct ConsecutiveAffinity {
@@ -226,41 +194,5 @@ mod tests {
     #[should_panic(expected = "same range")]
     fn mismatched_lengths_panic() {
         same_worker_fraction(&[0], &[0, 1]);
-    }
-
-    #[test]
-    fn socket_fraction_coarser_than_worker_fraction() {
-        // Workers 0,1 on socket 0; workers 2,3 on socket 1.
-        let sockets = vec![0, 0, 1, 1];
-        let prev = vec![0, 1, 2, 3];
-        let cur = vec![1, 0, 3, 2]; // every iteration moved cores...
-        assert_eq!(same_worker_fraction(&prev, &cur), 0.0);
-        // ...but stayed on its socket.
-        assert_eq!(same_socket_fraction(&prev, &cur, &sockets), 1.0);
-    }
-
-    #[test]
-    fn socket_fraction_detects_cross_socket_moves() {
-        let sockets = vec![0, 0, 1, 1];
-        let prev = vec![0, 0, 0, 0];
-        let cur = vec![0, 1, 2, 3]; // half moved to socket 1
-        assert_eq!(same_socket_fraction(&prev, &cur, &sockets), 0.5);
-    }
-
-    #[test]
-    fn socket_fraction_skips_owners_outside_the_table() {
-        // Regression: owner ids beyond the socket table (worker 4 of a
-        // rebuilt pool against a 4-entry map) must be skipped, not
-        // indexed.
-        let sockets = vec![0, 0, 1, 1];
-        let prev = vec![0, 4, 7, 2];
-        let cur = vec![1, 0, 4, 2];
-        // Index 0 (same socket) and index 3 (same worker) are comparable;
-        // indices 1 and 2 carry out-of-table owners on one side.
-        assert_eq!(same_socket_fraction(&prev, &cur, &sockets), 1.0);
-        // All owners out of table: no comparable iterations.
-        assert_eq!(same_socket_fraction(&[9], &[9], &sockets), 1.0);
-        // An empty socket table never panics either.
-        assert_eq!(same_socket_fraction(&[0, 1], &[0, 1], &[]), 1.0);
     }
 }

@@ -56,29 +56,18 @@ pub struct ClaimWalker {
 }
 
 impl ClaimWalker {
-    /// A walker for worker `w` over `r_total` partitions.
+    /// A walker for worker `w` over `r_total` partitions: candidates are
+    /// `i XOR w`, so the walk visits its earmarked partition `w` first and
+    /// then climbs the sibling-group tree. Exactly-once (Theorem 3) and the
+    /// `lg R` failed-run bound (Lemma 4) hold for any anchors, colliding
+    /// ones included.
     ///
     /// `r_total` must be a power of two and `w < r_total`.
     pub fn new(w: usize, r_total: usize) -> Self {
-        Self::with_start(w, r_total)
-    }
-
-    /// A walker whose earmarked partition is `start` rather than the
-    /// worker's own id: candidates are `i XOR start`, so the walk visits
-    /// `start` first and then climbs the same sibling-group tree the
-    /// plain walk climbs. Every structural property of the heuristic —
-    /// exactly-once (Theorem 3), the `lg R` failed-run bound (Lemma 4),
-    /// top-level-group liveness (Lemma 2) — depends only on the XOR walk
-    /// shape, not on *which* partition anchors it, so relabeling the
-    /// anchor is how locality earmarking (see [`locality_earmark`]) plugs
-    /// in without touching the proofs.
-    ///
-    /// `r_total` must be a power of two and `start < r_total`.
-    pub fn with_start(start: usize, r_total: usize) -> Self {
         assert!(r_total.is_power_of_two(), "partition count must be a power of two");
-        assert!(start < r_total, "start partition {start} out of range for {r_total} partitions");
+        assert!(w < r_total, "earmark {w} out of range for {r_total} partitions");
         ClaimWalker {
-            w: start,
+            w,
             r_total,
             i: 0,
             finished: false,
@@ -150,62 +139,10 @@ impl ClaimWalker {
         self.stats
     }
 
-    /// The XOR anchor of this walk: the worker id under
-    /// [`new`](Self::new), or the earmarked start partition under
-    /// [`with_start`](Self::with_start).
+    /// The XOR anchor of this walk (its earmarked partition).
     pub fn worker(&self) -> usize {
         self.w
     }
-}
-
-/// The home socket of partition `r` under a blocked-by-range NUMA layout:
-/// partition `r` of `r_total` covers the `r`-th block of the iteration
-/// space, and blocked first-touch places block `r` on socket
-/// `r / ceil(R / sockets)` (tail blocks fold onto the last socket) — the
-/// same arithmetic `MachineSpec::home_socket` applies to byte offsets.
-pub fn partition_home_socket(r: usize, r_total: usize, sockets: usize) -> usize {
-    if sockets <= 1 || r_total == 0 {
-        return 0;
-    }
-    let block = r_total.div_ceil(sockets);
-    (r / block).min(sockets - 1)
-}
-
-/// Locality-aware earmark: the partition worker `w` should anchor its
-/// claim walk at, so that earmarked partitions live on their claimers'
-/// sockets under a blocked-by-range NUMA placement.
-///
-/// Worker `w` on socket `s` is steered into the contiguous run of
-/// partitions homed on `s` (see [`partition_home_socket`]); workers
-/// *sharing* a socket fan out across that run by their local rank (rank
-/// `k` takes the `k`-th partition of the run, wrapping when the socket
-/// has more workers than partitions — the wrapped walkers collide on
-/// their anchor and immediately fall back to the XOR sibling walk, which
-/// resolves the collision exactly as it resolves any lost claim).
-///
-/// Degenerate shapes fold back to the identity earmark `w mod R`: a flat
-/// (≤ 1 socket) table, an empty table, or a socket whose partition run is
-/// empty (more sockets than partitions). In particular, under the default
-/// flat topology this is the paper's original `r = w` earmark, bit for
-/// bit.
-pub fn locality_earmark(socket_of: &[usize], sockets: usize, w: usize, r_total: usize) -> usize {
-    assert!(r_total.is_power_of_two(), "partition count must be a power of two");
-    if sockets <= 1 || socket_of.is_empty() {
-        return w % r_total;
-    }
-    let wf = w % socket_of.len();
-    let s = socket_of[wf];
-    let block = r_total.div_ceil(sockets);
-    let run_start = s * block;
-    // The last socket absorbs the tail, mirroring the `.min(sockets - 1)`
-    // fold in `partition_home_socket`.
-    let run_end = if s + 1 == sockets { r_total } else { ((s + 1) * block).min(r_total) };
-    if run_start >= run_end {
-        // More sockets than partitions: nothing is homed here.
-        return w % r_total;
-    }
-    let rank = socket_of[..wf].iter().filter(|&&x| x == s).count();
-    run_start + rank % (run_end - run_start)
 }
 
 /// The shared partition flag array `A` (Algorithm 2).
@@ -472,12 +409,12 @@ mod tests {
     }
 
     #[test]
-    fn with_start_anchors_the_walk_and_keeps_coverage() {
+    fn new_anchors_the_walk_and_keeps_coverage() {
         // A relabeled walk visits its anchor first, then the same XOR
         // sibling tree — so a lone walker still covers everything.
         let table = ClaimTable::new(8);
         let mut order = Vec::new();
-        let mut walker = ClaimWalker::with_start(6, 8);
+        let mut walker = ClaimWalker::new(6, 8);
         while let Some(r) = walker.candidate() {
             if let Some(part) = walker.record(table.try_claim(r)) {
                 order.push(part);
@@ -497,7 +434,7 @@ mod tests {
         for anchors in [[0usize, 0, 0, 0], [3, 3, 11, 11], [0, 5, 10, 15], [7, 6, 5, 4]] {
             let table = ClaimTable::new(r_total);
             let mut walkers: Vec<_> =
-                anchors.iter().map(|&a| ClaimWalker::with_start(a, r_total)).collect();
+                anchors.iter().map(|&a| ClaimWalker::new(a, r_total)).collect();
             let mut executed = Vec::new();
             while walkers.iter().any(|w| !w.finished()) {
                 for walker in &mut walkers {
@@ -515,58 +452,6 @@ mod tests {
                 assert!(w.stats().max_failed_run <= lg, "anchors {anchors:?}");
             }
         }
-    }
-
-    #[test]
-    fn partition_home_socket_blocks_by_range() {
-        // R = 8 over 4 sockets: blocks of 2.
-        for (r, s) in [(0, 0), (1, 0), (2, 1), (3, 1), (6, 3), (7, 3)] {
-            assert_eq!(partition_home_socket(r, 8, 4), s);
-        }
-        // Tail folds onto the last socket: R = 4 over 3 sockets.
-        assert_eq!(partition_home_socket(3, 4, 3), 1);
-        assert_eq!(partition_home_socket(0, 4, 1), 0);
-    }
-
-    #[test]
-    fn flat_earmark_is_identity() {
-        // The acceptance bar for the default topology: bit-for-bit the
-        // paper's `r = w` earmark.
-        for w in 0..8 {
-            assert_eq!(locality_earmark(&[0; 8], 1, w, 8), w);
-            assert_eq!(locality_earmark(&[], 1, w, 8), w);
-        }
-        // Out-of-range workers fold modulo R, like the walk expects.
-        assert_eq!(locality_earmark(&[0; 16], 1, 9, 8), 1);
-    }
-
-    #[test]
-    fn blocked_earmark_lands_on_the_home_socket() {
-        // 8 workers, 2 sockets (compact), R = 8: every worker's earmark
-        // must be homed on its own socket, and ranks fan out in order.
-        let socket_of = [0, 0, 0, 0, 1, 1, 1, 1];
-        let marks: Vec<_> = (0..8).map(|w| locality_earmark(&socket_of, 2, w, 8)).collect();
-        assert_eq!(marks, vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        for (w, &m) in marks.iter().enumerate() {
-            assert_eq!(partition_home_socket(m, 8, 2), socket_of[w]);
-        }
-        // Scatter pinning: workers alternate sockets; earmarks still land
-        // home and stay distinct.
-        let scatter = [0, 1, 0, 1];
-        let marks: Vec<_> = (0..4).map(|w| locality_earmark(&scatter, 2, w, 4)).collect();
-        assert_eq!(marks, vec![0, 2, 1, 3]);
-    }
-
-    #[test]
-    fn crowded_socket_wraps_within_its_run() {
-        // 4 workers all on socket 0 of 2, R = 4: socket 0's run is {0,1},
-        // so ranks 2 and 3 wrap onto it rather than spilling cross-socket.
-        let socket_of = [0, 0, 0, 0];
-        let marks: Vec<_> = (0..4).map(|w| locality_earmark(&socket_of, 2, w, 4)).collect();
-        assert_eq!(marks, vec![0, 1, 0, 1]);
-        // More sockets than partitions: sockets past the last partition
-        // run fall back to the identity earmark.
-        assert_eq!(locality_earmark(&[0, 3], 4, 1, 2), 1);
     }
 
     #[test]

@@ -404,7 +404,7 @@ where
     let w = token.index();
     let tracing = token.tracing_enabled();
     let chaos = token.chaos_enabled();
-    let mut walker = ClaimWalker::with_start(state.earmark(w), state.r_parts);
+    let mut walker = ClaimWalker::new(state.earmark(w), state.r_parts);
     // One combined latch decrement per walk instead of one per partition
     // (flushed on drop — including an unwind from an injected panic).
     let mut done = LatchBatch::new(&state.latch);

@@ -40,23 +40,19 @@ pub mod claim;
 pub mod hybrid;
 pub mod lazy;
 pub mod range;
-pub mod reduce;
 mod schedule;
 mod sharing;
 mod static_part;
 mod util;
 
 pub use adapt::{controller_report, AdaptiveSite, LoopStart, Phase, SiteSnapshot};
-pub use affinity::{
-    same_socket_fraction, same_worker_fraction, AffinityProbe, ConsecutiveAffinity, UNRECORDED,
-};
+pub use affinity::{same_worker_fraction, AffinityProbe, ConsecutiveAffinity, UNRECORDED};
 pub use claim::{
-    index_group, locality_earmark, partition_group, partition_home_socket, partitions_for_workers,
-    partitions_oversubscribed, run_claim_heuristic, ClaimTable, ClaimWalker, HeuristicStats,
+    index_group, partition_group, partitions_for_workers, partitions_oversubscribed,
+    run_claim_heuristic, ClaimTable, ClaimWalker, HeuristicStats,
 };
 pub use lazy::lazy_for_chunks;
 pub use range::{block_bounds, block_of, default_grain, grain_bounds};
-pub use reduce::{par_max_f64, par_reduce, par_sum_f64, par_sum_u64};
 pub use schedule::{
     par_for, par_for_chunks, par_for_tracked, GrainPolicy, Loop, LoopError, LoopReport, Schedule,
 };

@@ -8,9 +8,9 @@
 //! persists across loops — so loop affinity translates into cache hits
 //! exactly as on the real machine.
 
-use parloop_core::{default_grain, same_socket_fraction, same_worker_fraction, UNRECORDED};
+use parloop_core::{default_grain, same_worker_fraction, UNRECORDED};
 use parloop_simcache::{AccessCounts, MemoryHierarchy};
-use parloop_topo::{pin_order, LatencyTable, MachineSpec, PinningPolicy, TopologyMap};
+use parloop_topo::{pin_order, LatencyTable, MachineSpec, PinningPolicy};
 
 use crate::costs::CostModel;
 use crate::policy::{make_policy, Action, PolicyKind};
@@ -48,14 +48,6 @@ pub struct SimResult {
     pub counts: AccessCounts,
     /// Mean consecutive-loop affinity per loop slot (Figure 2's metric).
     pub affinity: Vec<f64>,
-    /// Mean consecutive-loop *same-socket* fraction per loop slot — the
-    /// coarser locality metric behind Figure 4: an iteration migrating
-    /// between cores of one socket still hits that socket's L3 and DRAM.
-    pub socket_affinity: Vec<f64>,
-    /// Successful steals whose victim shared the thief's socket.
-    pub local_steals: u64,
-    /// Successful steals from a victim on another socket.
-    pub remote_steals: u64,
     /// Cycles per outer phase.
     pub per_phase_cycles: Vec<f64>,
 }
@@ -64,28 +56,11 @@ impl SimResult {
     /// Mean affinity across loop slots, weighted by loop length — the
     /// single number Figure 2 reports per configuration.
     pub fn mean_affinity(&self, app: &AppModel) -> f64 {
-        Self::weighted_mean(&self.affinity, app)
-    }
-
-    /// Mean same-socket fraction across loop slots, weighted by loop
-    /// length (the locality analogue of [`mean_affinity`](Self::mean_affinity)).
-    pub fn mean_socket_affinity(&self, app: &AppModel) -> f64 {
-        Self::weighted_mean(&self.socket_affinity, app)
-    }
-
-    /// Fraction of successful steals that stayed on the thief's socket;
-    /// `None` when the run stole nothing.
-    pub fn local_steal_fraction(&self) -> Option<f64> {
-        let total = self.local_steals + self.remote_steals;
-        (total > 0).then(|| self.local_steals as f64 / total as f64)
-    }
-
-    fn weighted_mean(per_slot: &[f64], app: &AppModel) -> f64 {
         let total: usize = app.loops.iter().map(|l| l.n).sum();
         if total == 0 {
             return 1.0;
         }
-        per_slot.iter().zip(&app.loops).map(|(a, l)| a * l.n as f64 / total as f64).sum()
+        self.affinity.iter().zip(&app.loops).map(|(a, l)| a * l.n as f64 / total as f64).sum()
     }
 }
 
@@ -144,7 +119,7 @@ impl LoopTrace {
 /// assert_eq!(r.workers, 8);
 /// ```
 pub fn simulate(app: &AppModel, kind: PolicyKind, p: usize, cfg: &SimConfig) -> SimResult {
-    simulate_inner(app, kind, p, cfg, None).0
+    simulate_inner(app, kind, p, cfg, None)
 }
 
 /// Like [`simulate`], additionally recording every executed chunk.
@@ -157,7 +132,7 @@ pub fn simulate_traced(
     cfg: &SimConfig,
 ) -> (SimResult, Vec<LoopTrace>) {
     let mut traces = Vec::new();
-    let (r, _) = simulate_inner(app, kind, p, cfg, Some(&mut traces));
+    let r = simulate_inner(app, kind, p, cfg, Some(&mut traces));
     (r, traces)
 }
 
@@ -167,20 +142,15 @@ fn simulate_inner(
     p: usize,
     cfg: &SimConfig,
     mut traces: Option<&mut Vec<LoopTrace>>,
-) -> (SimResult, ()) {
+) -> SimResult {
     assert!(p >= 1 && p <= cfg.machine.cores(), "p={p} outside machine");
     let mut mem = MemoryHierarchy::new(cfg.machine, cfg.latency);
     let cores: Vec<usize> = (0..p).map(|w| pin_order(&cfg.machine, cfg.pinning, w)).collect();
-    // The worker → socket map induced by the pinning.
-    let topo = TopologyMap::from_sockets(cores.iter().map(|&c| cfg.machine.socket_of(c)).collect());
-    let socket_of_u32: Vec<u32> = topo.socket_table().iter().map(|&s| s as u32).collect();
 
-    // Consecutive-loop locality per slot: owner maps of the previous
-    // instance plus the per-transition worker/socket retention fractions.
+    // Consecutive-loop affinity per slot: owner maps of the previous
+    // instance plus the per-transition worker retention fractions.
     let mut prev_owners: Vec<Option<Vec<u32>>> = app.loops.iter().map(|_| None).collect();
     let mut worker_fracs: Vec<Vec<f64>> = app.loops.iter().map(|_| Vec::new()).collect();
-    let mut socket_fracs: Vec<Vec<f64>> = app.loops.iter().map(|_| Vec::new()).collect();
-    let (mut local_steals, mut remote_steals) = (0u64, 0u64);
     let mut per_phase = Vec::with_capacity(app.outer);
     let mut clock = 0.0_f64;
 
@@ -190,25 +160,12 @@ fn simulate_inner(
         for (slot, lm) in app.loops.iter().enumerate() {
             loop_seq += 1;
             let mut events = traces.as_ref().map(|_| Vec::new());
-            let out = run_one_loop(
-                lm,
-                kind,
-                p,
-                cfg,
-                &cores,
-                &topo,
-                &mut mem,
-                clock,
-                loop_seq,
-                events.as_mut(),
-            );
-            clock = out.end;
-            local_steals += out.local_steals;
-            remote_steals += out.remote_steals;
-            if let Some(owners) = out.owners {
+            let (end, owners) =
+                run_one_loop(lm, kind, p, cfg, &cores, &mut mem, clock, loop_seq, events.as_mut());
+            clock = end;
+            if let Some(owners) = owners {
                 if let Some(prev) = &prev_owners[slot] {
                     worker_fracs[slot].push(same_worker_fraction(prev, &owners));
-                    socket_fracs[slot].push(same_socket_fraction(prev, &owners, &socket_of_u32));
                 }
                 prev_owners[slot] = Some(owners);
             }
@@ -227,20 +184,14 @@ fn simulate_inner(
             fracs.iter().sum::<f64>() / fracs.len() as f64
         }
     };
-    (
-        SimResult {
-            kind,
-            workers: p,
-            total_cycles: clock,
-            counts: mem.total_counts(),
-            affinity: worker_fracs.iter().map(mean).collect(),
-            socket_affinity: socket_fracs.iter().map(mean).collect(),
-            local_steals,
-            remote_steals,
-            per_phase_cycles: per_phase,
-        },
-        (),
-    )
+    SimResult {
+        kind,
+        workers: p,
+        total_cycles: clock,
+        counts: mem.total_counts(),
+        affinity: worker_fracs.iter().map(mean).collect(),
+        per_phase_cycles: per_phase,
+    }
 }
 
 /// The sequential baseline `T_s`: no parallel constructs, no overheads,
@@ -259,15 +210,8 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What one loop instance produced: its end time, the owner map (worker
-/// per iteration; `None` for an empty loop) and the policy's steal census.
-struct LoopOutcome {
-    end: f64,
-    owners: Option<Vec<u32>>,
-    local_steals: u64,
-    remote_steals: u64,
-}
-
+/// Run one loop instance from virtual time `start`; returns its end time
+/// and the owner map (worker per iteration; `None` for an empty loop).
 #[allow(clippy::too_many_arguments)]
 fn run_one_loop(
     lm: &crate::workload::LoopModel,
@@ -275,18 +219,17 @@ fn run_one_loop(
     p: usize,
     cfg: &SimConfig,
     cores: &[usize],
-    topo: &TopologyMap,
     mem: &mut MemoryHierarchy,
     start: f64,
     loop_seq: u64,
     mut events: Option<&mut Vec<ChunkEvent>>,
-) -> LoopOutcome {
+) -> (f64, Option<Vec<u32>>) {
     if lm.n == 0 {
-        return LoopOutcome { end: start, owners: None, local_steals: 0, remote_steals: 0 };
+        return (start, None);
     }
     let chunk_hint = default_grain(lm.n, p);
     let seed = mix64(loop_seq);
-    let mut policy = make_policy(kind, lm.n, p, chunk_hint, cfg.cost, seed, topo);
+    let mut policy = make_policy(kind, lm.n, p, chunk_hint, cfg.cost, seed);
 
     // Per-loop-instance arrival jitter: on a real machine workers never
     // reach a loop in lock-step (interrupts, cache state, prior work), and
@@ -361,8 +304,7 @@ fn run_one_loop(
         }
     }
 
-    let (local_steals, remote_steals) = policy.steal_counts();
-    LoopOutcome { end, owners: Some(owners), local_steals, remote_steals }
+    (end, Some(owners))
 }
 
 #[cfg(test)]
@@ -497,87 +439,6 @@ mod tests {
             assert!((busy - direct).abs() < 1e-9);
             assert_eq!(t.chunks_per_worker(4).iter().sum::<usize>(), t.events.len());
         }
-    }
-
-    #[test]
-    fn socket_first_wins_locality_at_scale() {
-        // 128 virtual cores over 16 sockets, skewed working set: the
-        // topology-aware hybrid must keep more consecutive-loop iterations
-        // on their socket and steal locally more often than the uniform
-        // hybrid (the Figure 4-style comparison the bench harness scales
-        // up).
-        let app = crate::micro_model::micro_app(crate::micro_model::MicroParams {
-            working_set: 4 << 20,
-            iterations: 512,
-            passes: 1,
-            outer: 4,
-            balanced: false,
-        });
-        let cfg = SimConfig {
-            machine: MachineSpec::scaled(16, 8),
-            latency: LatencyTable::xeon_e5_4620(),
-            cost: CostModel::xeon(),
-            pinning: PinningPolicy::Compact,
-        };
-        let uni = simulate(&app, PolicyKind::Hybrid, 128, &cfg);
-        let sf = simulate(&app, PolicyKind::HybridSocketFirst, 128, &cfg);
-        assert!(
-            sf.mean_socket_affinity(&app) >= uni.mean_socket_affinity(&app),
-            "socket-first locality {:.4} below uniform {:.4}",
-            sf.mean_socket_affinity(&app),
-            uni.mean_socket_affinity(&app)
-        );
-        let sf_local = sf.local_steal_fraction().unwrap_or(1.0);
-        let uni_local = uni.local_steal_fraction().unwrap_or(0.0);
-        assert!(
-            sf_local >= uni_local,
-            "socket-first local-steal fraction {sf_local:.4} below uniform {uni_local:.4}"
-        );
-    }
-
-    #[test]
-    fn scaled_sims_are_deterministic() {
-        // Determinism pin: same seed and PolicyKind → identical cycle
-        // counts, at 128 and at 512 virtual cores.
-        let app = crate::micro_model::micro_app(crate::micro_model::MicroParams {
-            working_set: 2 << 20,
-            iterations: 1024,
-            passes: 1,
-            outer: 2,
-            balanced: false,
-        });
-        for (sockets, cps, p) in [(16, 8, 128), (32, 16, 512)] {
-            let cfg = SimConfig {
-                machine: MachineSpec::scaled(sockets, cps),
-                latency: LatencyTable::xeon_e5_4620(),
-                cost: CostModel::xeon(),
-                pinning: PinningPolicy::Compact,
-            };
-            for kind in [PolicyKind::Hybrid, PolicyKind::HybridSocketFirst] {
-                let a = simulate(&app, kind, p, &cfg);
-                let b = simulate(&app, kind, p, &cfg);
-                assert_eq!(a.total_cycles, b.total_cycles, "{} p={p}", kind.name());
-                assert_eq!(a.counts, b.counts, "{} p={p}", kind.name());
-                assert_eq!(a.socket_affinity, b.socket_affinity, "{} p={p}", kind.name());
-                assert_eq!(
-                    (a.local_steals, a.remote_steals),
-                    (b.local_steals, b.remote_steals),
-                    "{} p={p}",
-                    kind.name()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn flat_pinning_makes_socket_affinity_perfect() {
-        // Every worker on one socket (p <= cores_per_socket under compact
-        // pinning): the same-socket fraction is 1 by construction.
-        let app = tiny_app(true, 3);
-        let cfg = SimConfig::xeon();
-        let r = simulate(&app, PolicyKind::Stealing, 4, &cfg);
-        assert!(r.socket_affinity.iter().all(|&f| (f - 1.0).abs() < 1e-12));
-        assert_eq!(r.remote_steals, 0);
     }
 
     #[test]

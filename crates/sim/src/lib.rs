@@ -1,14 +1,16 @@
 //! Virtual-time discrete-event simulator for the `parloop` reproduction.
 //!
 //! The paper's evaluation machine — a 32-core, four-socket Xeon E5-4620 —
-//! is not available here (the host exposes a single core), so every timing
+//! is not available here (the hosts have one or two cores), so every timing
 //! figure is regenerated on a *modeled* machine instead:
 //!
 //! * workers are virtual cores with individual clocks, pinned compactly to
 //!   the topology from `parloop-topo`;
 //! * every scheme the paper compares is implemented as a scheduling
 //!   [`policy`] over virtual time, the hybrid one reusing the exact
-//!   [`ClaimWalker`](parloop_core::ClaimWalker) the threaded runtime runs;
+//!   [`ClaimWalker`](parloop_core::ClaimWalker) the threaded runtime runs.
+//!   Its thieves pick victims uniformly at random, as Cilk's do; the only
+//!   hybrid variant is Theorem 5's oversubscribed `R` (the A3 ablation);
 //! * iteration costs combine modeled CPU cycles with memory latencies from
 //!   the `parloop-simcache` hierarchy, whose state persists across loops —
 //!   so loop affinity turns into cache hits and NUMA locality exactly as

@@ -55,77 +55,24 @@ impl Hasher for LineHasher {
     }
 }
 
-/// Widest machine the directory can represent. Scaled sim sweeps go up to
-/// 512 virtual cores across 32 sockets; the per-entry masks below are
-/// sized to match (8 x 64-bit words for cores, one `u32` for sockets).
-pub const MAX_CORES: usize = CORE_MASK_WORDS * 64;
+/// Widest machine the directory can represent: one `u64` of core bits
+/// and one `u32` of socket bits per line. The paper's machine has 32 cores
+/// on 4 sockets.
+pub const MAX_CORES: usize = 64;
 /// See [`MAX_CORES`].
 pub const MAX_SOCKETS: usize = 32;
 
-const CORE_MASK_WORDS: usize = 8;
-
-/// A fixed-width bitset over core ids `0..MAX_CORES`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct CoreMask([u64; CORE_MASK_WORDS]);
-
-impl CoreMask {
-    /// The mask covering core ids `lo..hi`.
-    fn range(lo: usize, hi: usize) -> Self {
-        let mut m = CoreMask::default();
-        for (w, word) in m.0.iter_mut().enumerate() {
-            let base = w * 64;
-            let a = lo.clamp(base, base + 64) - base;
-            let b = hi.clamp(base, base + 64) - base;
-            if b > a {
-                let width = b - a;
-                *word = if width == 64 { !0 } else { ((1u64 << width) - 1) << a };
-            }
-        }
-        m
-    }
-
-    #[inline]
-    fn set(&mut self, core: usize) {
-        self.0[core / 64] |= 1u64 << (core % 64);
-    }
-
-    #[inline]
-    fn clear(&mut self, core: usize) {
-        self.0[core / 64] &= !(1u64 << (core % 64));
-    }
-
-    #[inline]
-    fn test(&self, core: usize) -> bool {
-        self.0[core / 64] >> (core % 64) & 1 == 1
-    }
-
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.0.iter().all(|&w| w == 0)
-    }
-
-    /// `self & other`, empty-checked in one pass.
-    fn intersects(&self, other: &CoreMask) -> bool {
-        self.0.iter().zip(&other.0).any(|(&a, &b)| a & b != 0)
-    }
-
-    /// Any bit set outside `other`.
-    fn any_outside(&self, other: &CoreMask) -> bool {
-        self.0.iter().zip(&other.0).any(|(&a, &b)| a & !b != 0)
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct DirEntry {
-    /// Cores whose L1 or L2 holds the line.
-    cores: CoreMask,
+    /// Cores whose L1 or L2 holds the line, one bit per core.
+    cores: u64,
     /// Sockets whose L3 holds the line.
     sockets: u32,
 }
 
 impl DirEntry {
     fn is_empty(&self) -> bool {
-        self.cores.is_empty() && self.sockets == 0
+        self.cores == 0 && self.sockets == 0
     }
 }
 
@@ -222,16 +169,14 @@ impl MemoryHierarchy {
         alloc: AllocInfo,
     ) -> AccessLevel {
         if let Some(e) = self.dir.get(&line) {
-            let mut local = self.socket_core_mask(socket);
-            local.clear(core);
+            let local = self.socket_core_mask(socket);
             // Another core on this socket holds it privately: serviced by
             // an on-socket cache-to-cache transfer, ≈ local L3 latency.
-            if e.cores.intersects(&local) {
+            if e.cores & local & !(1u64 << core) != 0 {
                 return AccessLevel::LocalL3;
             }
-            local.set(core);
             // A remote socket holds it (L3 or a private cache there).
-            if e.sockets & !(1u32 << socket) != 0 || e.cores.any_outside(&local) {
+            if e.sockets & !(1u32 << socket) != 0 || e.cores & !local != 0 {
                 return AccessLevel::RemoteL3;
             }
         }
@@ -243,9 +188,11 @@ impl MemoryHierarchy {
         }
     }
 
-    fn socket_core_mask(&self, socket: usize) -> CoreMask {
+    /// The core bits of `socket`.
+    fn socket_core_mask(&self, socket: usize) -> u64 {
         let per = self.machine.cores_per_socket;
-        CoreMask::range(socket * per, (socket + 1) * per)
+        let bits = if per == 64 { u64::MAX } else { (1u64 << per) - 1 };
+        bits << (socket * per)
     }
 
     fn fill_l1(&mut self, core: usize, line: u64) {
@@ -254,7 +201,7 @@ impl MemoryHierarchy {
                 self.clear_core_bit(e, core);
             }
         }
-        self.dir.entry(line).or_default().cores.set(core);
+        self.dir.entry(line).or_default().cores |= 1u64 << core;
     }
 
     fn fill_l2(&mut self, core: usize, line: u64) {
@@ -263,7 +210,7 @@ impl MemoryHierarchy {
                 self.clear_core_bit(e, core);
             }
         }
-        self.dir.entry(line).or_default().cores.set(core);
+        self.dir.entry(line).or_default().cores |= 1u64 << core;
     }
 
     fn fill_l3(&mut self, socket: usize, line: u64) {
@@ -275,7 +222,7 @@ impl MemoryHierarchy {
 
     fn clear_core_bit(&mut self, line: u64, core: usize) {
         if let Some(e) = self.dir.get_mut(&line) {
-            e.cores.clear(core);
+            e.cores &= !(1u64 << core);
             if e.is_empty() {
                 self.dir.remove(&line);
             }
@@ -294,18 +241,13 @@ impl MemoryHierarchy {
     /// MESI-style write: invalidate every other holder of `line`.
     fn invalidate_others(&mut self, core: usize, socket: usize, line: u64) {
         let Some(&e) = self.dir.get(&line) else { return };
-        for (w, &word) in e.cores.0.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let c = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if c == core {
-                    continue;
-                }
-                self.l1[c].invalidate(line);
-                self.l2[c].invalidate(line);
-                self.clear_core_bit(line, c);
-            }
+        let mut cores = e.cores & !(1u64 << core);
+        while cores != 0 {
+            let c = cores.trailing_zeros() as usize;
+            cores &= cores - 1;
+            self.l1[c].invalidate(line);
+            self.l2[c].invalidate(line);
+            self.clear_core_bit(line, c);
         }
         let mut sockets = e.sockets & !(1u32 << socket);
         while sockets != 0 {
@@ -359,7 +301,7 @@ impl MemoryHierarchy {
         let e = self.dir.get(&line).copied().unwrap_or_default();
         for core in 0..self.machine.cores() {
             let cached = self.l1[core].contains(line) || self.l2[core].contains(line);
-            if cached != e.cores.test(core) {
+            if cached != (e.cores >> core & 1 == 1) {
                 return false;
             }
         }
@@ -491,51 +433,35 @@ mod tests {
         assert_eq!(h.access(0, 0, false, ALLOC), AccessLevel::LocalDram);
     }
 
-    #[test]
-    fn core_mask_range_spans_words() {
-        let m = CoreMask::range(60, 70);
-        for c in 0..128 {
-            assert_eq!(m.test(c), (60..70).contains(&c), "bit {c}");
-        }
-        assert!(CoreMask::range(0, 0).is_empty());
-        let full = CoreMask::range(0, MAX_CORES);
-        assert!(full.test(0) && full.test(MAX_CORES - 1));
-        let hi = CoreMask::range(448, 512);
-        assert!(hi.test(500) && !hi.test(447));
-        assert!(hi.intersects(&CoreMask::range(500, 501)));
-        assert!(!hi.any_outside(&full));
-        assert!(full.any_outside(&hi));
-    }
-
-    /// The directory handles cores above bit 63 and sockets above bit 7 —
-    /// the widened masks behind the 128–512-core scaled sweeps.
+    /// The directory handles the top bit of its core mask: cores 62 and
+    /// 63 on the last socket of a full 64-core machine.
     #[test]
     fn wide_machine_classifies_high_cores() {
         let machine = MachineSpec {
-            sockets: 32,
+            sockets: 4,
             cores_per_socket: 16,
             ..small_machine() // keep the tiny caches; only the mask width matters
         };
         let mut h = MemoryHierarchy::new(machine, LatencyTable::xeon_e5_4620());
-        // Core 500 lives on socket 31; the last block of the allocation
+        // Core 63 lives on socket 3; the last block of the allocation
         // homes there under BlockedByRange.
         let addr = (ALLOC.len - 64) as u64;
-        assert_eq!(h.access(500, addr, false, ALLOC), AccessLevel::LocalDram);
-        assert_eq!(h.access(500, addr, false, ALLOC), AccessLevel::L1);
-        // A sibling on socket 31 gets an on-socket transfer...
-        assert_eq!(h.access(501, addr, false, ALLOC), AccessLevel::LocalL3);
+        assert_eq!(h.access(63, addr, false, ALLOC), AccessLevel::LocalDram);
+        assert_eq!(h.access(63, addr, false, ALLOC), AccessLevel::L1);
+        // A sibling on socket 3 gets an on-socket transfer...
+        assert_eq!(h.access(62, addr, false, ALLOC), AccessLevel::LocalL3);
         // ...while socket 0 sees a remote-L3 service.
         assert_eq!(h.access(0, addr, false, ALLOC), AccessLevel::RemoteL3);
         // A write from core 0 invalidates the high cores' copies.
         h.access(0, addr, true, ALLOC);
         assert!(h.debug_check_line(addr / 64), "directory drift after wide invalidate");
-        assert_ne!(h.access(500, addr, false, ALLOC), AccessLevel::L1);
+        assert_ne!(h.access(63, addr, false, ALLOC), AccessLevel::L1);
     }
 
     #[test]
     #[should_panic(expected = "exceeds the directory")]
     fn oversized_machine_is_rejected() {
-        let machine = MachineSpec { sockets: 33, cores_per_socket: 16, ..small_machine() };
+        let machine = MachineSpec { sockets: 5, cores_per_socket: 13, ..small_machine() };
         let _ = MemoryHierarchy::new(machine, LatencyTable::xeon_e5_4620());
     }
 }

@@ -4,9 +4,10 @@
 //! Intel Xeon E5-4620 (8 cores per socket, 32 KB L1d, 256 KB L2 per core,
 //! 16 MB shared L3 per socket, 512 GB DRAM). This crate captures that machine
 //! as data — cache geometry, NUMA distances, per-level access latencies, and
-//! the compact thread-pinning policy the paper uses — so that both the
-//! threaded runtime (`parloop-runtime`) and the virtual-time simulator
-//! (`parloop-sim`) agree on one description of the hardware.
+//! the compact thread-pinning policy the paper uses — for the virtual-time
+//! simulator (`parloop-sim`) and its memory hierarchy (`parloop-simcache`).
+//! The threaded runtime keeps no topology: its workers steal from uniformly
+//! random victims, as under Cilk.
 //!
 //! Nothing in this crate performs any scheduling; it is pure data plus a few
 //! derived quantities (which socket owns a core, how many lines fit in a
@@ -15,9 +16,7 @@
 mod latency;
 mod machine;
 mod pinning;
-mod topology;
 
 pub use latency::{AccessLevel, LatencyTable};
 pub use machine::{CacheGeometry, MachineSpec, NumaPolicy};
 pub use pinning::{pin_order, PinningPolicy};
-pub use topology::TopologyMap;

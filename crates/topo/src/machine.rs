@@ -139,16 +139,6 @@ impl MachineSpec {
         }
     }
 
-    /// A programmatically scaled machine for large virtual-core sweeps:
-    /// `sockets x cores_per_socket` with the Xeon's per-core and per-socket
-    /// cache geometries, clock and NUMA policy. The per-socket L3 stays at
-    /// 16 MB, so the aggregate last-level capacity grows with the socket
-    /// count exactly as it would across real boards.
-    pub fn scaled(sockets: usize, cores_per_socket: usize) -> Self {
-        assert!(sockets > 0 && cores_per_socket > 0, "scaled machine needs at least one core");
-        MachineSpec { sockets, cores_per_socket, ..Self::xeon_e5_4620() }
-    }
-
     /// Total number of cores.
     #[inline]
     pub fn cores(&self) -> usize {
@@ -283,15 +273,5 @@ mod tests {
     fn degenerate_sets_fails_loudly_in_debug() {
         let g = CacheGeometry { capacity: 64, line: 64, ways: 2 };
         let _ = g.sets();
-    }
-
-    #[test]
-    fn scaled_machine_keeps_xeon_geometry() {
-        let m = MachineSpec::scaled(16, 16);
-        assert_eq!(m.cores(), 256);
-        assert_eq!(m.sockets, 16);
-        assert_eq!(m.l3, MachineSpec::xeon_e5_4620().l3);
-        assert_eq!(m.socket_of(255), 15);
-        assert_eq!(m.numa, NumaPolicy::BlockedByRange);
     }
 }

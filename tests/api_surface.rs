@@ -3,13 +3,12 @@
 //! sizes, string parsing, facade re-exports).
 
 use parloop::core::{
-    block_bounds, default_grain, par_for, par_max_f64, par_reduce, par_sum_u64,
-    partitions_oversubscribed, Schedule,
+    block_bounds, default_grain, par_for, par_for_chunks, partitions_oversubscribed, Schedule,
 };
 use parloop::runtime::ThreadPool;
 use parloop::sim::{simulate, CostModel, MicroParams, PolicyKind, SimConfig};
 use parloop::topo::{pin_order, MachineSpec, PinningPolicy};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 #[test]
 fn facade_reexports_are_usable() {
@@ -43,8 +42,11 @@ fn offset_ranges_across_all_schedules() {
     let lo = 1_000_000;
     let hi = lo + 777;
     for sched in Schedule::roster(777, 3) {
-        let sum = par_sum_u64(&pool, lo..hi, sched, |i| i as u64);
-        assert_eq!(sum, (lo as u64..hi as u64).sum::<u64>(), "{}", sched.name());
+        let sum = AtomicU64::new(0);
+        par_for_chunks(&pool, lo..hi, sched, |chunk| {
+            sum.fetch_add(chunk.map(|i| i as u64).sum::<u64>(), Ordering::Relaxed);
+        });
+        assert_eq!(sum.into_inner(), (lo as u64..hi as u64).sum::<u64>(), "{}", sched.name());
     }
 }
 
@@ -64,19 +66,6 @@ fn grain_and_partition_helpers_edge_cases() {
     assert_eq!(partitions_oversubscribed(1, 0), 1); // oversub 0 clamps to 1
     assert_eq!(partitions_oversubscribed(5, 3), 16);
     assert!(block_bounds(0, 4, 3).is_empty());
-}
-
-#[test]
-fn reduce_with_identity_only() {
-    let pool = ThreadPool::new(2);
-    // Empty range: reduce returns the identity (which, per the contract,
-    // must be a true identity of `combine` — it seeds every worker slot).
-    let v = par_reduce(&pool, 0..0, Schedule::hybrid(), 0u32, |_| 7, |a, b| a + b);
-    assert_eq!(v, 0);
-    // `max` admits any floor value as identity: folding it per worker is harmless.
-    let m = par_reduce(&pool, 0..0, Schedule::hybrid(), 42u32, |_| 0, |a, b| a.max(b));
-    assert_eq!(m, 42);
-    assert_eq!(par_max_f64(&pool, 0..0, Schedule::hybrid(), |_| 1.0), None);
 }
 
 #[test]

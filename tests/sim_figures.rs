@@ -131,3 +131,71 @@ fn simulation_deterministic_across_runs() {
         assert_eq!(a.counts, b.counts, "{}", kind.name());
     }
 }
+
+/// Pins the paper schemes' simulated output on the unbalanced quick
+/// micro at P = 32: end-to-end cycles (exact bits), per-level access
+/// counts and mean affinity. Any change to a policy's random draws,
+/// claims or charged cycles, or to the cache model, moves these values.
+#[test]
+fn paper_schemes_output_is_pinned_at_p32() {
+    let cfg = SimConfig::xeon();
+    let app = quick_micro(false);
+    // (scheme, total_cycles bits, counts in AccessLevel::ALL order, mean affinity bits)
+    let pins: [(PolicyKind, u64, [u64; 6], u64); 7] = [
+        (
+            PolicyKind::Hybrid,
+            0x4167_17e9_f1ec_cb56,
+            [120936, 686318, 293300, 57520, 264236, 137450],
+            0x3fe4_1555_5555_5555,
+        ),
+        (
+            PolicyKind::Static,
+            0x416f_e7a4_5a20_0008,
+            [124284, 746094, 494412, 54344, 0, 140626],
+            0x3ff0_0000_0000_0000,
+        ),
+        (
+            PolicyKind::WorkSharing,
+            0x416e_11e6_0493_3205,
+            [120936, 662102, 118218, 52294, 463534, 142676],
+            0x3f9c_0000_0000_0000,
+        ),
+        (
+            PolicyKind::Guided,
+            0x416d_7a33_94b3_3170,
+            [120936, 660736, 122993, 57561, 460125, 137409],
+            0x3fa5_5555_5555_5555,
+        ),
+        (
+            PolicyKind::Stealing,
+            0x416a_d5d1_9466_64fa,
+            [120936, 659737, 191733, 57527, 392384, 137443],
+            0x3fc1_5555_5555_5555,
+        ),
+        (
+            PolicyKind::StaticSharing,
+            0x418a_d0dc_466f_fd72,
+            [121360, 662461, 82289, 74223, 498680, 120747],
+            0x3faa_aaaa_aaaa_aaab,
+        ),
+        (
+            PolicyKind::HybridOversub(2),
+            0x4165_704e_c07f_fe80,
+            [120936, 696525, 358571, 78133, 188758, 116837],
+            0x3fea_b555_5555_5555,
+        ),
+    ];
+    for (kind, cycles, counts, affinity) in pins {
+        let r = simulate(&app, kind, 32, &cfg);
+        assert_eq!(
+            r.total_cycles.to_bits(),
+            cycles,
+            "{}: total_cycles {} moved",
+            kind.name(),
+            r.total_cycles
+        );
+        assert_eq!(r.counts.as_array(), counts, "{}: access counts moved", kind.name());
+        let mean = r.mean_affinity(&app);
+        assert_eq!(mean.to_bits(), affinity, "{}: mean affinity {mean} moved", kind.name());
+    }
+}
