@@ -1,8 +1,8 @@
 //! Robustness report for the hybrid scheduler under deterministic fault
 //! injection.
 //!
-//! Sweeps seeded [`PlannedInjector`] plans over real cancellable hybrid
-//! loops and verifies, per seed, the properties the chaos layer exists to
+//! Sweeps seeded [`PlannedInjector`] plans over real hybrid loops and
+//! verifies, per seed, the properties the chaos layer exists to
 //! protect:
 //!
 //! * **Theorem 3** — every iteration executes exactly once despite forced
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use parloop_bench::{quick_flag, Table};
 use parloop_chaos::{PlannedInjector, Site};
 use parloop_core::{Loop, Schedule};
-use parloop_runtime::{CancelToken, ThreadPoolBuilder};
+use parloop_runtime::ThreadPoolBuilder;
 use parloop_trace::metrics::max_claim_failure_run;
 use parloop_trace::RingTraceSink;
 
@@ -49,9 +49,7 @@ fn main() {
             .build();
 
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let cancel = CancelToken::new();
-        let sched = Schedule::hybrid().with_grain(16);
-        let stats = Loop { cancel: Some(&cancel), ..Loop::new(sched) }
+        let stats = Loop::new(Schedule::hybrid().with_grain(16))
             .run(&pool, 0..n, |chunk| {
                 for i in chunk {
                     hits[i].fetch_add(1, Ordering::Relaxed);

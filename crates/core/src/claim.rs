@@ -138,11 +138,6 @@ impl ClaimWalker {
     pub fn stats(&self) -> HeuristicStats {
         self.stats
     }
-
-    /// The XOR anchor of this walk (its earmarked partition).
-    pub fn worker(&self) -> usize {
-        self.w
-    }
 }
 
 /// The shared partition flag array `A` (Algorithm 2).
@@ -200,11 +195,6 @@ impl ClaimTable {
     pub fn all_claimed(&self) -> bool {
         self.claimed_count.load(Ordering::Acquire) == self.flags.len()
     }
-
-    /// Number of claimed partitions (racy snapshot).
-    pub fn claimed(&self) -> usize {
-        self.claimed_count.load(Ordering::Acquire)
-    }
 }
 
 /// Run Algorithm 3 to completion for worker `w`: walk the claim sequence,
@@ -232,12 +222,6 @@ pub fn index_group(x: usize, n: u32) -> Range<usize> {
 /// The level-`n` partition group `G(w, x, n) = w ⊕ I(x, n)`.
 pub fn partition_group(w: usize, x: usize, n: u32) -> Vec<usize> {
     index_group(x, n).map(|i| i ^ w).collect()
-}
-
-/// The partition count used for `P` workers: the next power of two `≥ P`.
-pub fn partitions_for_workers(p: usize) -> usize {
-    assert!(p > 0);
-    p.next_power_of_two()
 }
 
 /// Partition count for `P` workers with `oversub`-fold oversubscription:
@@ -374,7 +358,6 @@ mod tests {
         });
         assert_eq!(wins.load(Ordering::Relaxed), 128);
         assert!(table.all_claimed());
-        assert_eq!(table.claimed(), 128);
     }
 
     #[test]
@@ -422,7 +405,6 @@ mod tests {
         }
         assert_eq!(order, vec![6, 7, 4, 5, 2, 3, 0, 1]);
         assert!(table.all_claimed());
-        assert_eq!(walker.worker(), 6);
     }
 
     #[test]
@@ -455,12 +437,12 @@ mod tests {
     }
 
     #[test]
-    fn partitions_for_workers_rounds_up() {
-        assert_eq!(partitions_for_workers(1), 1);
-        assert_eq!(partitions_for_workers(2), 2);
-        assert_eq!(partitions_for_workers(3), 4);
-        assert_eq!(partitions_for_workers(8), 8);
-        assert_eq!(partitions_for_workers(9), 16);
-        assert_eq!(partitions_for_workers(32), 32);
+    fn partitions_without_oversubscription_round_up() {
+        assert_eq!(partitions_oversubscribed(1, 1), 1);
+        assert_eq!(partitions_oversubscribed(2, 1), 2);
+        assert_eq!(partitions_oversubscribed(3, 1), 4);
+        assert_eq!(partitions_oversubscribed(8, 1), 8);
+        assert_eq!(partitions_oversubscribed(9, 1), 16);
+        assert_eq!(partitions_oversubscribed(32, 1), 32);
     }
 }

@@ -45,10 +45,9 @@
 //! exactly as on a whole loop. A loop issued while a worker is idle — any
 //! loop issued from outside to a resting pool — publishes its frame
 //! before its first iteration, as the paper's `DoHybridLoop` does; only
-//! loops issued by busy workers change. A loop with a cancel token, or on
-//! a pool with fault injection, takes steps 1–3 from its first iteration:
-//! the cancel drain needs the table, and the `FramePublish`, `Claim` and
-//! `PartitionBody` sites stay exercised.
+//! loops issued by busy workers change. A loop on a pool with fault
+//! injection takes steps 1–3 from its first iteration, so the
+//! `FramePublish`, `Claim` and `PartitionBody` sites stay exercised.
 //!
 //! A loop that completes uncontended reports its `R` partitions with no
 //! adoptions or failed claims. If a body panics there, every partition
@@ -90,7 +89,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use parloop_runtime::chaos::{chaos_spin, INJECTED_PANIC_MSG};
-use parloop_runtime::{CancelToken, CountLatch, FaultAction, Site, TraceEvent, WorkerToken};
+use parloop_runtime::{CountLatch, FaultAction, Site, TraceEvent, WorkerToken};
 
 use crate::claim::{partitions_oversubscribed, ClaimTable, ClaimWalker};
 use crate::lazy::{lazy_for_chunks, run_uncontended};
@@ -117,11 +116,8 @@ struct HybridState<F> {
     failed_claims: AtomicUsize,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     poisoned: AtomicBool,
-    /// Claimed partitions whose body was skipped (poisoned or cancelled).
+    /// Claimed partitions whose body was skipped (the loop was poisoned).
     skipped: AtomicUsize,
-    /// Cooperative cancellation; `None` when the loop has no token (the
-    /// common path pays one `Option` check per claim).
-    cancel: Option<CancelToken>,
 }
 
 impl<F> HybridState<F> {
@@ -129,11 +125,6 @@ impl<F> HybridState<F> {
     /// `r = w`, folded into `0..R`.
     fn earmark(&self, w: usize) -> usize {
         w % self.r_parts
-    }
-
-    #[inline]
-    fn cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(|c| c.is_cancelled())
     }
 
     /// Record the *first* panic and poison the loop so sibling partitions
@@ -187,25 +178,18 @@ impl Drop for LatchBatch<'_> {
 /// Execute `body` over chunks of `range` with the hybrid scheme and
 /// `R = next_pow2(P · oversub)` partitions (the paper's general-`R`
 /// setting, Theorem 5). Must be called on a pool worker (`token`). Without
-/// a cancel token or fault injection, the loop runs uncontended until a
-/// peer is idle and then hands its remainder to the hybrid scheme (module
-/// docs).
+/// fault injection, the loop runs uncontended until a peer is idle and
+/// then hands its remainder to the hybrid scheme (module docs).
 ///
-/// Panics are returned rather than resumed, and the loop observes
-/// `cancel` cooperatively. Exactly-once (Theorem 3) is preserved for the
-/// partitions that *did* run: cancellation/poisoning only ever skips
-/// whole partitions whose claim was won after the token fired, never
-/// re-runs one. A cancelled run still resolves the completion latch —
-/// cancelled walkers drain the remaining unclaimed partitions (claiming
-/// them and skipping their bodies) so the initiator never hangs.
-/// `Err(Cancelled)` means the token skipped at least one partition body;
-/// a token that fires after the last body started yields `Ok`.
+/// Panics are returned rather than resumed. Exactly-once (Theorem 3) is
+/// preserved for the partitions that *did* run: poisoning only ever skips
+/// whole partitions whose claim was won after the panic, never re-runs
+/// one, and a skipped partition still resolves the completion latch.
 pub(crate) fn hybrid_for<F>(
     token: WorkerToken,
     range: Range<usize>,
     grain: usize,
     oversub: usize,
-    cancel: Option<&CancelToken>,
     body: &F,
 ) -> Result<LoopReport, LoopError>
 where
@@ -214,7 +198,7 @@ where
     let p = token.num_workers();
     let r_parts = partitions_oversubscribed(p, oversub);
     let mut lo = range.start;
-    if cancel.is_none() && !token.chaos_enabled() {
+    if !token.chaos_enabled() {
         let tracing = token.tracing_enabled();
         let run = catch_unwind(AssertUnwindSafe(|| {
             run_uncontended(&token, tracing, &mut lo, range.end, grain.max(1), body)
@@ -237,7 +221,7 @@ where
             return Ok(LoopReport { partitions: r_parts, ..LoopReport::default() });
         }
     }
-    // A peer is idle (or the loop needs the table): publish the remainder.
+    // A peer is idle (or the pool injects faults): publish the remainder.
     let range = lo..range.end;
     let n = range.len();
 
@@ -262,7 +246,6 @@ where
         panic: Mutex::new(None),
         poisoned: AtomicBool::new(false),
         skipped: AtomicUsize::new(0),
-        cancel: cancel.cloned(),
     });
 
     // Publish the DoHybridLoop frame for thieves, then run it ourselves.
@@ -278,7 +261,7 @@ where
     // voids Lemma 2's liveness argument. The initiator therefore sweeps
     // everything still unclaimed before blocking, restoring termination.
     // Off the chaos path this branch is never taken (Lemma 2 applies).
-    if token.chaos_enabled() || state.cancelled() {
+    if token.chaos_enabled() {
         sweep_unclaimed(&token, &state);
     }
     token.wait_until(&state.latch);
@@ -287,9 +270,6 @@ where
     let maybe_panic = state.panic.lock().unwrap().take();
     if let Some(payload) = maybe_panic {
         return Err(LoopError::Panicked { report, payload });
-    }
-    if state.cancelled() && report.skipped_partitions > 0 {
-        return Err(LoopError::Cancelled(report));
     }
     Ok(report)
 }
@@ -335,8 +315,8 @@ where
     // where `F` may borrow the caller's stack). A frame popped after the
     // loop completes only observes `all_claimed` and drops the Arc; the
     // body pointer inside is dereferenced solely for partitions claimed
-    // while the initiator still blocks on the latch. Same pattern as
-    // `Scope::spawn` in parloop-runtime.
+    // while the initiator still blocks on the latch. Same pattern as the
+    // lazy loop's assist handles.
     let frame: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(frame) };
     token.spawn_local(frame);
     true
@@ -378,20 +358,13 @@ where
 
 /// Algorithm 3: the claim walk plus partition execution. Panics escaping
 /// the walk (injected claim faults) are captured into the loop state —
-/// unwinding past this frame would strand the adopter machinery — and the
-/// walker drains leftover partitions when its cancel token has fired.
+/// unwinding past this frame would strand the adopter machinery.
 fn do_hybrid_loop<F>(token: &WorkerToken, state: &Arc<HybridState<F>>)
 where
     F: Fn(Range<usize>) + Sync,
 {
     if let Err(payload) = catch_unwind(AssertUnwindSafe(|| claim_walk(token, state))) {
         state.record_panic(payload);
-    }
-    // A cancelled walker must not leave unclaimed partitions behind: every
-    // participant drains on its way out, so whichever observes the token
-    // last resolves the remaining latch counts.
-    if state.cancelled() {
-        sweep_unclaimed(token, state);
     }
 }
 
@@ -409,9 +382,6 @@ where
     // (flushed on drop — including an unwind from an injected panic).
     let mut done = LatchBatch::new(&state.latch);
     while let Some(candidate) = walker.candidate() {
-        if state.cancelled() {
-            break;
-        }
         // Chaos site: a forced loss makes the walker behave exactly as if
         // another worker had won the `fetch_or` race — the skip structure
         // (and with it Lemma 4's failed-run bound) must hold for arbitrary
@@ -445,12 +415,12 @@ where
     state.failed_claims.fetch_add(walker.stats().failed, Ordering::Relaxed);
 }
 
-/// Claim-and-resolve every partition still unclaimed. Used as the rescue
-/// path when fault injection has forced claim losses or walk abandonment
-/// (voiding Lemma 2's liveness argument) and as the drain path after
-/// cancellation. Claims here go straight through `fetch_or` — no fault is
-/// ever injected into the sweep — so exactly-once still holds: a swept
-/// partition is executed (or skip-counted) only by its winning claimer.
+/// Claim-and-resolve every partition still unclaimed: the rescue path when
+/// fault injection has forced claim losses or walk abandonment (voiding
+/// Lemma 2's liveness argument). Claims here go straight through
+/// `fetch_or` — no fault is ever injected into the sweep — so exactly-once
+/// still holds: a swept partition is executed (or skip-counted) only by
+/// its winning claimer.
 fn sweep_unclaimed<F>(token: &WorkerToken, state: &Arc<HybridState<F>>)
 where
     F: Fn(Range<usize>) + Sync,
@@ -475,10 +445,9 @@ where
     // Relaxed on both: `poisoned` is a prompt-skip hint (the payload is
     // authoritative, under the panic mutex) and `skipped` an observability
     // counter — happens-before arguments in the module docs.
-    if state.poisoned.load(Ordering::Relaxed) || state.cancelled() {
-        // A sibling partition panicked (or the loop was cancelled): skip
-        // the body but keep the claim walk and latch accounting alive so
-        // the loop still terminates.
+    if state.poisoned.load(Ordering::Relaxed) {
+        // A sibling partition panicked: skip the body but keep the claim
+        // walk and latch accounting alive so the loop still terminates.
         state.skipped.fetch_add(1, Ordering::Relaxed);
         return;
     }
@@ -520,7 +489,7 @@ mod tests {
     ) -> LoopReport {
         pool.install(|| {
             let token = WorkerToken::current().unwrap();
-            rethrow(hybrid_for(token, 0..n, grain, 1, None, &|chunk: Range<usize>| {
+            rethrow(hybrid_for(token, 0..n, grain, 1, &|chunk: Range<usize>| {
                 for i in chunk {
                     body(i);
                 }
@@ -579,10 +548,10 @@ mod tests {
         let total = AtomicUsize::new(0);
         pool.install(|| {
             let token = WorkerToken::current().unwrap();
-            rethrow(hybrid_for(token, 0..8, 1, 1, None, &|outer: Range<usize>| {
+            rethrow(hybrid_for(token, 0..8, 1, 1, &|outer: Range<usize>| {
                 for _ in outer {
                     let inner_token = WorkerToken::current().unwrap();
-                    rethrow(hybrid_for(inner_token, 0..10, 2, 1, None, &|inner: Range<usize>| {
+                    rethrow(hybrid_for(inner_token, 0..10, 2, 1, &|inner: Range<usize>| {
                         total.fetch_add(inner.len(), Ordering::Relaxed);
                     }));
                 }
@@ -617,21 +586,17 @@ mod tests {
         let err = single
             .install(|| {
                 let token = WorkerToken::current().unwrap();
-                hybrid_for(token, 0..64, 4, 4, None, &|_chunk: Range<usize>| {
+                hybrid_for(token, 0..64, 4, 4, &|_chunk: Range<usize>| {
                     panic!("first partition dies");
                 })
             })
             .expect_err("poisoned loop must report the panic");
-        match err {
-            LoopError::Panicked { report: stats, .. } => {
-                assert_eq!(stats.partitions, 4);
-                assert_eq!(
-                    stats.skipped_partitions, 3,
-                    "all partitions after the poisoning one must be skip-counted"
-                );
-            }
-            other => panic!("expected Panicked, got {other:?}"),
-        }
+        let stats = err.report();
+        assert_eq!(stats.partitions, 4);
+        assert_eq!(
+            stats.skipped_partitions, 3,
+            "all partitions after the poisoning one must be skip-counted"
+        );
     }
 
     #[test]
@@ -654,7 +619,7 @@ mod tests {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             let stats = pool.install(|| {
                 let token = WorkerToken::current().unwrap();
-                rethrow(hybrid_for(token, 0..n, 16, oversub, None, &|chunk: Range<usize>| {
+                rethrow(hybrid_for(token, 0..n, 16, oversub, &|chunk: Range<usize>| {
                     for i in chunk {
                         hits[i].fetch_add(1, Ordering::Relaxed);
                     }
@@ -700,7 +665,6 @@ mod tests {
                 panic: Mutex::new(None),
                 poisoned: AtomicBool::new(false),
                 skipped: AtomicUsize::new(0),
-                cancel: None,
             });
             // Claim everything so the published frames are inert no-ops.
             state.table.try_claim(0);

@@ -3,8 +3,8 @@
 //! every claimed hybrid partition.
 //!
 //! Eager binary splitting (Cilk's divide-and-conquer `cilk_for`) pays one
-//! `join` — a deque push, a Chase–Lev pop or steal, and a latch — at
-//! *every* split level, so a loop of `n` iterations with grain `g` costs
+//! `spawn`/`sync` pair — a deque push, a Chase–Lev pop or steal, and a
+//! latch — at *every* split level, so a loop of `n` iterations with grain `g` costs
 //! `~n/g` deque round-trips even when zero steals occur. The paper's
 //! Corollary 6 only needs chunks to be *stealable*, not pre-split; this
 //! module splits only when a thief actually arrives (the work-assisting
@@ -51,12 +51,12 @@
 //!   `O(assists + 1)`, not `O(n/grain)`.
 //!
 //! No participant spins on another: the owner's one wait, on the loop's
-//! latch, runs other jobs while it waits. The owner can also wait *inside* a
-//! chunk — a nested loop's latch, a `join` whose other half was stolen —
-//! and that wait may run this loop's own assist handle, popped from the
-//! owner's deque or stolen back from an assistant that re-published it.
-//! The handle just claims what is left of the cursor and returns, so the
-//! self-adoption cycle of an owner-acknowledged handshake cannot form.
+//! latch, runs other jobs while it waits. The owner can also wait *inside*
+//! a chunk — on a nested loop's latch, say — and that wait may run this
+//! loop's own assist handle, popped from the owner's deque or stolen back
+//! from an assistant that re-published it. The handle just claims what is
+//! left of the cursor and returns, so the self-adoption cycle of an
+//! owner-acknowledged handshake cannot form.
 //!
 //! ## Exactly-once and completion
 //!

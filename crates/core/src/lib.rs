@@ -15,8 +15,8 @@
 //! | `ff` (static) | `StaticSharing`             | shared counter over fixed blocks    |
 //! | `vanilla`     | `DynamicStealing`           | lazy steal-driven splitting         |
 //!
-//! Every loop goes through one dispatch, [`Loop::run`] (schedule, grain
-//! policy, optional cancel token; returns a [`LoopReport`]). [`par_for`]
+//! Every loop goes through one dispatch, [`Loop::run`] (schedule and grain
+//! policy; returns a [`LoopReport`]). [`par_for`]
 //! and [`par_for_chunks`] are its one-line conveniences.
 //!
 //! Quick start:
@@ -48,12 +48,12 @@ mod util;
 pub use adapt::{controller_report, AdaptiveSite, LoopStart, Phase, SiteSnapshot};
 pub use affinity::{same_worker_fraction, AffinityProbe, ConsecutiveAffinity, UNRECORDED};
 pub use claim::{
-    index_group, partition_group, partitions_for_workers, partitions_oversubscribed,
-    run_claim_heuristic, ClaimTable, ClaimWalker, HeuristicStats,
+    index_group, partition_group, partitions_oversubscribed, run_claim_heuristic, ClaimTable,
+    ClaimWalker, HeuristicStats,
 };
 pub use lazy::lazy_for_chunks;
 pub use range::{block_bounds, block_of, default_grain, grain_bounds};
 pub use schedule::{
     par_for, par_for_chunks, par_for_tracked, GrainPolicy, Loop, LoopError, LoopReport, Schedule,
 };
-pub use static_part::{static_cyclic_owner, static_owner};
+pub use static_part::static_owner;

@@ -38,38 +38,6 @@ pub fn static_owner(n: usize, p: usize, i: usize) -> usize {
     crate::range::block_of(n, p, i)
 }
 
-/// OpenMP `schedule(static, chunk)`: chunks are dealt *round-robin* to
-/// workers (chunk `c` to worker `c mod P`). Still fully deterministic —
-/// so it retains loop affinity like [`static_for`] — but interleaving
-/// spreads monotonic imbalance across the team.
-pub(crate) fn static_cyclic_for<F>(pool: &ThreadPool, range: Range<usize>, chunk: usize, body: &F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if range.is_empty() {
-        return;
-    }
-    let chunk = chunk.max(1);
-    let n = range.len();
-    let start = range.start;
-    let team = pool.num_workers();
-    let chunks = n.div_ceil(chunk);
-    pool.broadcast_all(|w| {
-        let mut c = w;
-        while c < chunks {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            body(start + lo..start + hi);
-            c += team;
-        }
-    });
-}
-
-/// The worker owning iteration `i` under cyclic static scheduling.
-pub fn static_cyclic_owner(p: usize, chunk: usize, i: usize) -> usize {
-    (i / chunk.max(1)) % p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,50 +91,6 @@ mod tests {
         }
         assert_eq!(maps[0], maps[1]);
         assert_eq!(maps[1], maps[2]);
-    }
-
-    #[test]
-    fn cyclic_covers_exactly_once() {
-        let pool = ThreadPool::new(3);
-        let n = 101;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        static_cyclic_for(&pool, 0..n, 7, &|chunk: Range<usize>| {
-            for i in chunk {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn cyclic_iterations_land_on_round_robin_owner() {
-        let pool = ThreadPool::new(4);
-        let n = 64;
-        let chunk = 4;
-        let owners: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        static_cyclic_for(&pool, 0..n, chunk, &|r: Range<usize>| {
-            let w = current_worker_index().unwrap();
-            for i in r {
-                owners[i].store(w, Ordering::Relaxed);
-            }
-        });
-        for (i, o) in owners.iter().enumerate() {
-            assert_eq!(
-                o.load(Ordering::Relaxed),
-                static_cyclic_owner(4, chunk, i),
-                "iteration {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn cyclic_chunk_zero_treated_as_one() {
-        let pool = ThreadPool::new(2);
-        let count = AtomicUsize::new(0);
-        static_cyclic_for(&pool, 0..10, 0, &|r: Range<usize>| {
-            count.fetch_add(r.len(), Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 10);
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! pair, `Copy` so it can live in the Chase–Lev deque. Two concrete job
 //! kinds back them:
 //!
-//! * [`StackJob`] — lives on the forking task's stack (used by `join` and
-//!   `install`). Safety rests on the invariant that the forker does not
+//! * [`StackJob`] — lives on the submitting thread's stack (used by
+//!   `install`). Safety rests on the invariant that the submitter does not
 //!   return until the job's latch is set, so the pointer cannot dangle
 //!   while reachable.
-//! * [`HeapJob`] — boxed `FnOnce`, freed when executed (used by `scope`
-//!   spawns, team broadcasts, and the hybrid loop's adopter frames).
+//! * [`HeapJob`] — boxed `FnOnce`, freed when executed (used by detached
+//!   spawns, team broadcasts, the hybrid loop's adopter frames and the
+//!   lazy loop's assist handles).
 
 use std::cell::UnsafeCell;
 use std::mem;
@@ -148,7 +149,7 @@ where
 /// A heap-allocated fire-and-forget job.
 ///
 /// The closure is responsible for its own completion signalling (e.g. a
-/// scope's CountLatch) and for catching panics it must not leak.
+/// team region's `CountLatch`) and for catching panics it must not leak.
 pub(crate) struct HeapJob<F: FnOnce() + Send> {
     func: F,
 }
@@ -178,11 +179,11 @@ impl<F: FnOnce() + Send> Job for HeapJob<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latch::{Probe, SpinLatch};
+    use crate::latch::{CountLatch, Probe};
 
     #[test]
     fn stack_job_roundtrip() {
-        let job = StackJob::new(|| 21 * 2, SpinLatch::detached());
+        let job = StackJob::new(|| 21 * 2, CountLatch::detached(1));
         unsafe {
             let r = job.as_job_ref();
             r.execute();
@@ -193,7 +194,7 @@ mod tests {
 
     #[test]
     fn stack_job_captures_panic_and_sets_latch() {
-        let job: StackJob<_, _, ()> = StackJob::new(|| panic!("x"), SpinLatch::detached());
+        let job: StackJob<_, _, ()> = StackJob::new(|| panic!("x"), CountLatch::detached(1));
         unsafe { job.as_job_ref().execute() };
         assert!(job.latch.probe(), "latch must be set even on panic");
         let caught = crate::unwind::halt_unwinding(move || unsafe { job.into_result() });
@@ -204,7 +205,7 @@ mod tests {
     fn poisoned_job_panics_with_diagnosable_payload() {
         // Collect a StackJob whose latch was set without executing it —
         // the latch-protocol violation the poisoned payload diagnoses.
-        let job: StackJob<_, _, i32> = StackJob::new(|| 7, SpinLatch::detached());
+        let job: StackJob<_, _, i32> = StackJob::new(|| 7, CountLatch::detached(1));
         job.latch.set();
         let caught = crate::unwind::halt_unwinding(move || unsafe { job.into_result() })
             .expect_err("collecting a never-executed job must panic");

@@ -9,18 +9,16 @@
 //!
 //! # The setter touches the latch last
 //!
-//! `join`'s [`SpinLatch`], the [`CountLatch`]es of `scope` and
-//! `broadcast_all`, and `install`'s [`LockLatch`] live on the waiter's
-//! stack. The moment the waiter can observe the latch set, it may return
-//! and free it, so no setter may touch the latch after the operation that
-//! releases the waiter:
+//! `broadcast_all`'s [`CountLatch`] and `install`'s [`LockLatch`] live on
+//! the waiter's stack. The moment the waiter can observe the latch set,
+//! it may return and free it, so no setter may touch the latch after the
+//! operation that releases the waiter:
 //!
-//! * [`SpinLatch`] and [`CountLatch`] copy their `Sleep` pointer into a
-//!   local *before* the releasing store or decrement and wake through the
-//!   copy. The registry owns the `Sleep` and outlives every job that can
-//!   set one of its latches. (A setter outside the pool must hold the
-//!   latch alive across `set`, as a shared `Arc` does, and the latch's own
-//!   `Arc<Sleep>` with it.)
+//! * [`CountLatch`] copies its `Sleep` pointer into a local *before* the
+//!   releasing decrement and wakes through the copy. The registry owns
+//!   the `Sleep` and outlives every job that can set one of its latches.
+//!   (A setter outside the pool must hold the latch alive across `set`,
+//!   as a shared `Arc` does, and the latch's own `Arc<Sleep>` with it.)
 //! * [`LockLatch`]'s setter stores the flag while holding the latch's
 //!   mutex, and its unlock is its last access. The waiter takes that mutex
 //!   once before it returns, even when it saw the flag while spinning, so
@@ -31,11 +29,6 @@
 //! No latch operation needs `SeqCst`; every edge the waiters rely on is a
 //! release/acquire pair on a single atomic:
 //!
-//! * **[`SpinLatch`]** — `set`'s `Release` store of `done` pairs with
-//!   `probe`'s `Acquire` load. A waiter that observes `done == true`
-//!   therefore sees every write the setter performed before `set` (the
-//!   forked job's result in particular). The wake itself rides the sleep
-//!   protocol's own `SeqCst` event counter ([`Sleep`](crate::sleep)).
 //! * **[`CountLatch`]** — each `set` is a `fetch_sub(1, AcqRel)`. The
 //!   `Release` half publishes that participant's writes; because atomic
 //!   RMWs continue a release sequence, the waiter's `Acquire` `probe`
@@ -46,14 +39,13 @@
 //!   itself act on its siblings' writes (the lazy-loop owner relies on
 //!   this when it resolves its own latch). [`CountLatch::set_many`] is
 //!   the batched form with the identical edge: one `fetch_sub(n)` stands
-//!   for `n` logical completions the caller accumulated locally.
+//!   for `n` logical completions the caller accumulated locally. The wake
+//!   itself rides the sleep protocol's own `SeqCst` event counter
+//!   ([`Sleep`](crate::sleep)).
 //! * **[`LockLatch`]** — `set`'s `Release` store of `done` pairs with the
 //!   spinning waiter's `Acquire` load; the mutex orders the rest (the
 //!   `blocked` handshake, and the waiter's final lock after the setter's
 //!   unlock).
-//! * `increment`'s `AcqRel` keeps the counter's modification order a
-//!   plain counter; callers must not revive a finished latch (debug
-//!   asserted).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -73,7 +65,7 @@ pub trait Probe {
 }
 
 /// The `Sleep` a setter wakes, copied as a plain pointer (not an `Arc`
-/// clone) *before* the store or decrement that releases the waiter: the
+/// clone) *before* the decrement that releases the waiter: the
 /// waiter may return and free the latch once that operation lands.
 #[inline]
 fn sleep_ptr(sleep: &Option<Arc<Sleep>>) -> Option<*const Sleep> {
@@ -90,44 +82,11 @@ fn wake(sleep: Option<*const Sleep>) {
     }
 }
 
-/// A one-shot boolean latch awaited by spinning/stealing workers.
-pub struct SpinLatch {
-    done: AtomicBool,
-    sleep: Option<Arc<Sleep>>,
-}
-
-impl SpinLatch {
-    /// A latch whose `set` wakes sleepers of the pool owning `sleep`.
-    pub(crate) fn with_sleep(sleep: Arc<Sleep>) -> Self {
-        SpinLatch { done: AtomicBool::new(false), sleep: Some(sleep) }
-    }
-
-    /// A detached latch (tests, or waiters that never park).
-    pub fn detached() -> Self {
-        SpinLatch { done: AtomicBool::new(false), sleep: None }
-    }
-}
-
-impl Latch for SpinLatch {
-    #[inline]
-    fn set(&self) {
-        let sleep = sleep_ptr(&self.sleep);
-        self.done.store(true, Ordering::Release);
-        wake(sleep);
-    }
-}
-
-impl Probe for SpinLatch {
-    #[inline]
-    fn probe(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-}
-
 /// A counting latch: `set` decrements, the latch is done at zero.
 ///
 /// Used for loop partitions (the hybrid loop counts its `R` partitions),
-/// scopes (one count per spawned task) and team regions (one per worker).
+/// lazy loops (one count, set by the last participant out) and team
+/// regions (one per worker).
 pub struct CountLatch {
     count: AtomicUsize,
     sleep: Option<Arc<Sleep>>,
@@ -141,13 +100,6 @@ impl CountLatch {
     /// A detached counting latch (tests, or non-parking waiters).
     pub fn detached(count: usize) -> Self {
         CountLatch { count: AtomicUsize::new(count), sleep: None }
-    }
-
-    /// Add `n` more expected completions. Must not be called after the
-    /// count has already reached zero.
-    pub fn increment(&self, n: usize) {
-        let prev = self.count.fetch_add(n, Ordering::AcqRel);
-        debug_assert!(prev != 0 || n == 0, "revived a finished CountLatch");
     }
 
     /// Current remaining count (diagnostics; racy under concurrency).
@@ -257,14 +209,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spin_latch_set_probe() {
-        let l = SpinLatch::detached();
-        assert!(!l.probe());
-        l.set();
-        assert!(l.probe());
-    }
-
-    #[test]
     fn count_latch_counts_down() {
         let l = CountLatch::detached(3);
         assert!(!l.probe());
@@ -272,17 +216,6 @@ mod tests {
         l.set();
         assert!(!l.probe());
         assert_eq!(l.remaining(), 1);
-        l.set();
-        assert!(l.probe());
-    }
-
-    #[test]
-    fn count_latch_increment() {
-        let l = CountLatch::detached(1);
-        l.increment(2);
-        l.set();
-        l.set();
-        assert!(!l.probe());
         l.set();
         assert!(l.probe());
     }

@@ -1,4 +1,4 @@
-//! A Cilk-style work-stealing fork-join runtime, built from scratch.
+//! A Cilk-style work-stealing runtime, built from scratch.
 //!
 //! This crate is the substrate the paper's hybrid loop scheduler runs on: a
 //! work-first, randomized work-stealing scheduler in the style of Cilk and
@@ -7,18 +7,18 @@
 //! steal from the *top* of a uniformly random victim's deque. On top of the
 //! deques sit:
 //!
-//! * [`join`] — the binary fork-join primitive used to implement
-//!   divide-and-conquer `cilk_for` loops (work-first: the continuation is
-//!   made stealable, the child runs immediately);
-//! * [`scope`] — dynamic task spawning with a completion barrier;
+//! * [`ThreadPool::install`] and [`ThreadPool::spawn_detached`] — how work
+//!   from outside the pool (or a detached job from inside it) enters;
 //! * *team broadcast* ([`ThreadPool::broadcast_all`]) — per-worker mailboxes
 //!   used to emulate OpenMP-style parallel regions where *every* worker of
 //!   the team executes a per-thread body (needed for the `omp_static`,
 //!   `omp_dynamic` and `omp_guided` baselines);
-//! * raw deque access ([`WorkerToken::spawn_local`]) — used by
-//!   `parloop-core` to implement the paper's `DoHybridLoop` steal protocol,
-//!   where the hybrid-loop *frame* is a stealable job that re-instantiates
-//!   itself under the thief's worker ID.
+//! * raw deque access ([`WorkerToken::spawn_local`]) and pool-wired latches
+//!   ([`WorkerToken::count_latch`], [`WorkerToken::wait_until`]) — used by
+//!   `parloop-core` to implement the lazy splitter behind `cilk_for`
+//!   (`vanilla`) and the paper's `DoHybridLoop` steal protocol, where the
+//!   hybrid-loop *frame* is a stealable job that re-instantiates itself
+//!   under the thief's worker ID.
 //!
 //! # Worker identity
 //!
@@ -28,11 +28,13 @@
 //!
 //! # Panics
 //!
-//! A panic inside a parallel construct is captured and re-thrown at the
-//! point that waits for that construct (the `join` call, the `scope` call,
-//! or `install`), mirroring rayon's semantics.
+//! A panic inside [`ThreadPool::install`] or a [`ThreadPool::broadcast_all`]
+//! body is captured and re-thrown to the caller once the construct has
+//! come to rest, mirroring rayon's semantics. A detached job has no
+//! waiter to re-throw to: a panic that escapes it to its worker's main
+//! loop marks the worker degraded ([`ThreadPool::health`]), and the
+//! worker stays in service.
 
-mod cancel;
 pub mod deque;
 mod health;
 mod inject;
@@ -42,21 +44,15 @@ mod registry;
 mod rng;
 mod sleep;
 mod unwind;
-
-mod join;
-mod scope;
 pub mod util;
 
-pub use cancel::CancelToken;
 pub use health::{PoolHealth, StallReport};
 pub use job::POISONED_JOB_MSG;
-pub use join::join;
-pub use latch::{CountLatch, Latch, LockLatch, Probe, SpinLatch};
+pub use latch::{CountLatch, Latch, LockLatch, Probe};
 pub use registry::{
     current_worker_index, PoolStats, ThreadPool, ThreadPoolBuilder, WorkerToken,
     DEFAULT_STALL_THRESHOLD,
 };
-pub use scope::{scope, Scope};
 pub use sleep::DEFAULT_BACKSTOP_INTERVAL;
 pub use util::CachePadded;
 

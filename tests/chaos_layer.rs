@@ -10,14 +10,10 @@
 //! * **Panic safety** — a panic injected at *any* site leaves the pool
 //!   reusable.
 //! * **Off-path proof** — a disabled injector is never consulted.
-//! * **Cancellation** — loops with a cancel token observe it firing,
-//!   return `Err`, and preserve exactly-once for everything that ran; a
-//!   caller's timer thread can use the token as a deadline without
-//!   leaking a partition claim.
 //! * **Watchdog** — a stalled pool produces a diagnostic, not a hang,
 //!   and the diagnostic names a stuck worker whose queued jobs its peers
 //!   steal; once unstuck, the worker serves again on its own thread.
-//! * **Repeated loops** — tracked and cancellable loops issued back to
+//! * **Repeated loops** — tracked and untracked loops issued back to
 //!   back on one chaos pool keep exactly-once, and every tracked
 //!   iteration names a valid owner.
 //!
@@ -33,10 +29,7 @@ use parloop::core::AffinityProbe;
 use parloop::runtime::{current_worker_index, Latch, WorkerToken};
 use parloop::trace::metrics::max_claim_failure_run;
 use parloop::trace::{init_clock, RingTraceSink};
-use parloop::{
-    par_for_tracked, CancelToken, Loop, LoopError, Schedule, StallReport, ThreadPool,
-    ThreadPoolBuilder,
-};
+use parloop::{par_for_tracked, Loop, Schedule, StallReport, ThreadPool, ThreadPoolBuilder};
 
 mod common;
 use common::threads_named_settled;
@@ -68,8 +61,7 @@ fn exactly_once_and_lemma4_hold_across_seed_sweep() {
         let injector = Arc::new(PlannedInjector::from_seed(seed));
         let (pool, sink) = chaos_pool(p, Arc::clone(&injector));
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let cancel = CancelToken::new();
-        let stats = Loop { cancel: Some(&cancel), ..Loop::new(Schedule::hybrid().with_grain(8)) }
+        let stats = Loop::new(Schedule::hybrid().with_grain(8))
             .run(&pool, 0..n, |chunk| {
                 for i in chunk {
                     hits[i].fetch_add(1, Ordering::Relaxed);
@@ -128,22 +120,18 @@ fn injected_panic_at_every_site_leaves_pool_reusable() {
             let injector = Arc::new(PlannedInjector::quiet(7).with_panic_at(site, nth));
             let (pool, _sink) = chaos_pool(p, Arc::clone(&injector));
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            let cancel = CancelToken::new();
-            let sched = Schedule::hybrid().with_grain(8);
-            let result =
-                Loop { cancel: Some(&cancel), ..Loop::new(sched) }.run(&pool, 0..n, |chunk| {
-                    for i in chunk {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                });
+            // The first loop may fail with the injected panic: only its
+            // iterations are checked.
+            let _ = Loop::new(Schedule::hybrid().with_grain(8)).run(&pool, 0..n, |chunk| {
+                for i in chunk {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+            });
             for (i, h) in hits.iter().enumerate() {
                 assert!(
                     h.load(Ordering::Relaxed) <= 1,
                     "{site} nth={nth}: iteration {i} ran twice"
                 );
-            }
-            if let Err(LoopError::Cancelled(_)) = &result {
-                panic!("{site} nth={nth}: spurious cancellation");
             }
             // The panic may have landed at a runtime site (absorbed or
             // demoted) or a loop site (reported via Err) — either way the
@@ -155,14 +143,12 @@ fn injected_panic_at_every_site_leaves_pool_reusable() {
             let mut clean_pass = false;
             for _ in 0..4 {
                 let sum = AtomicUsize::new(0);
-                let clean = CancelToken::new();
                 let result =
-                    Loop { cancel: Some(&clean), ..Loop::new(Schedule::hybrid().with_grain(4)) }
-                        .run(&pool, 0..100, |chunk| {
-                            for i in chunk {
-                                sum.fetch_add(i, Ordering::Relaxed);
-                            }
-                        });
+                    Loop::new(Schedule::hybrid().with_grain(4)).run(&pool, 0..100, |chunk| {
+                        for i in chunk {
+                            sum.fetch_add(i, Ordering::Relaxed);
+                        }
+                    });
                 match result {
                     Ok(stats) => {
                         assert_eq!(sum.load(Ordering::Relaxed), 4950, "{site} nth={nth}");
@@ -206,127 +192,6 @@ fn disabled_injector_is_never_consulted() {
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
     assert!(!pool.is_degraded(), "tripwire fired somewhere");
-}
-
-/// Mid-loop cancellation: the body fires the token at a fixed iteration,
-/// the partitions claimed after it are drained (claimed + skipped), the
-/// caller gets `Err(Cancelled)`, everything that ran ran exactly once, and
-/// the pool is immediately reusable. Two inputs: a deterministic
-/// single-worker schedule firing in its first chunk, and a 2-worker loop
-/// with `R = 16` partitions (oversub 8) firing in partition 1, whose
-/// bodies nap so the peer is mid-partition when the token fires.
-#[test]
-fn cancellation_mid_loop_returns_err_and_pool_stays_usable() {
-    let inputs = [
-        (1, Schedule::Hybrid { grain: Some(4), oversub: 4 }, 64, 0, Duration::ZERO),
-        (2, Schedule::hybrid_oversub(8), 512, 40, Duration::from_micros(100)),
-    ];
-    for (p, sched, n, fire_at, nap) in inputs {
-        let pool = ThreadPool::new(p);
-        let cancel = CancelToken::new();
-        let ran: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let r = Loop { cancel: Some(&cancel), ..Loop::new(sched) }.run(&pool, 0..n, |chunk| {
-            for i in chunk {
-                if i == fire_at {
-                    cancel.cancel();
-                }
-                ran[i].fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(nap);
-            }
-        });
-        assert!(matches!(r, Err(LoopError::Cancelled(_))), "P={p}: token must cancel: {r:?}");
-        let executed: usize = ran.iter().map(|h| h.load(Ordering::Relaxed)).sum();
-        assert!(
-            ran.iter().all(|h| h.load(Ordering::Relaxed) <= 1),
-            "P={p}: an iteration ran twice"
-        );
-        assert!(executed < n, "P={p}: cancellation should have skipped at least one partition");
-        assert!(executed > 0, "P={p}: the cancelling chunk itself did run");
-
-        // Pool reusable right away, exactly-once intact.
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parloop::par_for(&pool, 0..n, Schedule::hybrid(), |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "P={p}: follow-up loop");
-    }
-}
-
-/// A cancelled hybrid loop reports its counters: the drained
-/// partitions show up as `skipped_partitions`.
-#[test]
-fn cancelled_hybrid_reports_skipped_partitions() {
-    let pool = ThreadPool::new(1);
-    let cancel = CancelToken::new();
-    cancel.cancel();
-    let sched = Schedule::hybrid().with_grain(8);
-    let result = Loop { cancel: Some(&cancel), ..Loop::new(sched) }.run(&pool, 0..128, |_| {});
-    match result {
-        Err(LoopError::Cancelled(stats)) => {
-            assert_eq!(stats.skipped_partitions, stats.partitions);
-        }
-        other => panic!("expected Cancelled, got {other:?}"),
-    }
-}
-
-/// A caller keeps its own deadline with a timer thread that fires the
-/// loop's token: the hybrid loop returns `Err(Cancelled)` mid-flight,
-/// every started iteration ran exactly once, every partition claim is
-/// accounted for as run or skipped, and the pool stays usable.
-#[test]
-fn deadline_cancels_loop_without_leaking_claims() {
-    let pool = ThreadPool::new(2);
-    let cancel = CancelToken::new();
-
-    // Hybrid cancellation skips whole partitions whose claim comes after
-    // the token fires, so the loop needs more partitions than workers
-    // (oversub 8 → R = 16 on P = 2): the first claims start immediately,
-    // each runs ~32ms of bodies, and every later claim sees the 5ms
-    // deadline long expired.
-    let n = 512;
-    let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    let r = std::thread::scope(|s| {
-        let timer = cancel.clone();
-        s.spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            timer.cancel();
-        });
-        let sched = Schedule::hybrid_oversub(8);
-        Loop { cancel: Some(&cancel), ..Loop::new(sched) }.run(&pool, 0..n, |chunk| {
-            for i in chunk {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        })
-    });
-    let report = match r {
-        Err(LoopError::Cancelled(report)) => report,
-        other => panic!("the deadline must cancel the loop: {other:?}"),
-    };
-
-    // Exactly-once for everything that started; the tail never ran.
-    assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) <= 1), "an iteration ran twice");
-    let executed: usize = hits.iter().map(|h| h.load(Ordering::Relaxed)).sum();
-    assert!(executed < n, "deadline fired but every iteration still ran");
-
-    // No claim leaked: started partitions run whole and skipped ones run
-    // nothing, so the iterations that ran fill exactly the partitions
-    // that were not skipped.
-    let (parts, skipped) = (report.partitions, report.skipped_partitions);
-    assert!(parts > 2 && skipped > 0 && skipped < parts, "{report:?}");
-    let ran_parts = parts - skipped;
-    assert!(
-        (ran_parts * (n / parts)..=ran_parts * n.div_ceil(parts)).contains(&executed),
-        "{executed} iterations ran in {ran_parts} unskipped partitions: {report:?}"
-    );
-
-    // The pool stays usable: a loop without a token runs every iteration
-    // exactly once.
-    let again: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-    parloop::par_for(&pool, 0..n, Schedule::hybrid(), |i| {
-        again[i].fetch_add(1, Ordering::Relaxed);
-    });
-    assert!(again.iter().all(|h| h.load(Ordering::Relaxed) == 1), "follow-up loop");
 }
 
 /// A genuinely stalled wait produces a watchdog diagnostic instead of a
@@ -385,9 +250,8 @@ fn chaos_runs_actually_inject_faults() {
     );
     let (pool, _sink) = chaos_pool(2, Arc::clone(&injector));
     for _ in 0..10 {
-        let cancel = CancelToken::new();
         let hits: Vec<AtomicUsize> = (0..256).map(|_| AtomicUsize::new(0)).collect();
-        Loop { cancel: Some(&cancel), ..Loop::new(Schedule::hybrid().with_grain(8)) }
+        Loop::new(Schedule::hybrid().with_grain(8))
             .run(&pool, 0..256, |chunk| {
                 for i in chunk {
                     hits[i].fetch_add(1, Ordering::Relaxed);
@@ -664,9 +528,9 @@ fn wedged_worker_keeps_its_thread_and_pool_drops_cleanly() {
     assert_eq!(threads_named_settled(prefix, 0), 0, "drop leaked worker threads");
 }
 
-/// Three cancellable loops back to back on one pool under a seeded fault
-/// sweep, with a token that never fires: the injector forces extra steal
-/// traffic, and every loop still runs each iteration exactly once.
+/// Three loops back to back on one pool under a seeded fault sweep: the
+/// injector forces extra steal traffic, and every loop still runs each
+/// iteration exactly once.
 #[test]
 fn repeated_cancellable_loops_keep_exactly_once_under_chaos() {
     let p = 4;
@@ -677,8 +541,7 @@ fn repeated_cancellable_loops_keep_exactly_once_under_chaos() {
         let pool = ThreadPoolBuilder::new().num_workers(p).fault_injector(injector).build();
         for _ in 0..3 {
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            let cancel = CancelToken::new();
-            Loop { cancel: Some(&cancel), ..Loop::new(Schedule::hybrid().with_grain(8)) }
+            Loop::new(Schedule::hybrid().with_grain(8))
                 .run(&pool, 0..n, |chunk| {
                     for i in chunk {
                         hits[i].fetch_add(1, Ordering::Relaxed);

@@ -10,10 +10,10 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Roster plus the off-roster schemes the chunk layer must also serve.
+/// Roster plus the off-roster oversubscribed hybrid, which the chunk
+/// layer must also serve.
 fn all_schemes(n: usize, p: usize) -> Vec<Schedule> {
     let mut v = Schedule::roster(n, p);
-    v.push(Schedule::omp_static_chunked(7));
     v.push(Schedule::hybrid_oversub(4));
     v
 }

@@ -10,14 +10,14 @@ mod common;
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use common::{run_cases, wait_for_idle_peer};
 use parloop::chaos::{PlannedInjector, Site, RATE_DENOM};
 use parloop::core::lazy_for_chunks;
 use parloop::runtime::{Latch, WorkerToken};
-use parloop::{join, par_for_chunks, Schedule, ThreadPool, ThreadPoolBuilder};
+use parloop::{par_for_chunks, Schedule, ThreadPool, ThreadPoolBuilder};
 
 fn seed_count() -> u64 {
     std::env::var("CHAOS_SEEDS").ok().and_then(|s| s.parse().ok()).unwrap_or(32)
@@ -135,13 +135,13 @@ fn owner_waiting_in_its_chunk_survives_stealing_its_own_handle() {
     assert_eq!(outcome, Ok(true), "the loop deadlocked or missed an iteration");
 }
 
-/// Runs `owner` on one worker of a 2-worker pool while the other worker
-/// is held busy in a `join` branch that spins until it is released:
-/// through the flag `owner` is handed, or once `owner` returns. `owner`
-/// starts only after a second flag shows the busy branch running, so the
-/// other worker has left the idle count.
+/// Runs `owner` on worker 0 of a 2-worker pool while worker 1 is held
+/// busy in its team body, spinning until it is released: through the
+/// flag `owner` is handed, or once `owner` returns. `owner` starts only
+/// after a second flag shows the busy body running, so worker 1 has left
+/// the idle count.
 fn with_busy_peer(pool: &ThreadPool, owner: impl FnOnce(&AtomicBool) + Send) {
-    /// Releases the busy branch even if `owner` panics, so `join` can
+    /// Releases the busy body even if `owner` panics, so the broadcast can
     /// return and the failure surfaces instead of hanging.
     struct Release<'a>(&'a AtomicBool);
     impl Drop for Release<'_> {
@@ -151,25 +151,24 @@ fn with_busy_peer(pool: &ThreadPool, owner: impl FnOnce(&AtomicBool) + Send) {
     }
     let running = AtomicBool::new(false);
     let release = AtomicBool::new(false);
+    let owner = Mutex::new(Some(owner));
     assert_eq!(pool.num_workers(), 2);
-    pool.install(|| {
-        join(
-            || {
-                let _release = Release(&release);
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while !running.load(Ordering::Acquire) {
-                    assert!(Instant::now() < deadline, "the busy branch was never stolen");
-                    std::thread::yield_now();
-                }
-                owner(&release);
-            },
-            || {
-                running.store(true, Ordering::Release);
-                while !release.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            },
-        );
+    pool.broadcast_all(|w| {
+        if w == 0 {
+            let _release = Release(&release);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !running.load(Ordering::Acquire) {
+                assert!(Instant::now() < deadline, "the busy body never started");
+                std::thread::yield_now();
+            }
+            let owner = owner.lock().unwrap().take().expect("worker 0 runs its body once");
+            owner(&release);
+        } else {
+            running.store(true, Ordering::Release);
+            while !release.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }
     });
 }
 

@@ -3,8 +3,8 @@
 //! heavily preempted — a good adversarial schedule generator).
 
 use parloop::core::{par_for, Schedule};
-use parloop::runtime::{join, scope, ThreadPool, ThreadPoolBuilder};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use parloop::runtime::{ThreadPool, ThreadPoolBuilder};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 mod common;
@@ -16,51 +16,27 @@ fn many_short_lived_pools() {
         let p = 1 + round % 5;
         let pool = ThreadPool::new(p);
         let count = AtomicUsize::new(0);
-        pool.install(|| {
-            join(
-                || count.fetch_add(1, Ordering::Relaxed),
-                || count.fetch_add(1, Ordering::Relaxed),
-            );
+        par_for(&pool, 0..2, Schedule::hybrid(), |_| {
+            count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 2);
         // Drop immediately: shutdown must not hang or leak stack jobs.
     }
 }
 
-#[test]
-fn deep_join_tree_with_stealing() {
-    let pool = ThreadPool::new(4);
-    fn sum(lo: u64, hi: u64) -> u64 {
-        if hi - lo <= 32 {
-            return (lo..hi).sum();
-        }
-        let mid = lo + (hi - lo) / 2;
-        let (a, b) = join(|| sum(lo, mid), || sum(mid, hi));
-        a + b
-    }
-    let n = 1 << 16;
-    assert_eq!(pool.install(|| sum(0, n)), n * (n - 1) / 2);
-    let stats = pool.stats();
-    assert!(stats.jobs_executed > 0);
-}
-
+/// Full parallel loops issued from team bodies: every worker of a
+/// 3-worker broadcast issues its share of 8 loops at once, so each loop's
+/// owner is busy and the others run loops of their own or assist.
 #[test]
 fn scopes_spawning_parallel_loops() {
     let pool = ThreadPool::new(3);
     let total = AtomicUsize::new(0);
-    let pool_ref = &pool;
-    let total_ref = &total;
-    pool.install(|| {
-        scope(|s| {
-            for _ in 0..8 {
-                s.spawn(move |_| {
-                    // A full parallel loop from inside a scoped task.
-                    par_for(pool_ref, 0..64, Schedule::vanilla(), |_| {
-                        total_ref.fetch_add(1, Ordering::Relaxed);
-                    });
-                });
-            }
-        });
+    pool.broadcast_all(|w| {
+        for _ in (w..8).step_by(pool.num_workers()) {
+            par_for(&pool, 0..64, Schedule::vanilla(), |_| {
+                total.fetch_add(1, Ordering::Relaxed);
+            });
+        }
     });
     assert_eq!(total.load(Ordering::Relaxed), 8 * 64);
 }
@@ -117,12 +93,11 @@ fn panic_storm_leaves_pool_usable() {
 fn results_flow_out_of_install() {
     let pool = ThreadPool::new(2);
     let v: Vec<u64> = pool.install(|| {
-        let (mut a, b) = join(
-            || (0..100u64).map(|i| i * 2).collect::<Vec<_>>(),
-            || (100..200u64).map(|i| i * 2).collect::<Vec<_>>(),
-        );
-        a.extend(b);
-        a
+        let slots: Vec<AtomicU64> = (0..200).map(|_| AtomicU64::new(0)).collect();
+        par_for(&pool, 0..200, Schedule::hybrid(), |i| {
+            slots[i].store(i as u64 * 2, Ordering::Relaxed);
+        });
+        slots.into_iter().map(AtomicU64::into_inner).collect()
     });
     assert_eq!(v.len(), 200);
     assert_eq!(v[199], 398);

@@ -98,17 +98,3 @@ fn oversub_conserves_accesses() {
         assert_eq!(r.counts.total(), app.loops[0].total_accesses() * 2);
     });
 }
-
-/// StaticCyclic is deterministic: affinity 1.0 across consecutive loops.
-#[test]
-fn static_cyclic_retains_affinity() {
-    run_cases(0x51A4, 24, |rng| {
-        let chunk = rng.usize_in(1, 33) as u16;
-        let p = rng.usize_in(2, 9);
-        let app = build_app(40, 3, 64, 1.0, 1);
-        let r = simulate(&app, PolicyKind::StaticCyclic(chunk), p, &SimConfig::xeon());
-        assert_eq!(r.counts.total(), app.loops[0].total_accesses() * 3);
-        let a = r.mean_affinity(&app);
-        assert!((a - 1.0).abs() < 1e-12, "cyclic affinity {a}");
-    });
-}

@@ -5,7 +5,7 @@
 
 mod common;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -175,15 +175,26 @@ impl TraceSink for PanicSink {
 fn disabled_sink_is_never_called_on_any_path() {
     let pool = ThreadPoolBuilder::new().num_workers(4).trace_sink(Arc::new(PanicSink)).build();
     assert!(!pool.tracing_enabled());
-    // Exercise every instrumented path: push/pop/steal/park via joins,
-    // claims/chunks/frames via hybrid loops.
+    // Exercise every instrumented path: push/pop/steal/park via a job
+    // detached from a worker onto its own deque, claims/chunks/frames via
+    // hybrid loops.
     let count = AtomicUsize::new(0);
     par_for(&pool, 0..4096, Schedule::hybrid().with_grain(16), |_| {
         count.fetch_add(1, Ordering::Relaxed);
     });
+    let detached_ran = Arc::new(AtomicBool::new(false));
     pool.install(|| {
-        parloop::join(|| std::hint::black_box(1), || std::hint::black_box(2));
+        let ran = Arc::clone(&detached_ran);
+        pool.spawn_detached(move || ran.store(true, Ordering::Release));
     });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !detached_ran.load(Ordering::Acquire) && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    assert!(detached_ran.load(Ordering::Acquire), "the detached job never ran");
+    // A sink call on a worker's own find-work path would have panicked
+    // into its main loop and marked it degraded.
+    assert!(!pool.is_degraded(), "the disabled sink was reached");
     assert_eq!(count.load(Ordering::Relaxed), 4096);
 }
 
